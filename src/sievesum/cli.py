@@ -487,7 +487,7 @@ def _common_flags():
     common.add_argument("--out", default=sup,
                         help="output file; a directory for verify (default stdout)")
     common.add_argument("--threads", type=int, default=sup,
-                        help="worker threads for scan (default 1)")
+                        help="execution-only thread setting, echoed on stderr (default 1)")
     common.add_argument("--config", default=sup,
                         help="key=value config file merged under flags")
     return common

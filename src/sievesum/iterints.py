@@ -20,6 +20,13 @@ per-panel Lobatto resolution is doubled until a nested-grid comparison
 meets tol.  When m - s is large the kinks are negligible (order m-s+1) and
 a single t panel is used.
 
+Barycentric rows depend on the nodes and the query points only, not on
+the values they interpolate, so every kernel on the same t grid can share
+them: build_tables marches such kernels in batches and builds each
+interpolation operator once per rung, v-panel and v-node.  Tables are
+built one batch after another in the calling thread; nothing here runs
+concurrently.
+
 Two reductions keep the numbers representable:
   * the constant A = (m!/(m-s)!)^2/(s-1)! is pulled out (its log is the
     kernel's L) and only phi = I * t^(-2(m-s)) / A is stored, which is
@@ -51,6 +58,9 @@ KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
 DEGREE_BUDGET = 100  # GL_NODES integrates polynomials up to degree 2*GL_NODES-1
 LOG_GRID_RATIO = 2.0 ** -0.25
 LOG_GRID_FLOOR = 1e-16
+CHUNK_ROWS = 2048  # t-interpolation rows built and applied per block
+BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
+BATCH_KERNELS = 16  # kernels marched together on one t grid
 
 
 @dataclass(frozen=True)
@@ -120,37 +130,34 @@ def _t_breaks(kernel):
     return np.asarray(sorted(pts))
 
 
-def _make_tgrid(kernel, n_per):
-    breaks = _t_breaks(kernel)
+def _make_tgrid(breaks, n_per):
     nodes = np.concatenate(
         [quadchev.cheb_lobatto(a, b, n_per) for a, b in zip(breaks[:-1], breaks[1:])]
     )
     return TGrid(breaks, n_per, nodes, quadchev.lobatto_bary_weights(n_per))
 
 
-def _gather_interp(grid, D, g_idx, q):
-    """sum_j B[q, j] * D[g_idx, j] with B the piecewise barycentric rows.
+def _interp_blocks(grid, q):
+    """Yield (rows, cols, B): B @ values[cols] interpolates the t grid at q[rows].
 
-    D has shape (G, grid.total); q and g_idx are flat and aligned.
+    Rows are grouped by owning panel and cut into blocks of at most
+    CHUNK_ROWS; each row depends on its own query point only, so a block
+    can serve every table on the grid.
     """
-    out = np.empty(q.shape[0])
     owner = grid.owner(q)
-    for p in np.unique(owner):
-        rows = owner == p
-        B = quadchev.bary_matrix(grid.panel_nodes(p), grid.bw, q[rows])
-        block = D[g_idx[rows], p * grid.n_per : (p + 1) * grid.n_per]
-        out[rows] = np.sum(B * block, axis=1)
-    return out
+    for p in np.flatnonzero(np.bincount(owner)):
+        idx = np.nonzero(owner == p)[0]
+        cols = slice(p * grid.n_per, (p + 1) * grid.n_per)
+        for lo in range(0, idx.shape[0], CHUNK_ROWS):
+            rows = idx[lo : lo + CHUNK_ROWS]
+            yield rows, cols, quadchev.bary_matrix(grid.panel_nodes(p), grid.bw, q[rows])
 
 
 def _piecewise_matrix(grid, q):
     """Dense (len(q), grid.total) interpolation matrix (block nonzeros)."""
     out = np.zeros((q.shape[0], grid.total))
-    owner = grid.owner(q)
-    for p in np.unique(owner):
-        rows = owner == p
-        B = quadchev.bary_matrix(grid.panel_nodes(p), grid.bw, q[rows])
-        out[np.nonzero(rows)[0][:, None], np.arange(p * grid.n_per, (p + 1) * grid.n_per)[None, :]] = B
+    for rows, cols, B in _interp_blocks(grid, q):
+        out[rows, cols] = B
     return out
 
 
@@ -165,16 +172,28 @@ def _merge_close(pts, eps=1e-13):
 
 
 def _base_grid(kernel, t):
-    """Quadrature segments on [0, 1] split at the kinks of f(u t x)."""
+    """Quadrature segments on [0, 1] split at the kinks of f(u t x).
+
+    Log mode replaces 0 by a geometric grid that resolves the spike of
+    x^2w (1-x)^(s-1); float mode halves the segments when the integrand's
+    degree exceeds what GL_NODES points integrate.
+    """
+    pts = {1.0}
+    if kernel.log_scale:
+        x = 1.0
+        while x > LOG_GRID_FLOOR:
+            x *= LOG_GRID_RATIO
+            pts.add(x)
+    else:
+        pts.add(0.0)
     ut = kernel.u * t
-    pts = {0.0, 1.0}
     j = 1
     while j < ut:
         pts.add(j / ut)
         j += 1
     pts = _merge_close(sorted(pts))
     degree = kernel.s - 1 + 2 * (kernel.m - kernel.s)
-    if degree + 1 > DEGREE_BUDGET:
+    if not kernel.log_scale and degree + 1 > DEGREE_BUDGET:
         splits = min(int(math.ceil(math.log2((degree + 1) / DEGREE_BUDGET))), 4)
         for _ in range(splits):
             mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
@@ -182,44 +201,41 @@ def _base_grid(kernel, t):
     return np.asarray(pts)
 
 
-def _phi_base_float(kernel, t):
-    """phi(t, v<=1) by composite Gauss-Legendre quadrature."""
-    s, w, u = kernel.s, kernel.m - kernel.s, kernel.u
-    pts = _base_grid(kernel, t)
-    glx, glw = quadchev.gauss_legendre(GL_NODES)
-    mid = 0.5 * (pts[:-1] + pts[1:])
-    half = 0.5 * (pts[1:] - pts[:-1])
-    x = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    wts = (half[:, None] * glw[None, :]).ravel()
-    fv = dde.eval_f_many(kernel.f_sol, np.minimum(u * t * x, kernel.f_sol.U))
-    g = (1.0 - x) ** (s - 1) * (fv * x ** w) ** 2
-    return float(wts @ g)
+def _base_row(kernel, t_nodes):
+    """phi(t, v<=1) at each t node by composite Gauss-Legendre (log phi in log mode).
 
-
-def _phi_base_log(kernel, t):
-    """log phi(t, v<=1); geometric grid resolves the spike of x^2w (1-x)^(s-1)."""
-    s, w, u = kernel.s, kernel.m - kernel.s, kernel.u
-    pts = {1.0}
-    x = 1.0
-    while x > LOG_GRID_FLOOR:
-        x *= LOG_GRID_RATIO
-        pts.add(x)
-    ut = u * t
-    j = 1
-    while j < ut:
-        pts.add(j / ut)
-        j += 1
-    pts = np.asarray(_merge_close(sorted(pts)))
+    The quadrature points of consecutive t nodes, at most BASE_POINTS at a
+    time, go through one f evaluation; each node keeps its own sum.
+    """
+    s, w, u, sol = kernel.s, kernel.m - kernel.s, kernel.u, kernel.f_sol
     glx, glw = quadchev.gauss_legendre(GL_NODES)
-    mid = 0.5 * (pts[:-1] + pts[1:])
-    half = 0.5 * (pts[1:] - pts[:-1])
-    x = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    logw = (np.log(half[:, None] * glw[None, :])).ravel()
-    lf = dde.eval_log_f_many(kernel.f_sol, np.minimum(u * t * x, kernel.f_sol.U))
-    terms = logw + 2.0 * (lf + w * np.log(x))
-    if s > 1:
-        terms = terms + (s - 1) * np.log1p(-x)
-    return float(quadchev.logsumexp(terms))
+    grids = [_base_grid(kernel, t) for t in t_nodes]
+    sizes = np.array([(len(p) - 1) * GL_NODES for p in grids])
+    ends = np.cumsum(sizes)
+    out = np.empty(len(t_nodes))
+    lo = 0
+    while lo < len(t_nodes):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + BASE_POINTS, "right")))
+        mid = np.concatenate([0.5 * (p[:-1] + p[1:]) for p in grids[lo:hi]])
+        half = np.concatenate([0.5 * (p[1:] - p[:-1]) for p in grids[lo:hi]])
+        x = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
+        wts = (half[:, None] * glw[None, :]).ravel()
+        y = np.minimum(np.repeat(u * t_nodes[lo:hi], sizes[lo:hi]) * x, sol.U)
+        if kernel.log_scale:
+            g = np.log(wts) + 2.0 * (dde.eval_log_f_many(sol, y) + w * np.log(x))
+            if s > 1:
+                g = g + (s - 1) * np.log1p(-x)
+        else:
+            g = (1.0 - x) ** (s - 1) * (dde.eval_f_many(sol, y) * x ** w) ** 2
+        a = 0
+        for i, b in enumerate(sizes[lo:hi], lo):
+            if kernel.log_scale:
+                out[i] = quadchev.logsumexp(g[a : a + b])
+            else:
+                out[i] = wts[a : a + b] @ g[a : a + b]
+            a += b
+        lo = hi
+    return out
 
 
 def _slog_sub(la, lb):
@@ -260,117 +276,120 @@ class ITable:
     est_error: float
     floor_hits: int = 0
 
-    @property
-    def n_t(self):
-        return self.grid.total
+
+class _Float:
+    """phi itself: segments add, the recursion subtracts s times their sum."""
+
+    zero = 0.0
+    add = staticmethod(np.add)
+
+    @staticmethod
+    def seg(inner, tp, x, half, glw, sexp):
+        return half * (glw @ (inner * (tp ** sexp / x)[:, None]))
+
+    @staticmethod
+    def row(base, s, tot):
+        return base - s * tot
+
+    @staticmethod
+    def close(rows):
+        """(stored panel, values the next panel interpolates, floor hits)."""
+        panel = np.array(rows)
+        return panel, panel, 0
 
 
-def _march_float(kernel, v_max, grid):
-    s, w = kernel.s, kernel.m - kernel.s
-    sexp = s + 2 * w
-    t_nodes = grid.nodes
-    T = grid.total
-    bw_v = quadchev.lobatto_bary_weights(N_V)
-    base = np.array([_phi_base_float(kernel, t) for t in t_nodes])
-    glx, glw = quadchev.gauss_legendre(GL_NODES)
-    g_idx = np.repeat(np.arange(GL_NODES), T)
-    n_panels = max(int(math.ceil(v_max)) - 1, 0)
-    panels = []
-    prev_v_nodes = None
-    Q = np.zeros(T)
-    for r in range(1, n_panels + 1):
-        a = float(r)
-        v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
-        M = np.empty((N_V, T))
-        M[0] = base - s * Q
-        seg_full = None
-        for j in range(1, N_V):
-            mid = 0.5 * (a + v_nodes[j])
-            half = 0.5 * (v_nodes[j] - a)
-            x = mid + half * glx
-            tp = 1.0 - 1.0 / x
-            tq = (tp[:, None] * t_nodes[None, :]).ravel()
-            if r == 1:
-                D = np.broadcast_to(base, (GL_NODES, T))
-            else:
-                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0)
-                D = Bv @ panels[r - 2]
-            inner = _gather_interp(grid, D, g_idx, tq).reshape(GL_NODES, T)
-            integrand = inner * (tp ** sexp / x)[:, None]
-            seg = half * (glw @ integrand)
-            M[j] = base - s * (Q + seg)
-            seg_full = seg
-        Q = Q + seg_full
-        panels.append(M)
-        prev_v_nodes = v_nodes
-    return base, panels, 0
+class _Log:
+    """log phi: segments combine by logaddexp, rows are signed differences."""
 
+    zero = -np.inf
+    add = staticmethod(np.logaddexp)
 
-def _march_log(kernel, v_max, grid):
-    s, w = kernel.s, kernel.m - kernel.s
-    sexp = s + 2 * w
-    logs = math.log(s)
-    t_nodes = grid.nodes
-    T = grid.total
-    bw_v = quadchev.lobatto_bary_weights(N_V)
-    base = np.array([_phi_base_log(kernel, t) for t in t_nodes])
-    glx, glw = quadchev.gauss_legendre(GL_NODES)
-    g_idx = np.repeat(np.arange(GL_NODES), T)
-    n_panels = max(int(math.ceil(v_max)) - 1, 0)
-    panels = []
-    prev_L = None
-    prev_v_nodes = None
-    floor_hits = 0
-    Q = np.full(T, -np.inf)
-    for r in range(1, n_panels + 1):
-        a = float(r)
-        v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
-        Lm = np.empty((N_V, T))
-        Sm = np.empty((N_V, T))
-        Sm[0], Lm[0] = _slog_sub(base, logs + Q)
-        seg_full = None
-        for j in range(1, N_V):
-            mid = 0.5 * (a + v_nodes[j])
-            half = 0.5 * (v_nodes[j] - a)
-            x = mid + half * glx
-            tp = 1.0 - 1.0 / x
-            tq = (tp[:, None] * t_nodes[None, :]).ravel()
-            # interpolate log phi itself; phi > 0 in exact arithmetic
-            if r == 1:
-                D = np.broadcast_to(base, (GL_NODES, T))
-            else:
-                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0)
-                D = Bv @ prev_L
-            inner = _gather_interp(grid, D, g_idx, tq).reshape(GL_NODES, T)
-            lt = inner + (sexp * np.log(tp) - np.log(x) + np.log(half * glw))[:, None]
-            mg = np.max(lt, axis=0)
-            safe = np.where(np.isfinite(mg), mg, 0.0)
-            seg = np.where(
-                np.isfinite(mg),
-                safe + np.log(np.sum(np.exp(lt - safe[None, :]), axis=0)),
-                -np.inf,
-            )
-            tot = np.logaddexp(Q, seg)
-            Sm[j], Lm[j] = _slog_sub(base, logs + tot)
-            seg_full = seg
-        Q = np.logaddexp(Q, seg_full)
-        bad = Sm <= 0.0
+    @staticmethod
+    def seg(inner, tp, x, half, glw, sexp):
+        lt = inner + (sexp * np.log(tp) - np.log(x) + np.log(half * glw))[:, None]
+        mg = np.max(lt, axis=0)
+        safe = np.where(np.isfinite(mg), mg, 0.0)
+        lse = safe + np.log(np.sum(np.exp(lt - safe[None, :]), axis=0))
+        return np.where(np.isfinite(mg), lse, -np.inf)
+
+    @staticmethod
+    def row(base, s, tot):
+        return _slog_sub(base, math.log(s) + tot)
+
+    @staticmethod
+    def close(rows):
+        """Entries of sign <= 0 are clamped to (top - 700) and counted."""
+        sm = np.array([sg for sg, _ in rows])
+        lm = np.array([lv for _, lv in rows])
+        bad = sm <= 0.0
         if np.any(bad):
-            floor_hits += int(np.count_nonzero(bad))
-            top = np.max(Lm[np.isfinite(Lm)], initial=0.0)
-            Lm = np.where(bad, top - 700.0, Lm)
-        panels.append((Lm, Sm))
-        prev_L = Lm
+            lm[bad] = np.max(lm[np.isfinite(lm)], initial=0.0) - 700.0
+        return (lm, sm), lm, int(np.count_nonzero(bad))
+
+
+def _march(kernels, v_max, grid, arith):
+    """March the kernels' tables over one t grid; one (base, panels, hits) each.
+
+    The interpolated values are phi (or log phi, with arith = _Log).  At
+    each v-panel and v-node the v rows Bv and the blocks of t rows are
+    built once and applied to every kernel in turn.
+    """
+    t_nodes = grid.nodes
+    T = grid.total
+    bw_v = quadchev.lobatto_bary_weights(N_V)
+    glx, glw = quadchev.gauss_legendre(GL_NODES)
+    g_idx = np.repeat(np.arange(GL_NODES), T)
+    s = [k.s for k in kernels]
+    sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
+    bases = [_base_row(k, t_nodes) for k in kernels]
+    Q = [np.full(T, arith.zero) for _ in kernels]
+    data = list(bases)  # what the next v-panel interpolates: the base row, then a panel
+    panels = [[] for _ in kernels]
+    hits = [0] * len(kernels)
+    inner = np.empty((len(kernels), GL_NODES * T))
+    prev_v_nodes = None
+    for r in range(1, max(int(math.ceil(v_max)) - 1, 0) + 1):
+        a = float(r)
+        v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
+        rows = [[arith.row(b, si, q)] for b, si, q in zip(bases, s, Q)]
+        for j in range(1, N_V):
+            mid = 0.5 * (a + v_nodes[j])
+            half = 0.5 * (v_nodes[j] - a)
+            x = mid + half * glx
+            tp = 1.0 - 1.0 / x
+            tq = (tp[:, None] * t_nodes[None, :]).ravel()
+            if r == 1:
+                Ds = [np.broadcast_to(d, (GL_NODES, T)) for d in data]
+            else:
+                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0)
+                Ds = [Bv @ d for d in data]
+            for idx, cols, B in _interp_blocks(grid, tq):
+                g = g_idx[idx]
+                for i, D in enumerate(Ds):
+                    block = D[g, cols]
+                    block *= B
+                    inner[i, idx] = np.add.reduce(block, axis=1)
+            segs = [arith.seg(inner[i].reshape(GL_NODES, T), tp, x, half, glw, e)
+                    for i, e in enumerate(sexp)]
+            for i, seg in enumerate(segs):
+                rows[i].append(arith.row(bases[i], s[i], arith.add(Q[i], seg)))
+        Q = [arith.add(q, seg) for q, seg in zip(Q, segs)]
+        for i, rws in enumerate(rows):
+            panel, data[i], h = arith.close(rws)
+            panels[i].append(panel)
+            hits[i] += h
         prev_v_nodes = v_nodes
-    return base, panels, floor_hits
+    return list(zip(bases, panels, hits))
 
 
-def _compare_levels(kernel, coarse_grid, coarse, fine_grid, fine):
-    """Relative disagreement between two t resolutions at the fine nodes."""
+def _compare_levels(log_scale, B, coarse, fine):
+    """Relative disagreement of two t resolutions at the fine nodes.
+
+    B interpolates the coarse grid at the fine nodes.
+    """
     cbase, cpanels, _ = coarse
     fbase, fpanels, _ = fine
-    B = _piecewise_matrix(coarse_grid, fine_grid.nodes)
-    if kernel.log_scale:
+    if log_scale:
         est = float(np.max(np.abs(B @ cbase - fbase)))
         for (cl, _), (fl, _) in zip(cpanels, fpanels):
             top = np.max(fl[np.isfinite(fl)], initial=0.0)
@@ -387,6 +406,70 @@ def _compare_levels(kernel, coarse_grid, coarse, fine_grid, fine):
     return est
 
 
+def _ladder(kernels, v_max, tol, n):
+    """Tables of kernels that share one t-grid family and mode.
+
+    Every rung marches the kernels still active; a kernel leaves once its
+    estimate against the previous rung meets tol.
+    """
+    arith = _Log if kernels[0].log_scale else _Float
+    breaks = _t_breaks(kernels[0])
+    prev_grid = _make_tgrid(breaks, (n + 1) // 2)
+    prev = _march(kernels, v_max, prev_grid, arith)
+    active = list(range(len(kernels)))
+    tables = [None] * len(kernels)
+    while active:
+        grid = _make_tgrid(breaks, n)
+        cur = _march([kernels[i] for i in active], v_max, grid, arith)
+        B = _piecewise_matrix(prev_grid, grid.nodes)
+        still = []
+        for i, p, c in zip(active, prev, cur):
+            est = _compare_levels(arith is _Log, B, p, c)
+            if est <= tol:
+                tables[i] = ITable(kernels[i], v_max, grid, c[0], tuple(c[1]), est, c[2])
+            elif n >= N_PER_MAX:
+                raise ToleranceError(
+                    f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
+                    achieved=est,
+                )
+            else:
+                still.append((i, c))
+        active = [i for i, _ in still]
+        prev = [c for _, c in still]
+        prev_grid = grid
+        n = 2 * n - 1
+    return tables
+
+
+def build_tables(kernels, v_max, tol=1e-9, n_per=N_PER_START):
+    """Yield (index, table) for every kernel, one batch of tables at a time.
+
+    Kernels that share a t grid (the same breaks and mode) are marched
+    together, at most BATCH_KERNELS at a time (half as many in log mode,
+    whose panels keep a sign matrix too): the interpolation rows of each
+    rung, v-panel and v-node are built once for the whole batch.
+    Each kernel keeps its own resolution ladder, so every table, its
+    n_per and its est_error are bit-identical to a batch of one.  A
+    caller that drops each table once read holds one batch at a time.
+    """
+    v_max = float(v_max)
+    if not (v_max > 0):
+        raise RangeError("v_max must be positive")
+    if math.ceil(v_max) - 1 > MAX_PANELS:
+        raise RangeError(f"v_max {v_max} needs more than {MAX_PANELS} panels")
+    n = int(n_per)
+    if n < 5:
+        raise RangeError("n_per too small")
+    groups = {}
+    for i, kern in enumerate(kernels):
+        groups.setdefault((kern.log_scale, _t_breaks(kern).tobytes()), []).append(i)
+    for (log_scale, _), idx in groups.items():
+        size = BATCH_KERNELS // 2 if log_scale else BATCH_KERNELS
+        for lo in range(0, len(idx), size):
+            batch = idx[lo : lo + size]
+            yield from zip(batch, _ladder([kernels[i] for i in batch], v_max, tol, n))
+
+
 def build_table(kernel, v_max, tol=1e-9, n_per=N_PER_START):
     """March the table out to v_max, doubling the t resolution until tol.
 
@@ -394,31 +477,7 @@ def build_table(kernel, v_max, tol=1e-9, n_per=N_PER_START):
     each resolution with the nested half-size grid.  Raises ToleranceError
     with the achieved estimate if the resolution ladder tops out.
     """
-    v_max = float(v_max)
-    if not (v_max > 0):
-        raise RangeError("v_max must be positive")
-    if math.ceil(v_max) - 1 > MAX_PANELS:
-        raise RangeError(f"v_max {v_max} needs more than {MAX_PANELS} panels")
-    march = _march_log if kernel.log_scale else _march_float
-    n = int(n_per)
-    if n < 5:
-        raise RangeError("n_per too small")
-    prev_grid = _make_tgrid(kernel, (n + 1) // 2)
-    prev = march(kernel, v_max, prev_grid)
-    while True:
-        grid = _make_tgrid(kernel, n)
-        cur = march(kernel, v_max, grid)
-        est = _compare_levels(kernel, prev_grid, prev, grid, cur)
-        if est <= tol:
-            base, panels, hits = cur
-            return ITable(kernel, v_max, grid, base, tuple(panels), est, hits)
-        if n >= N_PER_MAX:
-            raise ToleranceError(
-                f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
-                achieved=est,
-            )
-        prev_grid, prev = grid, cur
-        n = 2 * n - 1
+    return next(build_tables([kernel], v_max, tol, n_per))[1]
 
 
 def _check_t(t):
@@ -426,19 +485,22 @@ def _check_t(t):
         raise RangeError("t must lie in [0, 1]")
 
 
+def _signed_log(kernel, t, phi):
+    """(sign, log|I_s|) at t > 0 from phi, or from log phi in log mode."""
+    head = kernel.L + 2 * (kernel.m - kernel.s) * math.log(t)
+    if kernel.log_scale:
+        return 1.0, head + phi
+    if phi == 0.0:
+        return 0.0, -np.inf
+    return math.copysign(1.0, phi), head + math.log(abs(phi))
+
+
 def i_base_signed_log(kernel, t):
     """(sign, log|I_s(t, v<=1)|), valid in both modes."""
     _check_t(t)
-    w = kernel.m - kernel.s
     if t == 0.0:
         return 0.0, -np.inf
-    if kernel.log_scale:
-        lphi = _phi_base_log(kernel, t)
-        return 1.0, kernel.L + 2 * w * math.log(t) + lphi
-    phi = _phi_base_float(kernel, t)
-    if phi == 0.0:
-        return 0.0, -np.inf
-    return math.copysign(1.0, phi), kernel.L + 2 * w * math.log(t) + math.log(abs(phi))
+    return _signed_log(kernel, t, float(_base_row(kernel, np.array([t]))[0]))
 
 
 def i_base(kernel, t):
@@ -457,22 +519,15 @@ def i_eval_signed_log(table, t, v):
         raise RangeError(f"v must lie in (0, {table.v_max}]")
     if v <= 1.0:
         return i_base_signed_log(kernel, t)
-    w = kernel.m - kernel.s
+    if t == 0.0:
+        return 0.0, -np.inf
     idx = min(int(math.ceil(v)) - 2, len(table.panels) - 1)
     a = float(idx + 1)
     v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
     bv = quadchev.bary_matrix(v_nodes, quadchev.lobatto_bary_weights(N_V), np.array([v]))[0]
     bt = _piecewise_matrix(table.grid, np.array([t]))[0]
-    if kernel.log_scale:
-        lm, _ = table.panels[idx]
-        lphi = float(bv @ lm @ bt)
-        if t == 0.0:
-            return 0.0, -np.inf
-        return 1.0, kernel.L + 2 * w * math.log(t) + lphi
-    phi = float(bv @ table.panels[idx] @ bt)
-    if t == 0.0 or phi == 0.0:
-        return 0.0, -np.inf
-    return math.copysign(1.0, phi), kernel.L + 2 * w * math.log(t) + math.log(abs(phi))
+    values = table.panels[idx][0] if kernel.log_scale else table.panels[idx]
+    return _signed_log(kernel, t, float(bv @ values @ bt))
 
 
 def i_eval(table, t, v):

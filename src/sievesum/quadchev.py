@@ -19,13 +19,6 @@ def gauss_legendre(n):
     return pair
 
 
-def gl_nodes(a, b, n):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = gauss_legendre(n)
-    h = 0.5 * (b - a)
-    return 0.5 * (a + b) + h * x, h * w
-
-
 def cheb_lobatto(a, b, n):
     """n Chebyshev-Lobatto points on [a, b], ascending, endpoints included."""
     if n < 2:
@@ -45,50 +38,22 @@ def lobatto_bary_weights(n):
     return w
 
 
-def bary_eval(nodes, weights, values, t):
-    """Barycentric interpolation of (nodes, values) at points t.
-
-    values may be 1-D (len(nodes),) or 2-D (len(nodes), m); t is scalar or 1-D.
-    Exact at the nodes themselves.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.asarray(values, dtype=float)
-    diff = t_arr[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    diff = np.where(hit, 1.0, diff)
-    r = weights[None, :] / diff
-    denom = r.sum(axis=1)
-    if vals.ndim == 1:
-        num = r @ vals
-        out = num / denom
-        rows = np.nonzero(hit.any(axis=1))[0]
-        for i in rows:
-            out[i] = vals[np.argmax(hit[i])]
-    else:
-        num = r @ vals
-        out = num / denom[:, None]
-        rows = np.nonzero(hit.any(axis=1))[0]
-        for i in rows:
-            out[i] = vals[np.argmax(hit[i])]
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out
-
-
 def bary_matrix(nodes, weights, q):
     """Row matrix B with B @ values = interpolant of (nodes, values) at q.
 
     q is 1-D; rows hitting a node exactly become one-hot rows.
     """
     q = np.asarray(q, dtype=float)
-    d = q[:, None] - nodes[None, :]
-    hit = d == 0.0
-    hit_rows = hit.any(axis=1)
-    d = np.where(hit, 1.0, d)
-    r = weights[None, :] / d
-    B = r / r.sum(axis=1, keepdims=True)
-    if np.any(hit_rows):
-        B[hit_rows] = hit[hit_rows].astype(float)
+    B = q[:, None] - nodes[None, :]
+    hit = B == 0.0
+    on_node = hit.any()
+    if on_node:
+        B[hit] = 1.0
+    np.divide(weights[None, :], B, out=B)
+    B /= B.sum(axis=1, keepdims=True)
+    if on_node:
+        rows = hit.any(axis=1)
+        B[rows] = hit[rows]
     return B
 
 
@@ -130,24 +95,12 @@ def cheb_eval_deriv(coeffs, a, b, u):
     return np.polynomial.chebyshev.chebval(x, dc) * (2.0 / (b - a))
 
 
-def logsumexp(logs, signs=None):
-    """Stable log of a sum of exponentials.
-
-    Without signs, returns log(sum exp(logs)).  With signs, returns
-    (sign, log|sum signs*exp(logs)|); an empty or fully cancelled sum
-    yields (0.0, -inf).
-    """
+def logsumexp(logs):
+    """Stable log of a sum of exponentials; -inf for an empty sum."""
     logs = np.asarray(logs, dtype=float)
     if logs.size == 0:
-        return (0.0, -np.inf) if signs is not None else -np.inf
+        return -np.inf
     m = np.max(logs)
     if not np.isfinite(m):
-        if signs is not None:
-            return 0.0, -np.inf
         return -np.inf
-    if signs is None:
-        return m + np.log(np.sum(np.exp(logs - m)))
-    total = float(np.sum(np.asarray(signs, dtype=float) * np.exp(logs - m)))
-    if total == 0.0:
-        return 0.0, -np.inf
-    return float(np.sign(total)), m + np.log(abs(total))
+    return m + np.log(np.sum(np.exp(logs - m)))

@@ -241,7 +241,7 @@ def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7):
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
     main, bound = main_term(spec, q, m, xs, series_tol)
     predicted = [main.value(math.log(x)) for x in xs]
-    measured = [multfun.m_sum(spec, x, m, q).value for x in xs]
+    measured = [multfun.m_sum(spec, x, m, q, exact=False).value for x in xs]
     return _report(
         f"{spec.name}: weighted sum vs main term",
         {"m": m, "q": q, "series": main.series, "main_coeffs": main.coeffs, "main_bound": bound},
@@ -271,7 +271,7 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     fu = weights[k + m]  # f(u; k, m) itself
     main, bound = main_term(spec, q, m, xs, series_tol, weights)
     predicted = [main.value(math.log(x), weights) for x in xs]
-    measured = [multfun.m_sum_smooth(spec, x, m, q, x ** (1.0 / u)).value for x in xs]
+    measured = [multfun.m_sum_smooth(spec, x, m, q, x ** (1.0 / u), exact=False).value for x in xs]
     return _report(
         f"{spec.name}: smoothed sum vs f-weighted main term",
         {
@@ -320,9 +320,8 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7):
     measured = []
     for x in xs:
         lx = math.log(x)
-        measured.append(
-            sum(c * multfun.m_sum(spec, x, j, q).value / lx ** j for j, c in enumerate(coeffs))
-        )
+        measured.append(sum(c * multfun.m_sum(spec, x, j, q, exact=False).value / lx ** j
+                            for j, c in enumerate(coeffs)))
     return _report(
         f"{spec.name}: polynomial-weight sum vs residue main term",
         {
@@ -348,8 +347,8 @@ def buchstab_defect(spec, x, m, q, z):
     x = float(x)
     if not (2.0 <= z <= x):
         raise RangeError("need 2 <= z <= x")
-    lhs = multfun.m_sum_smooth(spec, x, m, q, z).value
-    top = multfun.m_sum_smooth(spec, x, m, q, x).value
+    lhs = multfun.m_sum_smooth(spec, x, m, q, z, exact=False).value
+    top = multfun.m_sum_smooth(spec, x, m, q, x, exact=False).value
     table = primes.full_table(int(x) + 1)
     ps = table.primes[np.searchsorted(table.primes, int(math.ceil(z))) :]
     ps = ps[ps < x]
@@ -360,7 +359,7 @@ def buchstab_defect(spec, x, m, q, z):
         p = int(p)
         if q % p == 0:
             continue
-        term = float(gp) * multfun.m_sum_smooth(spec, x / p, m, q, p).value
+        term = float(gp) * multfun.m_sum_smooth(spec, x / p, m, q, p, exact=False).value
         total -= term
         scale += abs(term)
     return abs(lhs - total) / (scale + 1e-300)

@@ -11,7 +11,6 @@ the combination reported as a cancellation indicator.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,7 +102,12 @@ def gpy_coefficient_unsmoothed(k, m, theta):
         raise RangeError("need k >= 2 and m > k")
     th = theta if isinstance(theta, Fraction) else Fraction(theta)
     val = Fraction(k, 2) * th * _beta_closed(k - 1, m) - _beta_closed(k, m)
-    return val if isinstance(theta, Fraction) else float(val)
+    if isinstance(theta, Fraction):
+        return val
+    try:
+        return float(val)
+    except OverflowError:  # beyond the float range: +-inf with the exact sign
+        return math.inf if val > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -206,9 +210,11 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1, log_scale=None):
     """Coefficient over the grid 1 <= k <= k_max, 1 <= m <= m_max.
 
     Cells with k < 2 or m <= k are marked rejected.  Tables are shared
-    between cells through their (s, m) kernels and built concurrently;
-    the combination pass runs in a fixed order so results do not depend
-    on thread scheduling.
+    between cells through their (s, m) kernels; iterints.build_tables
+    marches them in batches, and each table is read and dropped as it
+    arrives.  threads is accepted for compatibility and does not change
+    the work: tables are built in the calling thread, so results do not
+    depend on it.
     """
     k_max = int(k_max)
     m_max = int(m_max)
@@ -218,28 +224,15 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1, log_scale=None):
         raise RangeError("theta must lie in (0, 1]")
     if not (0.0 < delta <= theta / 2):
         raise RangeError("delta must lie in (0, theta/2]")
-    threads = max(1, int(threads))
     u = theta / (2.0 * delta)
     if log_scale is None:
         log_scale = k_max > LOG_SCALE_K
     valid = [(k, m) for k in range(2, k_max + 1) for m in range(k + 1, m_max + 1)]
     needed = sorted({(k - 1, m) for k, m in valid} | {(k, m) for k, m in valid})
-
-    def build(sm):
-        s, m = sm
-        kern = iterints.make_kernel(s, m, u, log_scale=log_scale)
-        table = iterints.build_table(kern, u, tol=tol)
-        return sm, iterints.i_eval_signed_log(table, 1.0, u)
-
+    kerns = [iterints.make_kernel(s, m, u, log_scale=log_scale) for s, m in needed]
     pairs = {}
-    if threads == 1:
-        for sm in needed:
-            key, val = build(sm)
-            pairs[key] = val
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, val in pool.map(build, needed):
-                pairs[key] = val
+    for i, table in iterints.build_tables(kerns, u, tol=tol):
+        pairs[needed[i]] = iterints.i_eval_signed_log(table, 1.0, u)
 
     cells = []
     for k in range(1, k_max + 1):

@@ -59,7 +59,7 @@ class TestBaseQuadrature:
     @pytest.mark.parametrize("s,m,u,t", [(2, 4, 2.5, 1.0), (3, 5, 3.0, 0.8), (1, 3, 4.0, 0.6)])
     def test_against_trapezoid(self, s, m, u, t):
         kern = iterints.make_kernel(s, m, u)
-        got = iterints._phi_base_float(kern, t)
+        got = iterints._base_row(kern, np.array([t]))[0]
         want = oracles.phi_base_trapz(kern, t)
         assert abs(got - want) / abs(want) < 1e-7
 
@@ -114,6 +114,30 @@ class TestTable:
         table = iterints.build_table(kern, v_max=3.0, tol=1e-9)
         vals = [iterints.i_eval(table, 1.0, v) for v in np.linspace(1.0, 3.0, 13)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestBatch:
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_mixed_batch_matches_separate_builds(self, log_scale):
+        # (1, 2) and (2, 4) share the t grid split at j/u and stop at
+        # different rungs; (1, 11) and (2, 12) have m - s > 8 and one t panel
+        u = 2.5
+        sms = [(1, 11), (1, 2), (2, 12), (2, 4)]
+        kerns = [iterints.make_kernel(s, m, u, log_scale=log_scale) for s, m in sms]
+        done = dict(iterints.build_tables(kerns, u, tol=1e-9))
+        batch = [done[i] for i in range(len(kerns))]
+        assert [len(t.grid.breaks) for t in batch] == [2, 4, 2, 4]
+        assert batch[1].grid.n_per != batch[3].grid.n_per
+        for kern, got in zip(kerns, batch):
+            want = iterints.build_table(kern, u, tol=1e-9)
+            assert got.kernel is kern
+            assert got.grid.n_per == want.grid.n_per
+            assert got.est_error == want.est_error
+            assert got.floor_hits == want.floor_hits
+            assert got.base.tobytes() == want.base.tobytes()
+            assert len(got.panels) == len(want.panels)
+            for a, b in zip(got.panels, want.panels):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestLogMode:

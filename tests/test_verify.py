@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sievesum import dde, multfun, verify
+from sievesum import _dfs, dde, multfun, verify
 from sievesum.errors import RangeError, ToleranceError
 
 SMALL_LADDER = (1e4, 1e5, 1e6)
@@ -207,3 +207,23 @@ class TestBuchstab:
         assert max(c.defect for c in a) < 1e-10
         names = {c.spec_name for c in a}
         assert len(names) >= 5
+
+
+class TestFloatSumsOnly:
+    """The checks read only .value, so no m = 0 sum takes the exact path."""
+
+    @pytest.fixture(autouse=True)
+    def no_exact_sums(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact m = 0 sum computed")
+
+        monkeypatch.setattr(_dfs, "msum_exact_m0", refuse)
+
+    def test_buchstab_defect(self):
+        spec = multfun.builtin_spec("one_over_n")
+        assert verify.buchstab_defect(spec, 1e5, 0, 1, 9e4) < 1e-12
+
+    def test_weight_lemma(self):
+        spec = multfun.builtin_spec("one_over_n")
+        rep = verify.check_weight_lemma(spec, [1.0, 1.0], q=1, xs=(1e4, 1e5))
+        assert all(math.isfinite(v) for v in rep.measured)

@@ -105,6 +105,13 @@ class TestCoefficient:
         want = zhang.gpy_coefficient_unsmoothed(3, 5, 0.8)
         assert abs(r.value - want) < 1e-9 * max(1.0, abs(want))
 
+    def test_unsmoothed_overflow_is_signed_inf(self):
+        # the value exceeds the float range; the sign comes from the exact value
+        for theta, want in ((0.95, math.inf), (0.01, -math.inf)):
+            exact = zhang.gpy_coefficient_unsmoothed(200, 230, Fraction(theta))
+            assert (exact > 0) == (want > 0)
+            assert zhang.gpy_coefficient_unsmoothed(200, 230, theta) == want
+
     @pytest.mark.parametrize("k,l", [(6, 1), (10, 2), (20, 3)])
     def test_flip_matches_threshold(self, k, l):
         got = bisect_flip(k, k + l)
