@@ -1,86 +1,114 @@
-"""Depth-first summation kernels over squarefree smooth integers.
+"""Enumeration and summation over squarefree smooth integers.
 
-The float kernel is written once and compiled with numba when available;
-the interpreted fallback runs the same function object, so both paths
-perform the identical IEEE operation sequence and return bit-identical
-results.  Set SIEVESUM_NO_JIT=1 to force the interpreted path.
+``frontier`` lists every squarefree n <= nmax built from a sorted prime
+array, level by level (one level per number of prime factors), in numpy
+chunks of at most CHUNK entries.  Pending chunks sit on a stack and the
+newest is expanded first, so memory stays bounded by the number of levels
+times CHUNK, whatever nmax is.  Each n carries g(n) and log n, built up
+factor by factor in increasing prime order.
+
+``msum_float`` sums the terms g(n)(log x - log n)^m with ``math.fsum``
+(Shewchuk's algorithm), whose result is the correctly rounded sum of the
+per-term floats: it does not depend on the order of the terms or on the
+chunk size.
 """
 
+import itertools
 import math
-import os
 
 import numpy as np
 
-_STACK = 64  # products of distinct primes overflow 2^62 long before depth 64
+CHUNK = 1 << 14  # largest number of entries expanded at once
+
+_ROOT = (np.ones(1, np.int64), np.ones(1), np.zeros(1))  # n = 1, g = 1.0, log n = 0.0
+for _arr in _ROOT:
+    _arr.flags.writeable = False
 
 
-def _msum_float_core(p, gp, logp, nmax, logx, m):
-    # visits squarefree n composed of the given primes, n <= nmax, in
-    # preorder (increasing leading prime); Kahan-compensated accumulation
-    # of g(n) * (logx - log n)^m with the n = 1 term first
-    t = logx
-    tm = 1.0
-    for _ in range(m):
-        tm *= t
-    s = tm
-    c = 0.0
-    terms = 1
-    npr = p.shape[0]
-    if npr == 0 or nmax < 2:
-        return s, terms
-    idx = np.empty(_STACK, np.int64)
-    nval = np.empty(_STACK, np.int64)
-    gval = np.empty(_STACK, np.float64)
-    lval = np.empty(_STACK, np.float64)
-    cap = np.empty(_STACK, np.int64)
-    depth = 0
-    idx[0] = 0
-    nval[0] = 1
-    gval[0] = 1.0
-    lval[0] = 0.0
-    cap[0] = nmax
-    while depth >= 0:
-        i = idx[depth]
-        if i < npr and p[i] <= cap[depth]:
-            idx[depth] = i + 1
-            n2 = nval[depth] * p[i]
-            g2 = gval[depth] * gp[i]
-            l2 = lval[depth] + logp[i]
-            t = logx - l2
-            tm = 1.0
-            for _ in range(m):
-                tm *= t
-            y = g2 * tm - c
-            tt = s + y
-            c = (tt - s) - y
-            s = tt
-            terms += 1
-            depth += 1
-            idx[depth] = i + 1
-            nval[depth] = n2
-            gval[depth] = g2
-            lval[depth] = l2
-            cap[depth] = nmax // n2
-        else:
-            depth -= 1
-    return s, terms
+def _expand(p, gp, logp, nmax, n, last, g, l):
+    """Yield the chunks of every descendant of the given level-1 entries:
+    their multiples by later primes with the product at most nmax, and so on."""
+    stack = []
+
+    def push(level, n, last, g, l):
+        counts = p.searchsorted(nmax // n, side="right") - last - 1
+        has = counts > 0
+        if not has.all():
+            n, last, g, l, counts = n[has], last[has], g[has], l[has], counts[has]
+        if len(counts):
+            stack.append((level, n, last, g, l, counts, counts.cumsum(), 0))
+
+    push(2, n, last, g, l)
+    while stack:
+        level, n, last, g, l, counts, cum, start = stack.pop()
+        stop = min(start + CHUNK, int(cum[-1]))
+        if stop < cum[-1]:
+            stack.append((level, n, last, g, l, counts, cum, stop))
+        # the parents whose children fall in [start, stop), with the first
+        # one's children before start and the last one's after stop cut off
+        lo = int(cum.searchsorted(start, side="right"))
+        hi = int(cum.searchsorted(stop, side="left")) + 1
+        c = counts[lo:hi].copy()
+        skip = start - int(cum[lo] - counts[lo])
+        c[0] -= skip
+        c[-1] -= int(cum[hi - 1]) - stop
+        base = last[lo:hi] + 1 - (c.cumsum() - c)
+        base[0] += skip
+        j = np.arange(stop - start) + base.repeat(c)
+        n = n[lo:hi].repeat(c) * p[j]
+        g = g[lo:hi].repeat(c) * gp[j]
+        l = l[lo:hi].repeat(c) + logp[j]
+        yield level, n, g, l
+        push(level + 1, n, j, g, l)
 
 
-_msum_float_jit = None
-if os.environ.get("SIEVESUM_NO_JIT", "") not in ("1", "true", "yes"):
-    try:
-        import numba
+def frontier(p, gp, logp, nmax):
+    """Yield (level, n, g, l) chunks covering every squarefree n <= nmax
+    whose prime factors all lie in the sorted int64 array p.
 
-        _msum_float_jit = numba.njit(cache=True, nogil=True)(_msum_float_core)
-    except ImportError:
-        _msum_float_jit = None
+    level is the number of prime factors, shared by the chunk; n holds the
+    values; g the products of gp over each n's factors and l the sums of
+    logp, both taken in increasing prime order from 1.0 and 0.0.  n = 1
+    comes first, alone at level 0.  The chunks of one level need not be
+    adjacent, and the arrays may be read-only.
+    """
+    nmax = int(nmax)
+    if nmax < 1:
+        return
+    yield (0, *_ROOT)
+    h = int(p.searchsorted(nmax, side="right"))
+    for a in range(0, h, CHUNK):
+        b = min(a + CHUNK, h)
+        yield 1, p[a:b], gp[a:b], logp[a:b]
+        # the primes are sorted, so if the first has no later prime to
+        # pair with, none has
+        if a + 1 < len(p) and int(p[a]) * int(p[a + 1]) <= nmax:
+            yield from _expand(p, gp, logp, nmax, p[a:b], np.arange(a, b), gp[a:b], logp[a:b])
 
 
 def msum_float(p, gp, logp, nmax, logx, m):
-    """Kahan sum of g(n)(logx - log n)^m over squarefree smooth n <= nmax."""
-    if _msum_float_jit is not None:
-        return _msum_float_jit(p, gp, logp, np.int64(nmax), float(logx), m)
-    return _msum_float_core(p, gp, logp, np.int64(nmax), float(logx), m)
+    """Correctly rounded sum of g(n)(logx - log n)^m over the squarefree
+    n <= nmax built from the primes p, with g and log given at p by gp and
+    logp.  Returns (value, number of terms).
+
+    Each term is g(n) * t^m with t = logx - log n and t^m taken by m
+    multiplications from 1.0.  The terms reach math.fsum one chunk at a
+    time, so they are never all held at once.
+    """
+    logx = float(logx)
+    sizes = []
+
+    def chunks():
+        for _, _, g, l in frontier(p, gp, logp, nmax):
+            t = logx - l
+            tm = 1.0
+            for _ in range(m):
+                tm = tm * t
+            sizes.append(len(g))
+            yield (g * tm).tolist()
+
+    value = math.fsum(itertools.chain.from_iterable(chunks()))
+    return value, sum(sizes)
 
 
 def msum_exact_m0(primes, nums, dens, nmax):
@@ -94,18 +122,14 @@ def msum_exact_m0(primes, nums, dens, nmax):
     D = math.prod(dens)
     npr = len(primes)
     total = 0
-    # same preorder as the float kernel
     stack = [(0, 1, 1, D)]
     while stack:
         i0, n, num, r = stack.pop()
         total += num * r
-        # push children in reverse so the smallest prime is expanded first
-        children = []
         cap = nmax // n
         for i in range(i0, npr):
             pi = primes[i]
             if pi > cap:
                 break
-            children.append((i + 1, n * pi, num * nums[i], r // dens[i]))
-        stack.extend(reversed(children))
+            stack.append((i + 1, n * pi, num * nums[i], r // dens[i]))
     return total, D

@@ -435,9 +435,12 @@ def _cmd_verify(ns, cfg):
         ("theorem1", "theorem2", "weight", "buchstab") if ns.check == "all" else (ns.check,)
     )
     blocks = []
+    sums = {}  # plain sums shared by theorem1 and weight
     for check in checks:
         if check == "theorem1":
-            rep = verify.check_theorem1(spec, ns.m, ns.q, xs=xs, series_tol=ns.series_tol)
+            rep = verify.check_theorem1(
+                spec, ns.m, ns.q, xs=xs, series_tol=ns.series_tol, sums=sums
+            )
             blocks.append((check, *_report_block(check, rep)))
         elif check == "theorem2":
             rep = verify.check_theorem2(
@@ -446,7 +449,9 @@ def _cmd_verify(ns, cfg):
             blocks.append((check, *_report_block(check, rep)))
         elif check == "weight":
             coeffs = _float_list(ns.coeffs)
-            rep = verify.check_weight_lemma(spec, coeffs, ns.q, xs=xs, series_tol=ns.series_tol)
+            rep = verify.check_weight_lemma(
+                spec, coeffs, ns.q, xs=xs, series_tol=ns.series_tol, sums=sums
+            )
             blocks.append((check, *_report_block(check, rep)))
         else:
             cases = verify.buchstab_suite(seed=ns.seed, cases=ns.cases)

@@ -6,6 +6,7 @@ and a tail bound |g(p) - k/p| <= c * p^(-1-theta) past a cutoff, which is
 what makes the Euler products here rigorously truncatable.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,16 +212,25 @@ def _filtered_arrays(spec, x, q, z):
     if math.isfinite(z):
         cap = min(nmax, int(math.ceil(z)) - 1)
     table = primes.full_table(max(cap, 2))
-    p_all = table.primes
     gp_all, logp_all = spec._table_arrays(table)
-    hi = int(np.searchsorted(p_all, cap, side="right"))
-    sel_p, sel_g, sel_l = p_all[:hi], gp_all[:hi], logp_all[:hi]
+    hi = int(table.primes.searchsorted(cap, side="right"))
+    arrays = table.primes[:hi], gp_all[:hi], logp_all[:hi]
     if q != 1:
-        support = [s for s in primes.factor_support(q) if s <= cap]
-        if support:
-            keep = ~np.isin(sel_p, np.asarray(support, dtype=np.int64))
-            sel_p, sel_g, sel_l = sel_p[keep], sel_g[keep], sel_l[keep]
-    return nmax, sel_p, sel_g, sel_l
+        drop = _divisor_positions(table.limit, q)
+        drop = drop[: int(drop.searchsorted(hi))]
+        if len(drop):
+            keep = np.ones(hi, dtype=bool)
+            keep[drop] = False
+            arrays = [a[keep] for a in arrays]
+    return (nmax, *arrays)
+
+
+@functools.lru_cache(maxsize=256)
+def _divisor_positions(limit, q):
+    """Positions in the shared prime table of the primes up to limit
+    that divide q."""
+    support = [s for s in primes.factor_support(q) if s <= limit]
+    return primes.full_table(limit).primes.searchsorted(support)
 
 
 def _sum_impl(spec, x, m, q, z, exact):

@@ -1,5 +1,6 @@
-"""Prime tables and depth-first enumeration of squarefree smooth integers."""
+"""Prime tables and the factorization of moduli."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,14 +18,6 @@ class PrimeTable:
 
     limit: int
     primes: np.ndarray
-
-
-@dataclass(frozen=True)
-class FactoredInt:
-    """A squarefree integer with its sorted prime factorization."""
-
-    value: int
-    factors: tuple
 
 
 def generate_primes(limit):
@@ -68,7 +61,8 @@ def full_table(min_limit):
     Callers that slice by their own cap should prefer this over
     shared_table so caches keyed by table identity stay warm.
     """
-    shared_table(min_limit)
+    if _cached_table is None or _cached_table.limit < min_limit:
+        shared_table(min_limit)
     return _cached_table
 
 
@@ -132,9 +126,15 @@ def factor_support(q):
     q = int(q)
     if q < 1:
         raise RangeError("q must be a positive integer")
-    support = []
+    return list(_support(q))
+
+
+@functools.lru_cache(maxsize=1024)
+def _support(q):
+    """factor_support as a tuple, kept for the last 1024 moduli."""
     if q == 1:
-        return support
+        return ()
+    support = []
     table = shared_table(100_000)
     for p in table.primes:
         p = int(p)
@@ -159,61 +159,4 @@ def factor_support(q):
             if rest > 1:
                 big.append(rest)
         support = sorted(set(support))
-    return support
-
-
-def filtered_primes(x, z, q, table=None):
-    """Primes usable as factors: p <= x, p < z, p not dividing q.
-
-    Returns an int64 array; builds (or grows) the shared table as needed.
-    """
-    if x > X_MAX:
-        raise RangeError(f"x = {x} exceeds the representable bound 2^62")
-    nmax = int(math.floor(x))
-    # factor primes satisfy p < z, hence p <= ceil(z) - 1 for any real z
-    cap = nmax
-    if math.isfinite(z):
-        cap = min(nmax, int(math.ceil(z)) - 1)
-    if table is None or table.limit < cap:
-        table = shared_table(cap)
-    primes = table.primes
-    hi = int(np.searchsorted(primes, min(nmax, table.limit), side="right"))
-    primes = primes[:hi]
-    lo_z = int(np.searchsorted(primes, z, side="left"))
-    primes = primes[:lo_z]
-    if q != 1:
-        support = [p for p in factor_support(q) if p <= table.limit]
-        if support:
-            primes = primes[~np.isin(primes, np.asarray(support, dtype=np.int64))]
-    return primes
-
-
-def enumerate_squarefree_smooth(x, z, q, visit):
-    """Visit every squarefree n <= x with all factors < z and gcd(n, q) = 1.
-
-    Depth-first in increasing prime order, so the visit order is the
-    lexicographic preorder on factorizations; n = 1 comes first.  Products
-    are pruned before multiplication, so no intermediate overflows.
-    """
-    if x > X_MAX:
-        raise RangeError(f"x = {x} exceeds the representable bound 2^62")
-    if x < 1:
-        return
-    nmax = int(math.floor(x))
-    primes = [int(p) for p in filtered_primes(x, z, q)]
-    visit(FactoredInt(1, ()))
-    npr = len(primes)
-    path = []
-
-    def walk(start, n):
-        cap = nmax // n
-        for i in range(start, npr):
-            p = primes[i]
-            if p > cap:
-                return
-            path.append(p)
-            visit(FactoredInt(n * p, tuple(path)))
-            walk(i + 1, n * p)
-            path.pop()
-
-    walk(0, 1)
+    return tuple(support)

@@ -96,11 +96,15 @@ def cheb_eval_deriv(coeffs, a, b, u):
 
 
 def logsumexp(logs):
-    """Stable log of a sum of exponentials; -inf for an empty sum."""
+    """Stable log of a sum of exponentials.
+
+    -inf for an empty sum or one of -inf entries only; +inf when an entry
+    is +inf; NaN when an entry is NaN.
+    """
     logs = np.asarray(logs, dtype=float)
     if logs.size == 0:
         return -np.inf
-    m = np.max(logs)
+    m = np.max(logs)  # NaN if any entry is NaN
     if not np.isfinite(m):
-        return -np.inf
+        return m
     return m + np.log(np.sum(np.exp(logs - m)))

@@ -229,19 +229,30 @@ def main_term(spec, q, m, xs, series_tol, weights=None):
         P = min(P * step, multfun.SERIES_PRIME_CAP)
 
 
-def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7):
+def _plain_sum(sums, spec, x, m, q):
+    """multfun.m_sum's value, computed once per (spec, x, m, q) in the dict sums."""
+    key = (spec, x, m, q)
+    if key not in sums:
+        sums[key] = multfun.m_sum(spec, x, m, q, exact=False).value
+    return sums[key]
+
+
+def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     """Plain sums against the full residue main term.
 
     predicted = m! Res_{s=0} F(s) x^s / s^(m+1) = sum_j c_j (log x)^j, whose
     top coefficient c_(k+m) = series * m!/(k+m)! is the classical leading
     term.  params carries the c_j ("main_coeffs") and the certified
     relative error bound of predicted ("main_bound", at most series_tol).
+    A dict passed as sums keeps the plain sums for a later check of the
+    same run (check_weight_lemma) to reuse.
     """
     m = _order(m)
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
+    sums = {} if sums is None else sums
     main, bound = main_term(spec, q, m, xs, series_tol)
     predicted = [main.value(math.log(x)) for x in xs]
-    measured = [multfun.m_sum(spec, x, m, q, exact=False).value for x in xs]
+    measured = [_plain_sum(sums, spec, x, m, q) for x in xs]
     return _report(
         f"{spec.name}: weighted sum vs main term",
         {"m": m, "q": q, "series": main.series, "main_coeffs": main.coeffs, "main_bound": bound},
@@ -289,19 +300,21 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     )
 
 
-def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7):
+def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     """Polynomial-weight sums against the combined residue main term.
 
     coeffs a_0..a_d define W(t) = sum a_j t^j; the measured side combines
     the power sums, sum_j a_j M_j(x) / (log x)^j, and the predicted side
     the same combination of the theorem-1 polynomials, whose leading
     terms are the Beta factors j!/(j+k)! under the singular series.
+    The power sums are read from and kept in sums, as in check_theorem1.
     """
     _positive_dimension(spec)
     coeffs = [float(c) for c in coeffs]
     if not coeffs:
         raise RangeError("need at least one polynomial coefficient")
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
+    sums = {} if sums is None else sums
     mains = [main_term(spec, q, j, xs, series_tol)[0] for j in range(len(coeffs))]
     predicted = []
     bound = 0.0
@@ -320,7 +333,7 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7):
     measured = []
     for x in xs:
         lx = math.log(x)
-        measured.append(sum(c * multfun.m_sum(spec, x, j, q, exact=False).value / lx ** j
+        measured.append(sum(c * _plain_sum(sums, spec, x, j, q) / lx ** j
                             for j, c in enumerate(coeffs)))
     return _report(
         f"{spec.name}: polynomial-weight sum vs residue main term",

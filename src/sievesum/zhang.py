@@ -21,10 +21,7 @@ from .errors import RangeError
 
 LOG_SCALE_K = 60  # beyond this the float tables overflow; switch to log mode
 
-
-def nu_p(offsets, p):
-    """Number of distinct residues the offsets occupy modulo p."""
-    return len({h % p for h in offsets})
+nu_p = multfun._residue_count  # distinct residues of the offsets modulo p
 
 
 def _check_offsets(offsets):

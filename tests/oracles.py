@@ -85,6 +85,33 @@ def brute_weighted_sum_exact(g_at_prime_frac, x, q, z=math.inf):
     return total
 
 
+def weighted_terms(at, x, m):
+    """The terms g(n) (log x - log n)^m of the admissible n <= x, one per n.
+
+    at maps each admissible prime to its (g(p), log p) floats; n is
+    admissible when it is squarefree and all its primes are in at.  Each n
+    is factored by trial division, g(n) and log n are built in increasing
+    prime order from 1.0 and 0.0, and the power is taken by m
+    multiplications from 1.0.
+    """
+    logx = math.log(float(x))
+    terms = []
+    for n in range(1, int(math.floor(x)) + 1):
+        fac = factorize(n)
+        if any(e > 1 for e in fac.values()) or any(p not in at for p in fac):
+            continue
+        g, lg = 1.0, 0.0
+        for p in sorted(fac):
+            g *= at[p][0]
+            lg += at[p][1]
+        t = logx - lg
+        tm = 1.0
+        for _ in range(m):
+            tm *= t
+        terms.append(g * tm)
+    return terms
+
+
 def trial_division_prime_count(limit):
     """pi(limit) counted by raw trial division."""
     count = 0

@@ -28,6 +28,21 @@ class TestBaryMatrix:
         assert B[1, 5] == 1.0
 
 
+class TestLogSumExp:
+    def test_plus_inf_entry(self):
+        assert quadchev.logsumexp([math.inf, 0.0]) == math.inf
+        assert quadchev.logsumexp([-math.inf, math.inf]) == math.inf
+
+    def test_nan_entry(self):
+        assert math.isnan(quadchev.logsumexp([0.0, math.nan]))
+        assert math.isnan(quadchev.logsumexp([math.nan, math.inf]))
+
+    def test_empty_and_zero_sums(self):
+        assert quadchev.logsumexp([]) == -math.inf
+        assert quadchev.logsumexp([-math.inf, -math.inf]) == -math.inf
+        assert quadchev.logsumexp([0.0, 0.0]) == math.log(2.0)
+
+
 class TestBaseClosedForm:
     def test_all_small_orders(self):
         for m in range(2, 13):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievesum import multfun
+from sievesum import _dfs, multfun
 from sievesum.errors import RangeError, ToleranceError
 from sievesum.multfun import builtin_spec, m_sum, m_sum_smooth, singular_series
 
@@ -165,6 +165,46 @@ class TestMSum:
     def test_overflow_rejected(self):
         with pytest.raises(RangeError):
             m_sum(builtin_spec("one_over_n"), 2.0**63, 0, 1)
+
+
+class TestOrderIndependence:
+    """m_sum is the correctly rounded sum of its per-term floats, so neither
+    the enumeration order nor the chunking can move a bit."""
+
+    @pytest.mark.parametrize("name,x,q,z", [
+        ("one_over_n", 3000, 1, math.inf),
+        ("one_over_phi", 2500.5, 6, math.inf),
+        ("two_omega_over_n", 2000, 1, 30),
+        ("nu_minus1_over_phi", 1800, 77, 200),
+        ("signed_mu_times", 3000, 1, math.inf),
+    ])
+    def test_matches_fsum_of_oracle_terms(self, name, x, q, z):
+        if name == "nu_minus1_over_phi":
+            spec = builtin_spec(name, offsets=(0, 4, 6))
+        elif name == "signed_mu_times":
+            spec = builtin_spec(name, base="one_over_n")
+        else:
+            spec = builtin_spec(name)
+        # the same per-prime floats as the sum, from an independent enumeration
+        _, ps, gp, logp = multfun._filtered_arrays(spec, x, q, z)
+        at = {p: (g, lg) for p, g, lg in zip(ps.tolist(), gp.tolist(), logp.tolist())}
+        for m in range(4):
+            terms = oracles.weighted_terms(at, x, m)
+            r = m_sum_smooth(spec, x, m, q, z)
+            assert r.value == math.fsum(terms)
+            assert r.terms == len(terms)
+
+    def test_chunk_size_leaves_bits(self, monkeypatch):
+        spec = builtin_spec("one_over_phi")
+        want = [m_sum_smooth(spec, 20000, m, 6, 500) for m in (0, 3)]
+        for chunk in (1, 2, 7, 1000):
+            monkeypatch.setattr(_dfs, "CHUNK", chunk)
+            got = [m_sum_smooth(spec, 20000, m, 6, 500) for m in (0, 3)]
+            assert [(r.value, r.terms) for r in got] == [(r.value, r.terms) for r in want]
+
+    @pytest.mark.parametrize("x", [1, 2, 10, 1234, 10**5])
+    def test_terms_match_squarefree_count(self, x):
+        assert m_sum(builtin_spec("one_over_n"), x, 1, 1).terms == oracles.squarefree_count(x)
 
 
 def _sum(spec, x, m, q, z):

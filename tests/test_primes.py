@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from sievesum import primes
+from sievesum import _dfs, multfun, primes
 from sievesum.errors import RangeError
 
 import oracles
@@ -37,38 +39,61 @@ class TestGeneratePrimes:
         assert len(t2.primes) == 9592
 
 
+def entries(x, z, q):
+    """(level, n, g, log n) of every entry _dfs.frontier lists for the sum
+    over n <= x with factors below z and coprime to q, g(p) = 1/p."""
+    spec = multfun.builtin_spec("one_over_n")
+    nmax, ps, gp, logp = multfun._filtered_arrays(spec, x, q, z)
+    return [
+        (level, int(v), float(gv), float(lv))
+        for level, n, g, l in _dfs.frontier(ps, gp, logp, nmax)
+        for v, gv, lv in zip(n, g, l)
+    ]
+
+
 def collect(x, z, q):
-    out = []
-    primes.enumerate_squarefree_smooth(x, z, q, out.append)
-    return out
+    return [e[1] for e in entries(x, z, q)]
 
 
 class TestEnumeration:
     def test_example_full(self):
-        vals = sorted(f.value for f in collect(10, 11, 1))
-        assert vals == [1, 2, 3, 5, 6, 7, 10]
+        assert sorted(collect(10, 11, 1)) == [1, 2, 3, 5, 6, 7, 10]
 
     def test_example_smooth(self):
-        vals = sorted(f.value for f in collect(10, 3, 1))
-        assert vals == [1, 2]
+        assert sorted(collect(10, 3, 1)) == [1, 2]
 
     def test_example_coprime(self):
-        vals = sorted(f.value for f in collect(10, 11, 6))
-        assert vals == [1, 5, 7]
+        assert sorted(collect(10, 11, 6)) == [1, 5, 7]
 
-    def test_preorder_is_lexicographic(self):
-        seq = [f.value for f in collect(10, 11, 1)]
-        assert seq == [1, 2, 6, 10, 3, 5, 7]
+    def test_levels_hold_omega(self):
+        levels = {}
+        for level, n, _, _ in entries(10, 11, 1):
+            levels.setdefault(level, []).append(n)
+        assert {k: sorted(v) for k, v in levels.items()} == {0: [1], 1: [2, 3, 5, 7], 2: [6, 10]}
+        for level, n, _, _ in entries(3000, math.inf, 1):
+            assert len(oracles.factorize(n)) == level
+
+    def test_small_chunks_list_each_n_once(self, monkeypatch):
+        want = sorted(entries(3000, 100, 6))
+        monkeypatch.setattr(_dfs, "CHUNK", 3)
+        got = entries(3000, 100, 6)
+        assert sorted(got) == want
+        assert len({e[1] for e in got}) == len(got)
 
     def test_factored_invariants(self):
-        for f in collect(300, 20, 7):
-            prod = 1
-            for p in f.factors:
-                prod *= p
-            assert prod == f.value
-            assert list(f.factors) == sorted(set(f.factors))
-            assert all(p < 20 for p in f.factors)
-            assert f.value % 7 != 0
+        _, ps, _, logp = multfun._filtered_arrays(multfun.builtin_spec("one_over_n"), 300, 7, 20)
+        log_at = dict(zip(ps.tolist(), logp.tolist()))
+        for _, n, g, l in entries(300, 20, 7):
+            fac = oracles.factorize(n)
+            assert all(e == 1 for e in fac.values())
+            assert all(p < 20 for p in fac)
+            assert n % 7 != 0
+            # built factor by factor in increasing prime order
+            g_want, l_want = 1.0, 0.0
+            for p in sorted(fac):
+                g_want *= 1.0 / p
+                l_want += log_at[p]
+            assert (g, l) == (g_want, l_want)
 
     @pytest.mark.parametrize("x", [1, 10, 100, 1234, 10**4])
     def test_count_matches_mobius_oracle(self, x):
@@ -76,19 +101,13 @@ class TestEnumeration:
         assert got == oracles.squarefree_count(x)
 
     def test_monotone_in_z(self):
-        a = {f.value for f in collect(500, 5, 1)}
-        b = {f.value for f in collect(500, 23, 1)}
-        assert a <= b
+        assert set(collect(500, 5, 1)) <= set(collect(500, 23, 1))
 
     def test_monotone_in_q_support(self):
-        a = {f.value for f in collect(500, 100, 30)}
-        b = {f.value for f in collect(500, 100, 6)}
-        assert a <= b
+        assert set(collect(500, 100, 30)) <= set(collect(500, 100, 6))
 
     def test_deterministic(self):
-        one = [(f.value, f.factors) for f in collect(2000, 50, 3)]
-        two = [(f.value, f.factors) for f in collect(2000, 50, 3)]
-        assert one == two
+        assert entries(2000, 50, 3) == entries(2000, 50, 3)
 
     def test_overflow_rejected(self):
         with pytest.raises(RangeError):
@@ -98,8 +117,7 @@ class TestEnumeration:
         assert collect(0.5, 10, 1) == []
 
     def test_z_may_exceed_x(self):
-        vals = sorted(f.value for f in collect(6, 10**9, 1))
-        assert vals == [1, 2, 3, 5, 6]
+        assert sorted(collect(6, 10**9, 1)) == [1, 2, 3, 5, 6]
 
 
 class TestFactorSupport:
