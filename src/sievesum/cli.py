@@ -312,17 +312,9 @@ def _cmd_zhang(ns, cfg):
     )
     i_sub = rep.term_sub
     i_main = rep.term_main / (rep.k * rep.theta / 2.0)
-    meta = {
-        "command": "zhang",
-        "k": rep.k,
-        "m": rep.m,
-        "theta": rep.theta,
-        "delta": rep.delta,
-        "u": rep.u,
-        "tol": tol,
-        "log_scale": rep.log_scale,
-        "assumption": _assumption(rep.theta, rep.delta),
-    }
+    params = {"k": rep.k, "m": rep.m, "theta": rep.theta, "delta": rep.delta, "u": rep.u,
+              "tol": tol, "log_scale": rep.log_scale}
+    meta = {"command": "zhang", **params, "assumption": _assumption(rep.theta, rep.delta)}
     header = (
         "coefficient",
         "sign",
@@ -346,21 +338,15 @@ def _cmd_zhang(ns, cfg):
         )
     ]
     data = {
-        "params": {
-            "k": rep.k,
-            "m": rep.m,
-            "theta": rep.theta,
-            "delta": rep.delta,
-            "u": rep.u,
-            "tol": tol,
-            "log_scale": rep.log_scale,
-        },
+        "params": params,
         "I_k": _jval(i_sub),
         "I_k_minus_1": _jval(i_main),
         "coefficient": _jval(rep.value),
         "sign": _jval(rep.sign),
         "log_abs": _jval(rep.log_abs),
         "cancellation": _jval(rep.cancellation),
+        "table_error_1": _jval(rep.table_errors[0]),
+        "table_error_2": _jval(rep.table_errors[1]),
         "assumption": _assumption(rep.theta, rep.delta),
     }
     _emit(cfg, meta, header, rows, json_data=data)
@@ -386,6 +372,7 @@ def _cmd_scan(ns, cfg):
         "theta": ns.theta,
         "delta": ns.delta,
         "tol": tol,
+        "log_scale": zhang.resolve_log_scale(ns.k_max, ns.log_scale),
         "assumption": _assumption(ns.theta, ns.delta),
     }
     header = ("k", "m", "status", "value", "sign", "log_abs", "cancellation")

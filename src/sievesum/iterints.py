@@ -10,7 +10,15 @@ with P_s(y) = m!/(m-s)! * y^(m-s).  For v > 1 the values satisfy
 
 which is marched one unit v-panel at a time: each panel (r, r+1] stores a
 17 x T grid of Chebyshev-Lobatto values, and the inner evaluations read
-the previously built panel through barycentric interpolation.
+the previously built panel through barycentric interpolation.  The x
+integral is composite: a MARCH_NODES-point Gauss-Legendre rule on each
+interval between consecutive v nodes, added to a running sum, so the
+integrand's kinks (where (1-1/x) t crosses a t break) cost one short
+interval each.
+
+The reported est_error covers the t direction only.  The v quadrature is
+checked in the tests against a rule with three times the nodes; the
+17-node v interpolation is not checked.
 
 The t direction uses a piecewise grid split at t = j/u: f(u t x) has only
 finitely many continuous derivatives at integer arguments, and those kinks
@@ -52,6 +60,7 @@ N_PER_START = 17
 N_PER_MAX = 129
 N_V = 17
 GL_NODES = 64
+MARCH_NODES = 16  # Gauss-Legendre nodes per v-node interval of the march
 MAX_PANELS = 2048
 T_PANEL_CAP = 512
 KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
@@ -262,10 +271,11 @@ class ITable:
     17 x grid.total values on the v-panel (r, r+1].  In log mode the
     stored values are log phi together with sign matrices (phi is
     positive in exact arithmetic; zero-crossing entries are flagged by
-    floor_hits).  The t resolution is chosen adaptively; the v resolution
-    per panel is fixed at 17, so the reported est_error tracks the t
-    direction and the quadrature, and the acceptance tests compare
-    against a direct recursive evaluation to cover the rest.
+    floor_hits).  The t resolution is chosen adaptively and est_error
+    compares two t resolutions, so it covers the t direction only.  The v
+    resolution per panel is fixed: 17 nodes, with a composite
+    MARCH_NODES-point rule between neighbours for the x integral.  The
+    acceptance tests compare against a direct recursive evaluation.
     """
 
     kernel: SieveKernel
@@ -337,8 +347,8 @@ def _march(kernels, v_max, grid, arith):
     t_nodes = grid.nodes
     T = grid.total
     bw_v = quadchev.lobatto_bary_weights(N_V)
-    glx, glw = quadchev.gauss_legendre(GL_NODES)
-    g_idx = np.repeat(np.arange(GL_NODES), T)
+    glx, glw = quadchev.gauss_legendre(MARCH_NODES)
+    g_idx = np.repeat(np.arange(MARCH_NODES), T)
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
     bases = [_base_row(k, t_nodes) for k in kernels]
@@ -346,20 +356,20 @@ def _march(kernels, v_max, grid, arith):
     data = list(bases)  # what the next v-panel interpolates: the base row, then a panel
     panels = [[] for _ in kernels]
     hits = [0] * len(kernels)
-    inner = np.empty((len(kernels), GL_NODES * T))
+    inner = np.empty((len(kernels), MARCH_NODES * T))
     prev_v_nodes = None
     for r in range(1, max(int(math.ceil(v_max)) - 1, 0) + 1):
         a = float(r)
         v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
         rows = [[arith.row(b, si, q)] for b, si, q in zip(bases, s, Q)]
         for j in range(1, N_V):
-            mid = 0.5 * (a + v_nodes[j])
-            half = 0.5 * (v_nodes[j] - a)
+            mid = 0.5 * (v_nodes[j - 1] + v_nodes[j])
+            half = 0.5 * (v_nodes[j] - v_nodes[j - 1])
             x = mid + half * glx
             tp = 1.0 - 1.0 / x
             tq = (tp[:, None] * t_nodes[None, :]).ravel()
             if r == 1:
-                Ds = [np.broadcast_to(d, (GL_NODES, T)) for d in data]
+                Ds = [np.broadcast_to(d, (MARCH_NODES, T)) for d in data]
             else:
                 Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0)
                 Ds = [Bv @ d for d in data]
@@ -369,11 +379,10 @@ def _march(kernels, v_max, grid, arith):
                     block = D[g, cols]
                     block *= B
                     inner[i, idx] = np.add.reduce(block, axis=1)
-            segs = [arith.seg(inner[i].reshape(GL_NODES, T), tp, x, half, glw, e)
-                    for i, e in enumerate(sexp)]
-            for i, seg in enumerate(segs):
-                rows[i].append(arith.row(bases[i], s[i], arith.add(Q[i], seg)))
-        Q = [arith.add(q, seg) for q, seg in zip(Q, segs)]
+            for i, e in enumerate(sexp):
+                seg = arith.seg(inner[i].reshape(MARCH_NODES, T), tp, x, half, glw, e)
+                Q[i] = arith.add(Q[i], seg)
+                rows[i].append(arith.row(bases[i], s[i], Q[i]))
         for i, rws in enumerate(rows):
             panel, data[i], h = arith.close(rws)
             panels[i].append(panel)

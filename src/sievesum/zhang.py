@@ -160,12 +160,16 @@ def _combine(k, theta, pair1, pair2):
     return math.copysign(1.0, y), mx + math.log(abs(y)), abs(y)
 
 
+def resolve_log_scale(k, log_scale):
+    """The table mode at k, or up to k in a scan: log_scale if given, else auto."""
+    return k > LOG_SCALE_K if log_scale is None else bool(log_scale)
+
+
 def zhang_coefficient(k, m, theta, delta, tol=1e-9, log_scale=None):
     """Evaluate the smoothed coefficient, building the two tables needed."""
     k, m, theta, delta = _validate_params(k, m, theta, delta)
     u = theta / (2.0 * delta)
-    if log_scale is None:
-        log_scale = k > LOG_SCALE_K
+    log_scale = resolve_log_scale(k, log_scale)
     kern1 = iterints.make_kernel(k - 1, m, u, log_scale=log_scale)
     kern2 = iterints.make_kernel(k, m, u, log_scale=log_scale)
     tab1 = iterints.build_table(kern1, u, tol=tol)
@@ -222,8 +226,7 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1, log_scale=None):
     if not (0.0 < delta <= theta / 2):
         raise RangeError("delta must lie in (0, theta/2]")
     u = theta / (2.0 * delta)
-    if log_scale is None:
-        log_scale = k_max > LOG_SCALE_K
+    log_scale = resolve_log_scale(k_max, log_scale)
     valid = [(k, m) for k in range(2, k_max + 1) for m in range(k + 1, m_max + 1)]
     needed = sorted({(k - 1, m) for k, m in valid} | {(k, m) for k, m in valid})
     kerns = [iterints.make_kernel(s, m, u, log_scale=log_scale) for s, m in needed]

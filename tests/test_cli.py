@@ -153,11 +153,21 @@ class TestZhang:
         data = doc["data"]
         assert set(data) == {
             "params", "I_k", "I_k_minus_1", "coefficient", "sign",
-            "log_abs", "cancellation", "assumption",
+            "log_abs", "cancellation", "table_error_1", "table_error_2", "assumption",
         }
         assert data["assumption"] == "EH(0.8,0.4)"
         got = data["params"]["k"] * 0.8 / 2.0 * data["I_k_minus_1"] - data["I_k"]
         assert abs(got - data["coefficient"]) < 1e-9 * abs(data["coefficient"])
+
+    def test_json_table_errors_match_csv(self, capsys):
+        argv = ["zhang", "--k", "3", "--m", "5", "--theta", "0.8", "--delta", "0.2"]
+        _, out, _ = run_cli(argv, capsys)
+        _, header, rows = parse_csv(out)
+        _, out, _ = run_cli(["--format", "json"] + argv, capsys)
+        data = json.loads(out)["data"]
+        for key in ("table_error_1", "table_error_2"):
+            assert data[key] == float(rows[0][header.index(key)])
+            assert 0.0 <= data[key] <= 1e-9
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run_cli(
@@ -191,6 +201,12 @@ class TestScan:
             else:
                 assert rec["status"] == "ok"
                 assert math.isfinite(float(rec["value"]))
+
+    def test_meta_reports_resolved_log_scale(self, capsys):
+        argv = ["scan", "--k-max", "2", "--m-max", "3", "--theta", "0.9", "--delta", "0.3"]
+        outs = [run_cli(argv + flag, capsys)[1] for flag in ([], ["--log-scale"])]
+        assert [parse_csv(out)[0]["log_scale"] for out in outs] == ["false", "true"]
+        assert outs[0] == run_cli(argv + ["--no-log-scale"], capsys)[1]
 
 
 class TestVerify:

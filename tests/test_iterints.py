@@ -155,6 +155,25 @@ class TestBatch:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+class TestVQuadrature:
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_march_rule_matches_triple_rule(self, monkeypatch, log_scale):
+        # both builds stop on the same t grid, so only the v quadrature
+        # differs.  (1, 2) has the roughest integrand: a 4-node rule is off
+        # by 1e-10 here, while with m - s > 8 even 4 nodes agree to the bit
+        u = 2.5
+        kern = iterints.make_kernel(1, 2, u, log_scale=log_scale)
+        table = iterints.build_table(kern, u, tol=1e-8)
+        monkeypatch.setattr(iterints, "MARCH_NODES", 3 * iterints.MARCH_NODES)
+        fine = iterints.build_table(kern, u, tol=1e-8)
+        assert fine.grid.n_per == table.grid.n_per
+        for t, v in [(1.0, u), (0.55, u), (1.0, 1.7), (0.3, 2.2)]:
+            sa, la = iterints.i_eval_signed_log(table, t, v)
+            sb, lb = iterints.i_eval_signed_log(fine, t, v)
+            assert sa == sb == 1.0
+            assert abs(la - lb) < 5e-12, (t, v)
+
+
 class TestLogMode:
     def test_matches_float_mode(self):
         kf = iterints.make_kernel(6, 10, 2.5)

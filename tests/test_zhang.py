@@ -132,6 +132,18 @@ class TestCoefficient:
         assert a.sign == b.sign
         assert abs(a.log_abs - b.log_abs) < 1e-7 * max(1.0, abs(a.log_abs))
 
+    @pytest.mark.parametrize("dk", [-1, 1])
+    def test_modes_agree_across_the_switch(self, dk):
+        # the default mode is float at LOG_SCALE_K - 1 and log at + 1; the
+        # other mode must agree within about 2 tol / cancellation (the two
+        # tables each meet tol), checked with a factor 5 to spare
+        k, theta, tol = zhang.LOG_SCALE_K + dk, 0.92, 1e-9
+        auto = zhang.zhang_coefficient(k, k + 9, theta, theta / 19, tol=tol)
+        other = zhang.zhang_coefficient(k, k + 9, theta, theta / 19, tol=tol, log_scale=dk < 0)
+        assert auto.log_scale is (dk > 0) and other.log_scale is (dk < 0)
+        assert auto.sign == other.sign != 0.0
+        assert abs(auto.log_abs - other.log_abs) <= 10.0 * tol / auto.cancellation
+
     def test_experimental_large_k(self):
         r = zhang.zhang_coefficient(200, 240, 0.9, 0.45)
         assert r.log_scale is True
