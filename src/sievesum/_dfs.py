@@ -10,7 +10,9 @@ factor by factor in increasing prime order.
 ``msum_float`` sums the terms g(n)(log x - log n)^m with ``math.fsum``
 (Shewchuk's algorithm), whose result is the correctly rounded sum of the
 per-term floats: it does not depend on the order of the terms or on the
-chunk size.
+chunk size.  ``msum_float_below`` gives, from one frontier pass, the sums
+S(x/b, b) over n <= x/b with every prime factor below b for a whole sorted
+array of bounds b, each bit-equal to its own ``msum_float``.
 """
 
 import itertools
@@ -58,28 +60,29 @@ def _expand(p, gp, logp, nmax, n, last, g, l):
         n = n[lo:hi].repeat(c) * p[j]
         g = g[lo:hi].repeat(c) * gp[j]
         l = l[lo:hi].repeat(c) + logp[j]
-        yield level, n, g, l
+        yield level, n, g, l, p[j]
         push(level + 1, n, j, g, l)
 
 
 def frontier(p, gp, logp, nmax):
-    """Yield (level, n, g, l) chunks covering every squarefree n <= nmax
+    """Yield (level, n, g, l, top) chunks covering every squarefree n <= nmax
     whose prime factors all lie in the sorted int64 array p.
 
     level is the number of prime factors, shared by the chunk; n holds the
     values; g the products of gp over each n's factors and l the sums of
-    logp, both taken in increasing prime order from 1.0 and 0.0.  n = 1
-    comes first, alone at level 0.  The chunks of one level need not be
-    adjacent, and the arrays may be read-only.
+    logp, both taken in increasing prime order from 1.0 and 0.0; top the
+    largest prime factor of each n (1 for n = 1).  n = 1 comes first,
+    alone at level 0.  The chunks of one level need not be adjacent, and
+    the arrays may be read-only.
     """
     nmax = int(nmax)
     if nmax < 1:
         return
-    yield (0, *_ROOT)
+    yield (0, *_ROOT, _ROOT[0])
     h = int(p.searchsorted(nmax, side="right"))
     for a in range(0, h, CHUNK):
         b = min(a + CHUNK, h)
-        yield 1, p[a:b], gp[a:b], logp[a:b]
+        yield 1, p[a:b], gp[a:b], logp[a:b], p[a:b]
         # the primes are sorted, so if the first has no later prime to
         # pair with, none has
         if a + 1 < len(p) and int(p[a]) * int(p[a + 1]) <= nmax:
@@ -99,7 +102,7 @@ def msum_float(p, gp, logp, nmax, logx, m):
     sizes = []
 
     def chunks():
-        for _, _, g, l in frontier(p, gp, logp, nmax):
+        for _, _, g, l, _ in frontier(p, gp, logp, nmax):
             t = logx - l
             tm = 1.0
             for _ in range(m):
@@ -109,6 +112,45 @@ def msum_float(p, gp, logp, nmax, logx, m):
 
     value = math.fsum(itertools.chain.from_iterable(chunks()))
     return value, sum(sizes)
+
+
+def msum_float_below(p, gp, logp, x, bounds, m):
+    """For each b of the sorted int64 array bounds (2 <= b <= x), the
+    correctly rounded sum of g(n)(log(x/b) - log n)^m over the squarefree
+    n <= x/b built from the primes p with every prime factor below b.
+    Returns the sums as a list aligned with bounds.
+
+    One frontier pass over n <= x/bounds[0] serves every b: an n counts
+    for the b above its largest prime factor with floor(x/b) >= n, one
+    contiguous run of bounds, as x/b falls when b grows.  Each term is
+    taken as msum_float takes it, with log(x/b) from math.log, so every
+    sum equals msum_float(p below b, ..., floor(x/b), log(x/b), m)[0] bit
+    for bit.  All the terms are held at once, about one per squarefree
+    integer up to x when bounds holds every prime below x.
+    """
+    x = float(x)
+    ys = [x / b for b in bounds.tolist()]
+    if not ys:
+        return []
+    logy = np.array([math.log(y) for y in ys])
+    neg_floor = -np.floor(ys).astype(np.int64)  # nondecreasing
+    idx, terms = [], []
+    for _, n, g, l, top in frontier(p, gp, logp, math.floor(ys[0])):
+        lo = bounds.searchsorted(top, side="right")
+        hi = neg_floor.searchsorted(-n, side="right")
+        c = np.maximum(hi - lo, 0)
+        # bound indices lo, lo+1, ..., hi-1 for each n, end to end
+        i = np.arange(int(c.sum())) + (lo - (c.cumsum() - c)).repeat(c)
+        t = logy[i] - l.repeat(c)
+        tm = 1.0
+        for _ in range(m):
+            tm = tm * t
+        idx.append(i)
+        terms.append(g.repeat(c) * tm)
+    idx = np.concatenate(idx)
+    flat = np.concatenate(terms)[idx.argsort(kind="stable")].tolist()
+    ends = np.bincount(idx, minlength=len(ys)).cumsum().tolist()
+    return [math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def msum_exact_m0(primes, nums, dens, nmax):

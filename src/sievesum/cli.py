@@ -191,11 +191,13 @@ def _resolve(ns):
 
 
 def _tol(ns, cfg, default):
-    if getattr(ns, "tol", None) is not None:
-        return ns.tol
-    if cfg.tol_override is not None:
-        return cfg.tol_override
-    return default
+    """The tolerance from --tol, else the config file, else default."""
+    tol = getattr(ns, "tol", None)
+    if tol is None:
+        tol = cfg.tol_override if cfg.tol_override is not None else default
+    if not (0.0 < tol < math.inf):
+        raise RangeError(f"tol must be a positive finite number, got {tol}")
+    return tol
 
 
 def _signed_value(sign, log_abs):
@@ -411,6 +413,8 @@ def _buchstab_block(cases, seed, n_cases):
 
 
 def _cmd_verify(ns, cfg):
+    if ns.cases < 1:
+        raise RangeError(f"--cases must be at least 1, got {ns.cases}")
     spec = parse_spec(ns.spec)
     if ns.ladder is not None:
         xs = _float_list(ns.ladder)

@@ -82,6 +82,8 @@ def solve_f_exponent(k, e, U, tol=1e-8, degree=DEGREE, quad_nodes=QUAD_NODES):
         raise RangeError("need an integer exponent e >= 0")
     if U < 1:
         raise RangeError("U must be at least 1")
+    if not tol > 0:
+        raise RangeError("tol must be positive")
     m = km - k
     n_panels = max(int(math.ceil(U)) - 1, 0)
     glx, glw = quadchev.gauss_legendre(quad_nodes)

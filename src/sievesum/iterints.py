@@ -466,6 +466,8 @@ def build_tables(kernels, v_max, tol=1e-9, n_per=N_PER_START):
         raise RangeError("v_max must be positive")
     if math.ceil(v_max) - 1 > MAX_PANELS:
         raise RangeError(f"v_max {v_max} needs more than {MAX_PANELS} panels")
+    if not (0.0 < tol < math.inf):
+        raise RangeError(f"tol must be a positive finite number, got {tol}")
     n = int(n_per)
     if n < 5:
         raise RangeError("n_per too small")

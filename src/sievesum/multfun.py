@@ -233,16 +233,21 @@ def _divisor_positions(limit, q):
     return primes.full_table(limit).primes.searchsorted(support)
 
 
-def _sum_impl(spec, x, m, q, z, exact):
-    if x < 1:
-        raise RangeError("x must be at least 1")
+def _order_and_modulus(m, q):
+    """m and q as ints, once checked."""
     if m < 0 or int(m) != m:
         raise RangeError("m must be a nonnegative integer")
     if q < 1 or int(q) != q:
         raise RangeError("q must be a positive integer")
-    if math.isfinite(z) and z < 2:
+    return int(m), int(q)
+
+
+def _sum_impl(spec, x, m, q, z, exact):
+    if not x >= 1:
+        raise RangeError("x must be at least 1")
+    m, q = _order_and_modulus(m, q)
+    if z < 2:
         z = 2.0
-    m, q = int(m), int(q)
     nmax, sel_p, sel_g, sel_l = _filtered_arrays(spec, x, q, z)
     logx = math.log(float(x))
     value, terms = _dfs.msum_float(sel_p, sel_g, sel_l, nmax, logx, m)
@@ -272,10 +277,29 @@ def m_sum(spec, x, m, q, exact=None):
 
 
 def m_sum_smooth(spec, x, m, q, z, exact=None):
-    """As m_sum, additionally restricted to n with all prime factors < z."""
-    if not math.isfinite(z):
-        return _sum_impl(spec, x, m, q, math.inf, exact)
-    return _sum_impl(spec, x, m, q, float(z), exact)
+    """As m_sum, additionally restricted to n with all prime factors < z
+    (z = inf restricts nothing)."""
+    z = float(z)
+    if math.isnan(z):
+        raise RangeError("z must be a number, not NaN")
+    return _sum_impl(spec, x, m, q, z, exact)
+
+
+def m_sum_smooth_each(spec, x, m, q, ps):
+    """m_sum_smooth(spec, x/p, m, q, p, exact=False).value for every p of
+    the sorted int64 array ps, 2 <= p <= x, as a list.
+
+    One enumeration serves every p (_dfs.msum_float_below), and each sum
+    is bit-equal to its own m_sum_smooth call.
+    """
+    m, q = _order_and_modulus(m, q)
+    x = float(x)
+    if len(ps) == 0:
+        return []
+    if not (2 <= ps[0] and ps[-1] <= x):
+        raise RangeError("need 2 <= p <= x")
+    _, sel_p, sel_g, sel_l = _filtered_arrays(spec, x / int(ps[0]), q, math.inf)
+    return _dfs.msum_float_below(sel_p, sel_g, sel_l, x, ps, m)
 
 
 def _series_tail(spec, P):
@@ -300,7 +324,7 @@ def singular_series(spec, q, tol, a_variant=False):
     product is prod (1-g(p))(1-1/p)^(-k), computed by running the same
     truncation on the sign-flipped spec.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise RangeError("tol must be positive")
     if spec.tail_bound is None:
         raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")

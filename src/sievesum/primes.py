@@ -20,35 +20,49 @@ class PrimeTable:
     primes: np.ndarray
 
 
-def generate_primes(limit):
-    """Sieve of Eratosthenes up to limit inclusive."""
+def _sieve(lo, hi):
+    """Primes in [lo, hi], 2 <= lo, as a sorted int64 array: only that
+    stretch is sieved, by the primes up to sqrt(hi)."""
+    is_prime = np.ones(hi + 1 - lo, dtype=bool)
+    root = math.isqrt(hi)
+    for p in (_sieve(2, root).tolist() if root >= 2 else ()):
+        start = max(p * p, -(-lo // p) * p)
+        is_prime[start - lo :: p] = False
+    return np.nonzero(is_prime)[0].astype(np.int64) + lo
+
+
+def _checked(limit):
     limit = int(limit)
     if limit < 0:
         raise RangeError("limit must be nonnegative")
     if limit > SIEVE_MAX:
         raise RangeError(f"sieve limit {limit} exceeds supported bound {SIEVE_MAX}")
+    return limit
+
+
+def generate_primes(limit):
+    """Sieve of Eratosthenes up to limit inclusive."""
+    limit = _checked(limit)
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return PrimeTable(limit, np.nonzero(is_prime)[0].astype(np.int64))
+    return PrimeTable(limit, _sieve(2, limit))
 
 
 _cached_table = None
 
 
 def shared_table(limit):
-    """Module-wide prime table covering at least limit; grows geometrically."""
+    """Module-wide prime table covering at least limit; grows geometrically,
+    sieving only the stretch past the cached limit."""
     global _cached_table
     limit = int(limit)
-    if _cached_table is None or _cached_table.limit < limit:
-        new_limit = max(limit, 1 << 16)
-        if _cached_table is not None:
-            new_limit = max(new_limit, min(2 * _cached_table.limit, SIEVE_MAX))
-        _cached_table = generate_primes(new_limit)
+    if _cached_table is None:
+        _cached_table = generate_primes(max(limit, 1 << 16))
+    elif _cached_table.limit < limit:
+        old = _cached_table
+        new_limit = max(_checked(limit), min(2 * old.limit, SIEVE_MAX))
+        grown = _sieve(old.limit + 1, new_limit)
+        _cached_table = PrimeTable(new_limit, np.concatenate([old.primes, grown]))
     if _cached_table.limit == limit:
         return _cached_table
     cut = int(np.searchsorted(_cached_table.primes, limit, side="right"))

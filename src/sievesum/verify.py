@@ -356,6 +356,9 @@ def buchstab_defect(spec, x, m, q, z):
     Compares S(x, q, z) with S(x, q, x) - sum over z <= p < x, p coprime
     to q, of g(p) S(x/p, q, p); the defect is normalized by the total
     size of all participating terms, so it measures pure floating error.
+    S(x, q, z) and S(x, q, x) are separate m_sum_smooth calls; the
+    per-prime sums S(x/p, q, p) all come from one enumeration
+    (multfun.m_sum_smooth_each), each bit-equal to its own m_sum_smooth.
     """
     x = float(x)
     if not (2.0 <= z <= x):
@@ -365,14 +368,12 @@ def buchstab_defect(spec, x, m, q, z):
     table = primes.full_table(int(x) + 1)
     ps = table.primes[np.searchsorted(table.primes, int(math.ceil(z))) :]
     ps = ps[ps < x]
+    ps = ps[[q % p != 0 for p in ps.tolist()]]
     scale = abs(lhs) + abs(top)
     total = top
-    gps = spec.values_on(ps)
-    for p, gp in zip(ps, gps):
-        p = int(p)
-        if q % p == 0:
-            continue
-        term = float(gp) * multfun.m_sum_smooth(spec, x / p, m, q, p, exact=False).value
+    sums = multfun.m_sum_smooth_each(spec, x, m, q, ps)
+    for gp, s in zip(spec.values_on(ps).tolist(), sums):
+        term = gp * s
         total -= term
         scale += abs(term)
     return abs(lhs - total) / (scale + 1e-300)

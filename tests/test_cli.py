@@ -343,6 +343,45 @@ class TestExitCodes:
         assert run_cli(["I", "--s", "2", "--m", "4", "--u", "1.0", "--t", "2.0"],
                        capsys)[0] == 2
 
+    def test_nan_z_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["sum", "--spec", "one_over_n", "--x", "100", "--m", "1", "--z", "nan"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "NaN" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_bad_tol_rejected_up_front(self, tol, capsys):
+        for argv in (
+            ["zhang", "--k", "6", "--m", "8", "--theta", "0.9", "--delta", "0.05"],
+            ["scan", "--k-max", "2", "--m-max", "3", "--theta", "0.9", "--delta", "0.3"],
+            ["sseries", "--spec", "one_over_n"],
+            ["f", "--k", "1", "--m", "1"],
+        ):
+            code, out, err = run_cli(argv + ["--tol", tol], capsys)
+            assert code == 2, argv
+            assert out == ""
+            assert "tol must be a positive finite number" in err
+
+    def test_bad_config_tol_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("tol=-1\n")
+        code, _, err = run_cli(
+            ["zhang", "--k", "6", "--m", "8", "--theta", "0.9", "--delta", "0.05",
+             "--config", str(cfgfile)],
+            capsys,
+        )
+        assert code == 2
+        assert "tol must be a positive finite number" in err
+
+    @pytest.mark.parametrize("check", ["buchstab", "all"])
+    def test_zero_cases_rejected(self, check, capsys):
+        code, out, err = run_cli(["verify", "--check", check, "--cases", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--cases must be at least 1" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
 

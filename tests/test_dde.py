@@ -114,6 +114,12 @@ class TestValidation:
         with pytest.raises(RangeError):
             dde.solve_f(1, 1, 0.5)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    def test_rejects_bad_tol(self, tol):
+        # a NaN gate would pass every residual
+        with pytest.raises(RangeError):
+            dde.solve_f(1, 1, 3.0, tol=tol)
+
     def test_eval_out_of_range(self):
         sol = dde.solve_f(1, 1, 3.0)
         with pytest.raises(RangeError):

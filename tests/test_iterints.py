@@ -214,6 +214,12 @@ class TestValidation:
         with pytest.raises(RangeError):
             iterints.make_kernel(1, 2, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_tol(self, tol):
+        kern = iterints.make_kernel(1, 2, 1.5)
+        with pytest.raises(RangeError):
+            iterints.build_table(kern, 1.5, tol=tol)
+
     def test_t_out_of_range(self):
         kern = iterints.make_kernel(1, 2, 1.0)
         with pytest.raises(RangeError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievesum import _dfs, multfun
+from sievesum import _dfs, multfun, primes
 from sievesum.errors import RangeError, ToleranceError
 from sievesum.multfun import builtin_spec, m_sum, m_sum_smooth, singular_series
 
@@ -166,6 +166,14 @@ class TestMSum:
         with pytest.raises(RangeError):
             m_sum(builtin_spec("one_over_n"), 2.0**63, 0, 1)
 
+    def test_nan_z_rejected(self):
+        with pytest.raises(RangeError):
+            m_sum_smooth(builtin_spec("one_over_n"), 100, 1, 1, math.nan)
+
+    def test_negative_infinite_z_is_below_every_prime(self):
+        r = m_sum_smooth(builtin_spec("one_over_n"), 100, 1, 1, -math.inf)
+        assert (r.value, r.terms) == (math.log(100), 1)
+
 
 class TestOrderIndependence:
     """m_sum is the correctly rounded sum of its per-term floats, so neither
@@ -207,6 +215,62 @@ class TestOrderIndependence:
         assert m_sum(builtin_spec("one_over_n"), x, 1, 1).terms == oracles.squarefree_count(x)
 
 
+SMOOTH_EACH_SPECS = [
+    ("one_over_n", {}),
+    ("one_over_phi", {}),
+    ("two_omega_over_n", {}),
+    ("k_over_p", {"k": 3}),
+    ("nu_over_p", {"offsets": (0, 2, 6)}),
+    ("nu_minus1_over_phi", {"offsets": (0, 4, 6)}),
+    ("signed_mu_times", {"base": "one_over_n"}),
+]
+
+
+class TestSmoothEach:
+    """m_sum_smooth_each enumerates once for all the primes of a Buchstab
+    sum; each of its sums is bit-equal to its own m_sum_smooth call."""
+
+    @staticmethod
+    def per_call(spec, x, m, q, z):
+        table = primes.full_table(int(x) + 1)
+        ps = table.primes[table.primes.searchsorted(math.ceil(z)):]
+        ps = ps[(ps < x) & (q % ps != 0)]
+        want = [m_sum_smooth(spec, x / p, m, q, p, exact=False).value for p in ps.tolist()]
+        return ps, want
+
+    @pytest.mark.parametrize("name,kw", SMOOTH_EACH_SPECS)
+    def test_bit_equal_to_per_call(self, name, kw):
+        spec = builtin_spec(name, **kw)
+        for q in (1, 6, 77):
+            for x, z in ((600.0, 2.0), (600.5, 37.25), (431.0, 431.0), (431.5, 2.0)):
+                for m in range(4):
+                    ps, want = self.per_call(spec, x, m, q, z)
+                    assert multfun.m_sum_smooth_each(spec, x, m, q, ps) == want
+
+    def test_no_prime_in_range(self):
+        spec = builtin_spec("one_over_phi")
+        ps, want = self.per_call(spec, 24.5, 1, 1, 23.5)
+        assert len(ps) == 0 and want == []
+        assert multfun.m_sum_smooth_each(spec, 24.5, 1, 1, ps) == []
+
+    def test_small_chunks_leave_bits(self, monkeypatch):
+        spec = builtin_spec("nu_over_p", offsets=(0, 2, 6))
+        monkeypatch.setattr(_dfs, "CHUNK", 3)
+        for m in (0, 2):
+            ps, want = self.per_call(spec, 900.5, m, 6, 2.0)
+            assert multfun.m_sum_smooth_each(spec, 900.5, m, 6, ps) == want
+
+    def test_rejects_bad_input(self):
+        spec = builtin_spec("one_over_n")
+        ps = np.array([2, 3, 5], dtype=np.int64)
+        with pytest.raises(RangeError):
+            multfun.m_sum_smooth_each(spec, 4.0, 1, 1, ps)
+        with pytest.raises(RangeError):
+            multfun.m_sum_smooth_each(spec, 10.0, -1, 1, ps)
+        with pytest.raises(RangeError):
+            multfun.m_sum_smooth_each(spec, 10.0, 1, 0, ps)
+
+
 def _sum(spec, x, m, q, z):
     if math.isfinite(z):
         return m_sum_smooth(spec, x, m, q, z).value
@@ -238,6 +302,10 @@ class TestSingularSeries:
         # 1 - g(2) = 0 for g(p) = 1/(p-1)
         got = singular_series(builtin_spec("one_over_phi"), 1, 1e-6, a_variant=True)
         assert got == 0.0
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(RangeError):
+            singular_series(builtin_spec("one_over_n"), 1, math.nan)
 
     def test_tolerance_unreachable(self):
         with pytest.raises(ToleranceError) as err:

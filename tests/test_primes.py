@@ -38,17 +38,26 @@ class TestGeneratePrimes:
         assert t2.primes[-1] <= 10**5
         assert len(t2.primes) == 9592
 
+    def test_grown_table_equals_fresh_sieve(self, monkeypatch):
+        monkeypatch.setattr(primes, "_cached_table", None)
+        for limit in (100, 70_000, 140_001, 300_007, 10**6 + 1, 3 * 10**6):
+            table = primes.full_table(limit)
+            assert table.limit >= limit
+            assert np.array_equal(table.primes, primes.generate_primes(table.limit).primes)
+
 
 def entries(x, z, q):
     """(level, n, g, log n) of every entry _dfs.frontier lists for the sum
-    over n <= x with factors below z and coprime to q, g(p) = 1/p."""
+    over n <= x with factors below z and coprime to q, g(p) = 1/p; each
+    entry's largest prime factor is checked against trial division."""
     spec = multfun.builtin_spec("one_over_n")
     nmax, ps, gp, logp = multfun._filtered_arrays(spec, x, q, z)
-    return [
-        (level, int(v), float(gv), float(lv))
-        for level, n, g, l in _dfs.frontier(ps, gp, logp, nmax)
-        for v, gv, lv in zip(n, g, l)
-    ]
+    out = []
+    for level, n, g, l, top in _dfs.frontier(ps, gp, logp, nmax):
+        for v, gv, lv, tv in zip(n.tolist(), g.tolist(), l.tolist(), top.tolist()):
+            assert tv == max(oracles.factorize(v), default=1)
+            out.append((level, v, gv, lv))
+    return out
 
 
 def collect(x, z, q):

@@ -200,6 +200,10 @@ class TestBuchstab:
         with pytest.raises(RangeError):
             verify.buchstab_defect(spec, 100.0, 1, 1, 101.0)
 
+    def test_no_prime_between_z_and_x(self):
+        spec = multfun.builtin_spec("k_over_p", k=3)
+        assert verify.buchstab_defect(spec, 24.5, 2, 6, 23.5) == 0.0
+
     def test_suite_deterministic_and_tight(self):
         a = verify.buchstab_suite(seed=99, cases=12)
         b = verify.buchstab_suite(seed=99, cases=12)
