@@ -200,12 +200,6 @@ def _tol(ns, cfg, default):
     return tol
 
 
-def _signed_value(sign, log_abs):
-    if log_abs > 709.0:
-        return sign * math.inf
-    return float(sign * math.exp(log_abs))
-
-
 def _assumption(theta, delta):
     return f"EH({_g15(theta)},{_g15(delta)})"
 
@@ -277,7 +271,7 @@ def _cmd_i(ns, cfg):
     for t in ts:
         for v in vs:
             sign, log_abs = iterints.i_eval_signed_log(table, t, v)
-            rows.append((t, v, _signed_value(sign, log_abs), sign, log_abs))
+            rows.append((t, v, zhang._to_value(sign, log_abs), sign, log_abs))
     meta = {
         "command": "I",
         "s": ns.s,

@@ -130,6 +130,23 @@ def _panel_residual(coeffs, r, k, km):
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
+def _eval_panels(coeffs, u, fill):
+    """The piecewise-Chebyshev function with coefficients coeffs[r] on the
+    panel [r+1, r+2] (the last panel extended to the right), at every u;
+    fill on u <= 1."""
+    out = np.full_like(u, fill)
+    inside = u > 1.0
+    if coeffs and np.any(inside):
+        ui = u[inside]
+        idx = np.minimum(np.ceil(ui).astype(int) - 2, len(coeffs) - 1)
+        vals = np.empty_like(ui)
+        for r in np.unique(idx):
+            m = idx == r
+            vals[m] = quadchev.cheb_eval(coeffs[r], float(r + 1), float(r + 2), ui[m])
+        out[inside] = vals
+    return out
+
+
 def eval_f_many(sol, u):
     """Vectorized f evaluation; accepts 0 <= u <= U."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -137,19 +154,7 @@ def eval_f_many(sol, u):
         raise RangeError("f is defined for u >= 0 only")
     if np.any(u > sol.U * (1.0 + 1e-12)):
         raise RangeError(f"u beyond coverage bound {sol.U}")
-    out = np.ones_like(u)
-    if not sol.coeffs:
-        return out
-    inside = u > 1.0
-    if np.any(inside):
-        ui = u[inside]
-        idx = np.minimum(np.ceil(ui).astype(int) - 2, len(sol.coeffs) - 1)
-        vals = np.empty_like(ui)
-        for r in np.unique(idx):
-            m = idx == r
-            vals[m] = quadchev.cheb_eval(sol.coeffs[r], float(r + 1), float(r + 2), ui[m])
-        out[inside] = vals
-    return out
+    return _eval_panels(sol.coeffs, u, 1.0)
 
 
 def eval_f(sol, u):
@@ -228,14 +233,4 @@ def eval_log_f_many(sol, u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u < 0.0) or np.any(u > sol.U * (1.0 + 1e-12)):
         raise RangeError("u out of coverage")
-    out = np.zeros_like(u)
-    inside = u > 1.0
-    if np.any(inside):
-        ui = u[inside]
-        idx = np.minimum(np.ceil(ui).astype(int) - 2, len(sol.coeffs) - 1)
-        vals = np.empty_like(ui)
-        for r in np.unique(idx):
-            msk = idx == r
-            vals[msk] = quadchev.cheb_eval(sol.coeffs[r], float(r + 1), float(r + 2), ui[msk])
-        out[inside] = vals
-    return out
+    return _eval_panels(sol.coeffs, u, 0.0)

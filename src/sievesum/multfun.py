@@ -4,6 +4,12 @@ A spec describes a multiplicative function supported on squarefree
 integers through its values g(p) at primes, together with the dimension k
 and a tail bound |g(p) - k/p| <= c * p^(-1-theta) past a cutoff, which is
 what makes the Euler products here rigorously truncatable.
+
+The Euler product G(s) = prod_p (1+g(p)p^-s)(1-p^(-1-s))^k has one
+path: euler_log_taylor gives the Taylor coefficients of log|G| at 0 with
+certified tail bounds, and truncate_euler owns the schedule of truncation
+points.  The singular series G(0) and the residue main terms of verify
+both come from it.
 """
 
 import functools
@@ -302,74 +308,6 @@ def m_sum_smooth_each(spec, x, m, q, ps):
     return _dfs.msum_float_below(sel_p, sel_g, sel_l, x, ps, m)
 
 
-def _series_tail(spec, P):
-    """Rigorous bound on |sum over p > P of log((1+g(p))(1-1/p)^k)|.
-
-    Uses pi(t) <= 1.26 t / ln t.  Valid once P >= max(cutoff, 2(|k|+c), 17):
-    beyond that point |g(p)| <= 1/2 and 1/p <= 1/2, so the log expansions
-    carry remainder constants bounded by 1.
-    """
-    k = abs(spec.dimension_k)
-    c = spec.tail_bound
-    th = spec.tail_theta
-    lp = math.log(P)
-    return (1.26 * (1.0 + 1.0 / th) * c * P ** (-th) + 2.52 * ((k + c) ** 2 + k) / P) / lp
-
-
-def singular_series(spec, q, tol, a_variant=False):
-    """Compensated Euler product over primes away from q.
-
-    Returns prod_{p not dividing q} (1+g(p))(1-1/p)^k * prod_{p|q} (1-1/p)^k
-    with rigorously bounded truncation error below tol.  With a_variant the
-    product is prod (1-g(p))(1-1/p)^(-k), computed by running the same
-    truncation on the sign-flipped spec.
-    """
-    if not tol > 0:
-        raise RangeError("tol must be positive")
-    if spec.tail_bound is None:
-        raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
-    if a_variant:
-        return singular_series(_signed(spec), q, tol, a_variant=False)
-    k = spec.dimension_k
-    support = primes.factor_support(q)
-    sup_log = sum(k * math.log1p(-1.0 / p) for p in support)
-    p_min = max(spec.tail_cutoff, 2.0 * (abs(k) + spec.tail_bound), 17.0)
-    P = 1024
-    while P < p_min:
-        P *= 2
-    prev = None
-    while True:
-        table = primes.full_table(P)
-        hi = int(np.searchsorted(table.primes, P, side="right"))
-        ps = table.primes[:hi]
-        gs = spec._table_arrays(table)[0][:hi]
-        if support:
-            small = [s for s in support if s <= P]
-            if small:
-                keep = ~np.isin(ps, np.asarray(small, dtype=np.int64))
-                ps, gs = ps[keep], gs[keep]
-        fac = 1.0 + gs
-        if np.any(fac == 0.0):
-            return 0.0
-        sign = -1.0 if (np.count_nonzero(fac < 0.0) % 2) else 1.0
-        pf = ps.astype(np.float64)
-        logsum = float(np.sum(np.log(np.abs(fac)) + k * np.log1p(-1.0 / pf)))
-        value = sign * math.exp(logsum + sup_log)
-        tail = _series_tail(spec, P)
-        err = math.exp(abs(tail)) - 1.0
-        if prev is not None and err * abs(value) < tol / 2 and abs(value - prev) < tol / 2:
-            return value
-        if 2 * P > SERIES_PRIME_CAP:
-            achieved = err * abs(value) + (abs(value - prev) if prev is not None else math.inf)
-            raise ToleranceError(
-                f"singular series for {spec.name}: tolerance {tol} unreachable "
-                f"within the prime budget (achieved about {achieved:.3e})",
-                achieved=achieved,
-            )
-        prev = value
-        P *= 2
-
-
 def log_taylor_floor(spec, order):
     """Smallest truncation point at which euler_log_taylor's tail bounds hold."""
     sig = min(1.0 + spec.tail_theta, 2.0)
@@ -448,11 +386,14 @@ def euler_log_taylor(spec, q, order, P):
     G(s) = prod_{p not dividing q} (1+g(p)p^-s)(1-p^(-1-s))^k
            * prod_{p|q} (1-p^(-1-s))^k
     is the Euler product whose value at s = 0 is the singular series.
-    Returns (coeffs, bounds), lists of length order+1: coeffs[j] is the
-    s^j coefficient for the product truncated to p <= P (the p | q
-    factors are always whole), and bounds[j] bounds its distance from the
-    untruncated coefficient: the certified tail over p > P plus an
-    allowance for float rounding in the per-prime terms and their sum.
+    Returns (coeffs, bounds, sign).  coeffs and bounds are lists of length
+    order+1: coeffs[j] is the s^j coefficient for the product truncated to
+    p <= P (the p | q factors are always whole), and bounds[j] bounds its
+    distance from the untruncated coefficient: the certified tail over
+    p > P plus an allowance for float rounding in the per-prime terms and
+    their sum.  sign is the sign of G(0), the parity of the factors with
+    1+g(p) < 0 (every factor past P is positive), or 0.0 when a factor
+    1+g(p) vanishes; coeffs then leave those factors out.
     """
     order = int(order)
     if order < 0:
@@ -471,14 +412,17 @@ def euler_log_taylor(spec, q, order, P):
     if support:
         keep = ~np.isin(ps, np.asarray(support, dtype=np.int64))
         ps, gs, lams = ps[keep], gs[keep], lams[keep]
+    vanish = 1.0 + gs == 0.0
+    sign = 0.0 if vanish.any() else (-1.0 if np.count_nonzero(gs < -1.0) % 2 else 1.0)
+    if sign == 0.0:
+        keep = ~vanish
+        ps, gs, lams = ps[keep], gs[keep], lams[keep]
     parts = [[] for _ in range(order + 1)]
     scale = [[] for _ in range(order + 1)]
     for lo in range(0, len(ps), _TAYLOR_CHUNK):
         g = gs[lo : lo + _TAYLOR_CHUNK]
         lam = lams[lo : lo + _TAYLOR_CHUNK]
         inv_p = 1.0 / ps[lo : lo + _TAYLOR_CHUNK].astype(np.float64)
-        if np.any(1.0 + g == 0.0):
-            raise RangeError(f"singular series for {spec.name} vanishes")
         log_a0 = np.where(
             g > -0.5, np.log1p(np.maximum(g, -0.5)), np.log(np.abs(1.0 + g))
         )
@@ -499,4 +443,57 @@ def euler_log_taylor(spec, q, order, P):
         coeffs.append(math.fsum(parts[j]))
         tail = _log_taylor_tail(spec, j, P, theta_P)
         bounds.append(tail + slack * math.fsum(scale[j]))
-    return coeffs, bounds
+    return coeffs, bounds, sign
+
+
+def truncate_euler(spec, q, order, target, certify, what):
+    """The first certified result along one schedule of truncation points.
+
+    certify(coeffs, bounds, sign) turns one euler_log_taylor output of the
+    given order into (result, bound); the first (result, bound) whose bound
+    is at most target is returned.  P starts at the first power of two from
+    1024 up that reaches log_taylor_floor.  The bounds fall roughly like
+    1/P, so each step multiplies P by the power of two nearest above
+    bound/target; at SERIES_PRIME_CAP a ToleranceError names what and
+    carries the bound reached there.
+    """
+    P = 1024
+    while P < log_taylor_floor(spec, order):
+        P *= 2
+    P = min(P, SERIES_PRIME_CAP)
+    while True:
+        result, bound = certify(*euler_log_taylor(spec, q, order, P))
+        if bound <= target:
+            return result, bound
+        if P >= SERIES_PRIME_CAP:
+            raise ToleranceError(
+                f"{what}: tolerance {target} unreachable within the prime budget "
+                f"(achieved about {bound:.3e})",
+                achieved=bound,
+            )
+        step = 2 ** max(1, math.ceil(math.log2(bound / target))) if math.isfinite(bound) else 2
+        P = min(P * step, SERIES_PRIME_CAP)
+
+
+def singular_series(spec, q, tol, a_variant=False):
+    """The Euler product G(0) to within tol.
+
+    Returns prod_{p not dividing q} (1+g(p))(1-1/p)^k * prod_{p|q} (1-1/p)^k
+    as sign * exp(c_0) from euler_log_taylor's order-0 truncation, at the
+    first truncation point of truncate_euler where |G(0)| expm1(b_0) bounds
+    the error by tol; 0.0 when a factor 1+g(p) vanishes.  With a_variant
+    the product is prod (1-g(p))(1-1/p)^(-k), the same product for the
+    sign-flipped spec.
+    """
+    if not tol > 0:
+        raise RangeError("tol must be positive")
+    if spec.tail_bound is None:
+        raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
+    if a_variant:
+        spec = _signed(spec)
+
+    def certify(coeffs, bounds, sign):
+        value = sign * math.exp(coeffs[0])
+        return value, abs(value) * math.expm1(bounds[0])
+
+    return truncate_euler(spec, q, 0, tol, certify, f"singular series for {spec.name}")[0]

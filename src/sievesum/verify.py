@@ -10,9 +10,12 @@ the residual sequence decreases with at most one violation.
 The residue m! Res_{s=0} F(s) x^s / s^(m+1), with F(s) = zeta(1+s)^k G(s)
 the Dirichlet series of g, needs the Laurent coefficients of zeta(1+s)
 (the Stieltjes constants, below) and the Taylor coefficients of the Euler
-product G at 0 (multfun.euler_log_taylor).  Every report carries those
-polynomial coefficients and a certified bound on the relative error of
-its predicted values.
+product G at 0 (multfun.euler_log_taylor).  The series G(0) is the
+exponential of the first of them, so one multfun.truncate_euler
+truncation per check yields every coefficient it needs, certified on the
+bound the check reports.  Every report carries those polynomial
+coefficients and a certified bound on the relative error of its
+predicted values.
 """
 
 import math
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dde, multfun, primes
-from .errors import RangeError, ToleranceError
+from .errors import RangeError
 
 DEFAULT_LADDER = (1e4, 1e5, 1e6, 1e7)
 DEEP_LADDER = (1e4, 1e5, 1e6, 1e7, 1e8)
@@ -146,18 +149,18 @@ def _exp(a):
     return e
 
 
-def _residue_coeffs(k, m, ss, log_g, log_g_err):
+def _residue_coeffs(k, m, sign, log_g, log_g_err):
     """Coefficients c_0..c_(k+m) of m! Res_{s=0} zeta(1+s)^k G(s) x^s / s^(m+1)
     in powers of log x, with bounds on their errors.
 
     log_g and log_g_err hold the Taylor coefficients of log|G| at 0 and
-    their error bounds; G(0) is taken to be ss.  With H(s) = (s zeta(1+s))^k
-    G(s), c_l = m!/l! times the s^(k+m-l) coefficient of H.  Errors travel
-    through coefficientwise majorants: the exact G is ss exp(A) times
-    (1+eta) exp(D) for |eta| <= the relative error of ss and a series D
-    dominated by the bounds on the s^(j>=1) coefficients; the Stieltjes
-    constants and the series arithmetic add a few roundings relative to the
-    majorant |(s zeta(1+s))^k| |G|.
+    their error bounds (only the first k+m+1 are read), and sign is the
+    sign of G(0).  With H(s) = (s zeta(1+s))^k G(s), c_l = m!/l! times the
+    s^(k+m-l) coefficient of H.  Errors travel through coefficientwise
+    majorants: the exact G is sign exp(A) exp(D) for the series A of log_g
+    and a series D dominated by log_g_err; the Stieltjes constants and the
+    series arithmetic add a few roundings relative to the majorant
+    |(s zeta(1+s))^k| |G|.
     """
     n = k + m + 1
     if n - 1 > len(STIELTJES):
@@ -167,13 +170,10 @@ def _residue_coeffs(k, m, ss, log_g, log_g_err):
     for _ in range(k):
         zeta = _mul(zeta, z)
         zeta_bar = _mul(zeta_bar, [abs(v) for v in z])
-    a = [0.0] + list(log_g[1:n])
-    a_bar = [0.0] + [abs(v) for v in log_g[1:n]]
-    eta = math.expm1(abs(math.log(abs(ss)) - log_g[0]) + log_g_err[0])
-    spread = [(1.0 + eta) * v for v in _exp([0.0] + list(log_g_err[1:n]))]
-    spread[0] -= 1.0
-    g = [ss * v for v in _exp(a)]
-    g_bar = [abs(ss) * v for v in _exp(a_bar)]
+    spread = _exp(list(log_g_err[:n]))
+    spread[0] = math.expm1(log_g_err[0])
+    g = [sign * v for v in _exp(list(log_g[:n]))]
+    g_bar = _exp([log_g[0]] + [abs(v) for v in log_g[1:n]])
     g_err = _mul(g_bar, spread)
     h = _mul(zeta, g)
     h_bar = _mul(zeta_bar, g_bar)
@@ -186,47 +186,50 @@ def _residue_coeffs(k, m, ss, log_g, log_g_err):
     return coeffs, errors
 
 
+def _main_terms(spec, q, ms, lxs, series_tol, combine):
+    """MainTerms of the orders ms from one certified Euler-product truncation.
+
+    combine(mains, lx) is the (value, error bound) of the quantity checked
+    at log x = lx; the truncation (multfun.truncate_euler, at order
+    k + max(ms)) stops at the first P where its relative error bound is at
+    most series_tol at every lx.  Returns (mains, bound).
+    """
+    k = _positive_dimension(spec)
+    ms = [_order(m) for m in ms]
+
+    def certify(log_g, log_g_err, sign):
+        if sign == 0.0:
+            raise RangeError(f"{spec.name}: the singular series vanishes, so there is no main term")
+        series = sign * math.exp(log_g[0])
+        mains = []
+        for m in ms:
+            coeffs, errors = _residue_coeffs(k, m, sign, log_g, log_g_err)
+            mains.append(MainTerm(series, tuple(coeffs), tuple(errors)))
+        bound = 0.0
+        for lx in lxs:
+            value, err = combine(mains, lx)
+            bound = max(bound, err / abs(value) if value != 0.0 else math.inf)
+        return mains, bound
+
+    what = f"relative error of the main term for {spec.name}, m = {','.join(map(str, ms))}"
+    return multfun.truncate_euler(spec, q, k + max(ms), series_tol, certify, what)
+
+
 def main_term(spec, q, m, xs, series_tol, weights=None):
     """The residue main term of the weighted sum of order m, certified on xs.
 
-    The Euler product is truncated at growing powers of two P until the
-    relative error bound of sum_j c_j (log x)^j weights[j] is at most
-    series_tol at every x of the ladder (weights default to 1).  The
-    bound falls roughly like 1/P, so each step multiplies P by the power of
-    two nearest above bound/series_tol; if SERIES_PRIME_CAP is not enough,
-    a ToleranceError carries the bound reached there.
+    G's Taylor coefficients, and with them the series G(0), come from one
+    multfun.truncate_euler truncation that stops once the relative error
+    bound of sum_j c_j (log x)^j weights[j] is at most series_tol at every
+    x of the ladder (weights default to 1); if the prime budget is not
+    enough, a ToleranceError carries the bound reached there.
     Returns (MainTerm, bound).
     """
-    k = _positive_dimension(spec)
-    m = _order(m)
-    n = k + m + 1
-    lxs = [math.log(x) for x in xs]
-    ss = multfun.singular_series(spec, q, series_tol)
-    if ss == 0.0:
-        raise RangeError(f"{spec.name}: the singular series vanishes, so there is no main term")
-    P = 1024
-    while P < multfun.log_taylor_floor(spec, n - 1):
-        P *= 2
-    P = min(P, multfun.SERIES_PRIME_CAP)
-    while True:
-        log_g, log_g_err = multfun.euler_log_taylor(spec, q, n - 1, P)
-        coeffs, errors = _residue_coeffs(k, m, ss, log_g, log_g_err)
-        main = MainTerm(ss, tuple(coeffs), tuple(errors))
-        bound = 0.0
-        for lx in lxs:
-            value = main.value(lx, weights)
-            err = main.error(lx, weights)
-            bound = max(bound, err / abs(value) if value != 0.0 else math.inf)
-        if bound <= series_tol:
-            return main, bound
-        if P >= multfun.SERIES_PRIME_CAP:
-            raise ToleranceError(
-                f"main term for {spec.name}, m = {m}: relative bound {series_tol} "
-                f"unreachable within the prime budget (achieved about {bound:.3e})",
-                achieved=bound,
-            )
-        step = 2 ** max(1, math.ceil(math.log2(bound / series_tol))) if math.isfinite(bound) else 2
-        P = min(P * step, multfun.SERIES_PRIME_CAP)
+    mains, bound = _main_terms(
+        spec, q, [m], [math.log(x) for x in xs], series_tol,
+        lambda mains, lx: (mains[0].value(lx, weights), mains[0].error(lx, weights)),
+    )
+    return mains[0], bound
 
 
 def _plain_sum(sums, spec, x, m, q):
@@ -307,29 +310,26 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     the power sums, sum_j a_j M_j(x) / (log x)^j, and the predicted side
     the same combination of the theorem-1 polynomials, whose leading
     terms are the Beta factors j!/(j+k)! under the singular series.
+    Every power's main term comes from one Euler-product truncation,
+    certified on main_bound, the relative error bound of the combination.
     The power sums are read from and kept in sums, as in check_theorem1.
     """
-    _positive_dimension(spec)
     coeffs = [float(c) for c in coeffs]
     if not coeffs:
         raise RangeError("need at least one polynomial coefficient")
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
     sums = {} if sums is None else sums
-    mains = [main_term(spec, q, j, xs, series_tol)[0] for j in range(len(coeffs))]
-    predicted = []
-    bound = 0.0
-    for x in xs:
-        lx = math.log(x)
-        value = math.fsum(a * main.value(lx) / lx**j for j, (a, main) in enumerate(zip(coeffs, mains)))
-        err = math.fsum(abs(a) * main.error(lx) / lx**j for j, (a, main) in enumerate(zip(coeffs, mains)))
-        bound = max(bound, err / abs(value) if value != 0.0 else math.inf)
-        predicted.append(value)
-    if bound > series_tol:
-        raise ToleranceError(
-            f"weight-lemma main term for {spec.name}: relative bound {series_tol} "
-            f"unreachable (achieved about {bound:.3e})",
-            achieved=bound,
-        )
+    lxs = [math.log(x) for x in xs]
+
+    def combined(mains, lx):
+        """(value, error bound) of sum_j a_j main_j(lx) / lx^j."""
+        terms = list(enumerate(zip(coeffs, mains)))
+        value = math.fsum(a * main.value(lx) / lx**j for j, (a, main) in terms)
+        err = math.fsum(abs(a) * main.error(lx) / lx**j for j, (a, main) in terms)
+        return value, err
+
+    mains, bound = _main_terms(spec, q, range(len(coeffs)), lxs, series_tol, combined)
+    predicted = [combined(mains, lx)[0] for lx in lxs]
     measured = []
     for x in xs:
         lx = math.log(x)

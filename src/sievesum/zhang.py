@@ -65,7 +65,7 @@ def first_k_tuple(k):
         limit *= 2
 
 
-def tuple_singular_series(offsets, tol=1e-9):
+def tuple_singular_series(offsets, tol=1e-6):
     """Hardy-Littlewood constant of the tuple; 0.0 when inadmissible."""
     offs = _check_offsets(offsets)
     if not is_admissible(offs):

@@ -317,6 +317,30 @@ class TestSingularSeries:
         with pytest.raises(ValueError):
             singular_series(spec, 1, 1e-6)
 
+    def test_zeta2_to_1e_9(self):
+        got = singular_series(builtin_spec("one_over_n"), 1, 1e-9)
+        assert abs(got - 6 / math.pi**2) < 1e-9
+
+    def test_negative_series_matches_prime_zeta(self):
+        # G(0) = (2/3)^-3 prod_{p != 3} (1 - 3/p)(1 - 1/p)^-3, negative
+        # through its p = 2 factor; past p = 7 the log of the product is
+        # sum_r (3 - 3^r)/r (P(r) - sum_{p <= 7} p^-r), P the prime zeta
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        want = (mpmath.mpf(2) / 3) ** -3
+        for p in (2, 5, 7):
+            want *= (1 - mpmath.mpf(3) / p) * (1 - mpmath.mpf(1) / p) ** -3
+        log_tail = sum(
+            (3 - mpmath.mpf(3) ** r) / r
+            * (mpmath.primezeta(r) - sum(mpmath.mpf(p) ** -r for p in (2, 3, 5, 7)))
+            for r in range(2, 60)
+        )
+        want = float(want * mpmath.exp(log_tail))
+        spec = builtin_spec("signed_mu_times", base="k_over_p", k=3)
+        got = singular_series(spec, 3, 1e-7)
+        assert want < -8.57
+        assert abs(got - want) < 1e-7
+
     def test_self_consistent_across_tolerances(self):
         spec = builtin_spec("two_omega_over_n")
         a = singular_series(spec, 1, 1e-5)

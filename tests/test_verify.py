@@ -90,6 +90,20 @@ class TestWeightLemma:
         assert rep.verdict
         assert rep.residuals[-1] < 0.5
 
+    def test_one_truncation_for_all_powers(self, monkeypatch):
+        orders = []
+        taylor = multfun.euler_log_taylor
+
+        def counted(spec, q, order, P):
+            orders.append(order)
+            return taylor(spec, q, order, P)
+
+        monkeypatch.setattr(multfun, "euler_log_taylor", counted)
+        spec = multfun.builtin_spec("one_over_n")
+        rep = verify.check_weight_lemma(spec, [1.0, 1.0, 1.0], q=1, xs=(1e4, 1e5))
+        assert set(orders) == {3}
+        assert rep.params["main_bound"] <= 1e-7
+
     def test_needs_coeffs(self):
         spec = multfun.builtin_spec("one_over_n")
         with pytest.raises(RangeError):
@@ -124,6 +138,12 @@ class TestMainTerm:
         smooth = verify.check_theorem2(spec, m=1, q=1, u=1.0, xs=(1e3,))
         plain = verify.check_theorem1(spec, m=1, q=1, xs=(1e3,))
         assert smooth.predicted == plain.predicted
+
+    def test_vanishing_series_has_no_main_term(self):
+        # 1 + g(2) = 0; past p = 2, g(p) = 1/p
+        spec = multfun.MultFuncSpec("custom", lambda p: -1.0 if p == 2 else 1.0 / p, 1, 1.0, 0.0, 2)
+        with pytest.raises(RangeError):
+            verify.main_term(spec, 1, 1, (1e4,), 1e-6)
 
     def test_unreachable_tolerance_reports_bound(self, monkeypatch):
         monkeypatch.setattr(multfun, "SERIES_PRIME_CAP", 1 << 12)

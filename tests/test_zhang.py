@@ -59,6 +59,10 @@ class TestTupleSeries:
         got = zhang.tuple_singular_series([0, 2], tol=1e-7)
         assert abs(got - 1.3203236316937392) < 1e-6
 
+    def test_twin_constant_default_tol(self):
+        got = zhang.tuple_singular_series([0, 2])
+        assert abs(got - 1.3203236316937392) < 1e-6
+
     def test_inadmissible_is_zero(self):
         assert zhang.tuple_singular_series([0, 2, 4]) == 0.0
 
