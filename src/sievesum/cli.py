@@ -236,8 +236,8 @@ def _cmd_sseries(ns, cfg):
 
 def _cmd_f(ns, cfg):
     tol = _tol(ns, cfg, 1e-8)
-    if ns.step <= 0 or ns.u_max < ns.step:
-        raise RangeError("need 0 < step <= u-max")
+    if not (0 < ns.step <= ns.u_max < math.inf):
+        raise RangeError("need 0 < step <= u-max < inf")
     count = int(math.floor(ns.u_max / ns.step + 1e-9))
     us = [j * ns.step for j in range(1, count + 1)]
     meta = {

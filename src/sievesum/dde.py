@@ -6,6 +6,11 @@ marched one unit panel at a time through the equivalent integral form
 f(u) = f(r) - k * integral_r^u f(v-1) (v-1)^(k+m) v^(-k-m-1) dv.
 Since k and m are integers the integrand is analytic on each open panel,
 so a fixed-degree Chebyshev representation converges spectrally.
+
+One march serves two representations: f itself (solve_f, with a residual
+gate), and log f for k = -s < 0 (solve_f_log), where every increment is
+positive, so the march stays in log space and f may overflow any float
+while log f stays moderate.
 """
 
 import math
@@ -34,28 +39,48 @@ class PanelSolution:
     residual: float
 
 
-def _prev_eval(coeffs, r, v):
-    """f on [r-1, r] given the already-built panels (vectorized)."""
-    v = np.asarray(v, dtype=float)
-    if r == 1:
-        return np.ones_like(v)
-    return quadchev.cheb_eval(coeffs[r - 2], float(r - 1), float(r), v)
+def _march(k, km, U, log):
+    """Chebyshev coefficients of f (of log f with log=True) per panel (r, r+1].
+
+    The DEGREE+1 Lobatto values of a panel come from its left end and one
+    QUAD_NODES-point Gauss-Legendre rule on [r, v] per node v: f adds -k
+    times the integral, log f adds log(-k) plus its logsumexp by logaddexp.
+    """
+    if not (1.0 <= U < math.inf):
+        raise RangeError("U must be finite and at least 1")
+    glx, glw = quadchev.gauss_legendre(QUAD_NODES)
+    coeffs = []
+    left = fill = 0.0 if log else 1.0  # f = 1 on (0, 1]
+    for r in range(1, int(math.ceil(U))):
+        a = float(r)
+        # the first node's integral has zero width; the others go at once
+        nodes = quadchev.cheb_lobatto(a, a + 1.0, DEGREE + 1)[1:]
+        half = 0.5 * (nodes - a)
+        v = (0.5 * (a + nodes))[:, None] + half[:, None] * glx[None, :]
+        prev = _eval_panels(coeffs, v - 1.0, fill)
+        lp = km * np.log(v - 1.0)
+        lq = (km + 1) * np.log(v)
+        vals = np.empty(DEGREE + 1)
+        vals[0] = left
+        if log:
+            terms = np.log(half[:, None]) + np.log(glw)[None, :] + prev + lp - lq
+            vals[1:] = np.logaddexp(left, math.log(-k) + quadchev.logsumexp(terms, axis=1))
+        else:
+            w = half[:, None] * glw[None, :]
+            vals[1:] = left - k * np.sum(w * (prev * np.exp(lp - lq)), axis=1)
+        coeffs.append(quadchev.lobatto_to_cheb_coeffs(vals))
+        left = float(vals[-1])
+    return tuple(coeffs)
 
 
-def _integrand(coeffs, r, km, v):
-    # f(v-1) * (v-1)^km * v^(-km-1), powers in log space for large km
-    fv = _prev_eval(coeffs, r, v - 1.0)
-    return fv * np.exp(km * np.log(v - 1.0) - (km + 1) * np.log(v))
-
-
-def solve_f(k, m, U, tol=1e-8, degree=DEGREE, quad_nodes=QUAD_NODES):
+def solve_f(k, m, U, tol=1e-8):
     """Solve for f(u; k, m) on (0, U].
 
     Parameters
     ----------
     k : integer, either sign
     m : positive integer with m > max(0, -k), so the exponent k+m >= 1
-    U : coverage bound, >= 1; panels are built through ceil(U)
+    U : coverage bound, finite and >= 1; panels are built through ceil(U)
     tol : scaled residual gate per panel (see PanelSolution.residual)
 
     The residual gate is relative: the defect of the differential form is
@@ -66,10 +91,10 @@ def solve_f(k, m, U, tol=1e-8, degree=DEGREE, quad_nodes=QUAD_NODES):
     m = int(m)
     if m < 0 or k + m < 1:
         raise RangeError("need integer m >= 0 with k + m >= 1")
-    return solve_f_exponent(k, k + m, U, tol, degree, quad_nodes)
+    return solve_f_exponent(k, k + m, U, tol)
 
 
-def solve_f_exponent(k, e, U, tol=1e-8, degree=DEGREE, quad_nodes=QUAD_NODES):
+def solve_f_exponent(k, e, U, tol=1e-8):
     """Solve u^(e+1) f'(u) = -k (u-1)^e f(u-1), f = 1 on (0, 1], on (0, U].
 
     This is f(u; k, e-k) for any integer exponent e >= 0, including the
@@ -80,36 +105,14 @@ def solve_f_exponent(k, e, U, tol=1e-8, degree=DEGREE, quad_nodes=QUAD_NODES):
     km = int(e)
     if km < 0 or km != e:
         raise RangeError("need an integer exponent e >= 0")
-    if U < 1:
-        raise RangeError("U must be at least 1")
     if not tol > 0:
         raise RangeError("tol must be positive")
-    m = km - k
-    n_panels = max(int(math.ceil(U)) - 1, 0)
-    glx, glw = quadchev.gauss_legendre(quad_nodes)
-    coeffs = []
-    f_left = 1.0
-    worst = 0.0
-    for r in range(1, n_panels + 1):
-        a, b = float(r), float(r + 1)
-        nodes = quadchev.cheb_lobatto(a, b, degree + 1)
-        # integral from a to each node, all Gauss panels evaluated at once
-        mid = 0.5 * (a + nodes)
-        half = 0.5 * (nodes - a)
-        v = mid[:, None] + half[:, None] * glx[None, :]
-        w = half[:, None] * glw[None, :]
-        # zero-width first node gives v = a exactly; nudge inside the panel
-        v[0, :] = 0.5 * (a + b)
-        vals = f_left - k * np.sum(w * _integrand(coeffs, r, km, v), axis=1)
-        vals[0] = f_left
-        c = quadchev.lobatto_to_cheb_coeffs(vals)
-        coeffs.append(c)
-        worst = max(worst, _panel_residual(coeffs, r, k, km))
-        f_left = float(vals[-1])
-    sol = PanelSolution(k, m, float(U), tol, degree, tuple(coeffs), worst)
+    coeffs = _march(k, km, U, log=False)
+    worst = max([0.0, *(_panel_residual(coeffs, r, k, km) for r in range(1, len(coeffs) + 1))])
+    sol = PanelSolution(k, km - k, float(U), tol, DEGREE, coeffs, worst)
     if worst > tol:
         raise ToleranceError(
-            f"f(u;{k},{m}): residual {worst:.3e} exceeds tol {tol:.1e} at degree {degree}",
+            f"f(u;{k},{km - k}): residual {worst:.3e} exceeds tol {tol:.1e} at degree {DEGREE}",
             achieved=worst,
         )
     return sol
@@ -121,7 +124,7 @@ def _panel_residual(coeffs, r, k, km):
     # strictly interior Chebyshev sample points
     u = quadchev.cheb_lobatto(a, b, RESIDUAL_SAMPLES + 2)[1:-1]
     fp = quadchev.cheb_eval_deriv(c, a, b, u)
-    fprev = _prev_eval(coeffs, r, u - 1.0)
+    fprev = _eval_panels(coeffs, u - 1.0, 1.0)
     lhs = u ** (km + 1) * fp
     rhs = -k * (u - 1.0) ** km * fprev
     scale = np.abs(u ** (km + 1)) * (1.0 + np.abs(fp)) + abs(k) * (u - 1.0) ** km * (
@@ -132,8 +135,8 @@ def _panel_residual(coeffs, r, k, km):
 
 def _eval_panels(coeffs, u, fill):
     """The piecewise-Chebyshev function with coefficients coeffs[r] on the
-    panel [r+1, r+2] (the last panel extended to the right), at every u;
-    fill on u <= 1."""
+    panel [r+1, r+2] (the last panel extended to the right), at every u of
+    an array of any shape; fill on u <= 1."""
     out = np.full_like(u, fill)
     inside = u > 1.0
     if coeffs and np.any(inside):
@@ -175,12 +178,7 @@ def eval_f_deriv(sol, u):
 
 @dataclass(frozen=True)
 class LogPanelSolution:
-    """log f for the negative-k case, stable at very large s = -k.
-
-    The k = -s march only ever adds positive increments, so the whole
-    solve stays in log space through logsumexp; f itself may overflow any
-    float while log f stays moderate.
-    """
+    """log f(.; -s, m) on (0, U], for s so large that f overflows a float."""
 
     s: int
     m: int
@@ -189,43 +187,13 @@ class LogPanelSolution:
     coeffs: tuple  # Chebyshev coefficients of log f per panel
 
 
-def solve_f_log(s, m, U, degree=DEGREE, quad_nodes=QUAD_NODES):
+def solve_f_log(s, m, U):
     """Solve f(u; -s, m) in log space; returns a LogPanelSolution."""
     s = int(s)
     m = int(m)
     if s < 1 or m <= s:
         raise RangeError("need integers 1 <= s < m")
-    if U < 1:
-        raise RangeError("U must be at least 1")
-    km = m - s
-    n_panels = max(int(math.ceil(U)) - 1, 0)
-    glx, glw = quadchev.gauss_legendre(quad_nodes)
-    logw = np.log(glw)
-    coeffs = []
-    log_left = 0.0
-    for r in range(1, n_panels + 1):
-        a = float(r)
-        nodes = quadchev.cheb_lobatto(a, a + 1.0, degree + 1)
-        # first node has a zero-width integral; handle the rest vectorized
-        mid = 0.5 * (a + nodes[1:])
-        half = 0.5 * (nodes[1:] - a)
-        v = mid[:, None] + half[:, None] * glx[None, :]
-        if r == 1:
-            log_fprev = np.zeros_like(v)
-        else:
-            log_fprev = quadchev.cheb_eval(coeffs[r - 2], a - 1.0, a, v - 1.0)
-        terms = (
-            np.log(half[:, None]) + logw[None, :] + log_fprev
-            + km * np.log(v - 1.0) - (km + 1) * np.log(v)
-        )
-        mx = np.max(terms, axis=1)
-        log_int = mx + np.log(np.sum(np.exp(terms - mx[:, None]), axis=1))
-        vals = np.empty(degree + 1)
-        vals[0] = log_left
-        vals[1:] = np.logaddexp(log_left, math.log(s) + log_int)
-        coeffs.append(quadchev.lobatto_to_cheb_coeffs(vals))
-        log_left = float(vals[-1])
-    return LogPanelSolution(s, m, float(U), degree, tuple(coeffs))
+    return LogPanelSolution(s, m, float(U), DEGREE, _march(-s, m - s, U, log=True))
 
 
 def eval_log_f_many(sol, u):

@@ -42,10 +42,14 @@ Two reductions keep the numbers representable:
   * an optional log-scale mode stores log phi and integrates with
     logsumexp, for parameter sizes where phi itself overflows a float.
 Both reductions leave the recursion form-invariant (the power of (1-1/x)
-becomes s + 2(m-s) for phi).
+becomes s + 2(m-s) for phi).  Both modes share one march, one ladder and
+one level comparison; the arithmetic that differs (add or logaddexp,
+subtract or a signed log difference, the gap between two levels) lives
+in the _Float and _Log classes.
 
-All tolerances here are relative: build error estimates are normalized by
-the largest entry of the panel under comparison.
+All tolerances here are relative: float mode normalizes the gap between
+two levels by the largest entry of the row or panel under comparison, and
+log mode compares log phi, on the entries within e^40 of that largest.
 """
 
 import math
@@ -70,6 +74,7 @@ LOG_GRID_FLOOR = 1e-16
 CHUNK_ROWS = 2048  # t-interpolation rows built and applied per block
 BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
 BATCH_KERNELS = 16  # kernels marched together on one t grid
+F_TOL = 1e-10  # residual gate of the float-mode f solution
 
 
 @dataclass(frozen=True)
@@ -84,20 +89,24 @@ class SieveKernel:
     f_sol: object
 
 
-def make_kernel(s, m, u, log_scale=False, f_tol=1e-10):
-    """Prepare the f solution and scaling constants for (s, m, u)."""
+def make_kernel(s, m, u, log_scale=False):
+    """Prepare the f solution and scaling constants for (s, m, u).
+
+    u is the largest v a table reaches, so it is held to build_tables'
+    bound before f is solved out to it.
+    """
     s = int(s)
     m = int(m)
     if s < 1 or m <= s:
         raise RangeError("need integers 1 <= s < m")
-    if not (u > 0):
-        raise RangeError("u must be positive")
+    if not (0 < u <= MAX_PANELS + 1):
+        raise RangeError(f"u must lie in (0, {MAX_PANELS + 1}], got {u}")
     L = 2.0 * (math.lgamma(m + 1) - math.lgamma(m - s + 1)) - math.lgamma(s)
     U = max(1.0, float(u))
     if log_scale:
         f_sol = dde.solve_f_log(s, m, U)
     else:
-        f_sol = dde.solve_f(-s, m, U, tol=f_tol)
+        f_sol = dde.solve_f(-s, m, U, tol=F_TOL)
     return SieveKernel(s, m, float(u), bool(log_scale), L, f_sol)
 
 
@@ -269,8 +278,8 @@ class ITable:
 
     base holds the v <= 1 row on the t grid; panels[r-1] holds the
     17 x grid.total values on the v-panel (r, r+1].  In log mode the
-    stored values are log phi together with sign matrices (phi is
-    positive in exact arithmetic; zero-crossing entries are flagged by
+    stored values are log phi (phi is positive in exact arithmetic;
+    entries that come out non-positive are clamped and counted by
     floor_hits).  The t resolution is chosen adaptively and est_error
     compares two t resolutions, so it covers the t direction only.  The v
     resolution per panel is fixed: 17 nodes, with a composite
@@ -303,9 +312,13 @@ class _Float:
 
     @staticmethod
     def close(rows):
-        """(stored panel, values the next panel interpolates, floor hits)."""
-        panel = np.array(rows)
-        return panel, panel, 0
+        """(panel, floor hits): the panel is stored and interpolated next."""
+        return np.array(rows), 0
+
+    @staticmethod
+    def gap(coarse, fine):
+        """Largest difference relative to the largest entry of fine."""
+        return float(np.max(np.abs(coarse - fine))) / (float(np.max(np.abs(fine))) + 1e-300)
 
 
 class _Log:
@@ -317,10 +330,7 @@ class _Log:
     @staticmethod
     def seg(inner, tp, x, half, glw, sexp):
         lt = inner + (sexp * np.log(tp) - np.log(x) + np.log(half * glw))[:, None]
-        mg = np.max(lt, axis=0)
-        safe = np.where(np.isfinite(mg), mg, 0.0)
-        lse = safe + np.log(np.sum(np.exp(lt - safe[None, :]), axis=0))
-        return np.where(np.isfinite(mg), lse, -np.inf)
+        return quadchev.logsumexp(lt, axis=0)
 
     @staticmethod
     def row(base, s, tot):
@@ -328,13 +338,21 @@ class _Log:
 
     @staticmethod
     def close(rows):
-        """Entries of sign <= 0 are clamped to (top - 700) and counted."""
-        sm = np.array([sg for sg, _ in rows])
+        """(log phi, floor hits): entries of sign <= 0 are clamped to
+        700 below the panel's largest finite entry and counted; the signs
+        are dropped."""
         lm = np.array([lv for _, lv in rows])
-        bad = sm <= 0.0
+        bad = np.array([sg for sg, _ in rows]) <= 0.0
         if np.any(bad):
-            lm[bad] = np.max(lm[np.isfinite(lm)], initial=0.0) - 700.0
-        return (lm, sm), lm, int(np.count_nonzero(bad))
+            lm[bad] = np.max(lm, where=np.isfinite(lm), initial=-np.inf) - 700.0
+        return lm, int(np.count_nonzero(bad))
+
+    @staticmethod
+    def gap(coarse, fine):
+        """Largest difference of log phi over the entries of fine within
+        e^40 of its largest."""
+        keep = fine > np.max(fine, where=np.isfinite(fine), initial=-np.inf) - 40.0
+        return float(np.max(np.abs(coarse - fine), where=keep, initial=0.0))
 
 
 def _march(kernels, v_max, grid, arith):
@@ -384,34 +402,22 @@ def _march(kernels, v_max, grid, arith):
                 Q[i] = arith.add(Q[i], seg)
                 rows[i].append(arith.row(bases[i], s[i], Q[i]))
         for i, rws in enumerate(rows):
-            panel, data[i], h = arith.close(rws)
-            panels[i].append(panel)
+            data[i], h = arith.close(rws)
+            panels[i].append(data[i])
             hits[i] += h
         prev_v_nodes = v_nodes
     return list(zip(bases, panels, hits))
 
 
-def _compare_levels(log_scale, B, coarse, fine):
-    """Relative disagreement of two t resolutions at the fine nodes.
+def _compare_levels(arith, B, coarse, fine):
+    """Disagreement of two t resolutions at the fine nodes: the largest
+    arith.gap over the base row and every panel.
 
     B interpolates the coarse grid at the fine nodes.
     """
-    cbase, cpanels, _ = coarse
-    fbase, fpanels, _ = fine
-    if log_scale:
-        est = float(np.max(np.abs(B @ cbase - fbase)))
-        for (cl, _), (fl, _) in zip(cpanels, fpanels):
-            top = np.max(fl[np.isfinite(fl)], initial=0.0)
-            mask = fl > top - 40.0
-            if np.any(mask):
-                d = np.abs(cl @ B.T - fl)
-                est = max(est, float(np.max(d[mask])))
-        return est
-    est = float(np.max(np.abs(B @ cbase - fbase))) / (float(np.max(np.abs(fbase))) + 1e-300)
-    for cm, fm in zip(cpanels, fpanels):
-        scale = float(np.max(np.abs(fm))) + 1e-300
-        d = float(np.max(np.abs(cm @ B.T - fm)))
-        est = max(est, d / scale)
+    est = arith.gap(B @ coarse[0], fine[0])
+    for cm, fm in zip(coarse[1], fine[1]):
+        est = max(est, arith.gap(cm @ B.T, fm))
     return est
 
 
@@ -433,7 +439,7 @@ def _ladder(kernels, v_max, tol, n):
         B = _piecewise_matrix(prev_grid, grid.nodes)
         still = []
         for i, p, c in zip(active, prev, cur):
-            est = _compare_levels(arith is _Log, B, p, c)
+            est = _compare_levels(arith, B, p, c)
             if est <= tol:
                 tables[i] = ITable(kernels[i], v_max, grid, c[0], tuple(c[1]), est, c[2])
             elif n >= N_PER_MAX:
@@ -450,45 +456,39 @@ def _ladder(kernels, v_max, tol, n):
     return tables
 
 
-def build_tables(kernels, v_max, tol=1e-9, n_per=N_PER_START):
+def build_tables(kernels, v_max, tol=1e-9):
     """Yield (index, table) for every kernel, one batch of tables at a time.
 
     Kernels that share a t grid (the same breaks and mode) are marched
-    together, at most BATCH_KERNELS at a time (half as many in log mode,
-    whose panels keep a sign matrix too): the interpolation rows of each
-    rung, v-panel and v-node are built once for the whole batch.
-    Each kernel keeps its own resolution ladder, so every table, its
-    n_per and its est_error are bit-identical to a batch of one.  A
-    caller that drops each table once read holds one batch at a time.
+    together, at most BATCH_KERNELS at a time: the interpolation rows of
+    each rung, v-panel and v-node are built once for the whole batch.
+    Each kernel keeps its own resolution ladder, starting at N_PER_START
+    nodes per t panel, so every table, its n_per and its est_error are
+    bit-identical to a batch of one.  A caller that drops each table once
+    read holds one batch at a time.
     """
     v_max = float(v_max)
-    if not (v_max > 0):
-        raise RangeError("v_max must be positive")
-    if math.ceil(v_max) - 1 > MAX_PANELS:
-        raise RangeError(f"v_max {v_max} needs more than {MAX_PANELS} panels")
+    if not (0 < v_max <= MAX_PANELS + 1):
+        raise RangeError(f"v_max must lie in (0, {MAX_PANELS + 1}], got {v_max}")
     if not (0.0 < tol < math.inf):
         raise RangeError(f"tol must be a positive finite number, got {tol}")
-    n = int(n_per)
-    if n < 5:
-        raise RangeError("n_per too small")
     groups = {}
     for i, kern in enumerate(kernels):
         groups.setdefault((kern.log_scale, _t_breaks(kern).tobytes()), []).append(i)
-    for (log_scale, _), idx in groups.items():
-        size = BATCH_KERNELS // 2 if log_scale else BATCH_KERNELS
-        for lo in range(0, len(idx), size):
-            batch = idx[lo : lo + size]
-            yield from zip(batch, _ladder([kernels[i] for i in batch], v_max, tol, n))
+    for idx in groups.values():
+        for lo in range(0, len(idx), BATCH_KERNELS):
+            batch = idx[lo : lo + BATCH_KERNELS]
+            yield from zip(batch, _ladder([kernels[i] for i in batch], v_max, tol, N_PER_START))
 
 
-def build_table(kernel, v_max, tol=1e-9, n_per=N_PER_START):
+def build_table(kernel, v_max, tol=1e-9):
     """March the table out to v_max, doubling the t resolution until tol.
 
     tol is a relative target; the achieved estimate comes from comparing
     each resolution with the nested half-size grid.  Raises ToleranceError
     with the achieved estimate if the resolution ladder tops out.
     """
-    return next(build_tables([kernel], v_max, tol, n_per))[1]
+    return next(build_tables([kernel], v_max, tol))[1]
 
 
 def _check_t(t):
@@ -537,8 +537,7 @@ def i_eval_signed_log(table, t, v):
     v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
     bv = quadchev.bary_matrix(v_nodes, quadchev.lobatto_bary_weights(N_V), np.array([v]))[0]
     bt = _piecewise_matrix(table.grid, np.array([t]))[0]
-    values = table.panels[idx][0] if kernel.log_scale else table.panels[idx]
-    return _signed_log(kernel, t, float(bv @ values @ bt))
+    return _signed_log(kernel, t, float(bv @ table.panels[idx] @ bt))
 
 
 def i_eval(table, t, v):

@@ -95,16 +95,16 @@ def cheb_eval_deriv(coeffs, a, b, u):
     return np.polynomial.chebyshev.chebval(x, dc) * (2.0 / (b - a))
 
 
-def logsumexp(logs):
-    """Stable log of a sum of exponentials.
+def logsumexp(logs, axis=None):
+    """Stable log of a sum of exponentials, over all entries or along axis.
 
-    -inf for an empty sum or one of -inf entries only; +inf when an entry
-    is +inf; NaN when an entry is NaN.
+    Each sum is -inf when it is empty or has -inf entries only, +inf when
+    an entry is +inf and NaN when an entry is NaN.
     """
     logs = np.asarray(logs, dtype=float)
-    if logs.size == 0:
-        return -np.inf
-    m = np.max(logs)  # NaN if any entry is NaN
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.sum(np.exp(logs - m)))
+    m = np.max(logs, axis=axis, keepdims=True, initial=-np.inf)  # NaN if any entry is
+    ok = np.isfinite(m)
+    safe = np.where(ok, m, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(ok, safe + np.log(np.sum(np.exp(logs - safe), axis=axis, keepdims=True)), m)
+    return out.squeeze(axis=axis)[()]

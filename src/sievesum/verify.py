@@ -109,8 +109,9 @@ class MainTerm:
 
 
 def _verdict(residuals):
+    """At most one rise along the ladder, and no NaN residual."""
     bad = sum(1 for a, b in zip(residuals, residuals[1:]) if b >= a)
-    return bad <= 1
+    return bad <= 1 and not any(map(math.isnan, residuals))
 
 
 def _positive_dimension(spec):
@@ -265,6 +266,14 @@ def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     )
 
 
+def _root(x, u):
+    """z = x^(1/u), or inf where that overflows a float (z > x restricts nothing)."""
+    try:
+        return x ** (1.0 / u)
+    except OverflowError:
+        return math.inf
+
+
 def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     """Smoothed sums at z = x^(1/u) against the f-weighted main term.
 
@@ -285,7 +294,7 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     fu = weights[k + m]  # f(u; k, m) itself
     main, bound = main_term(spec, q, m, xs, series_tol, weights)
     predicted = [main.value(math.log(x), weights) for x in xs]
-    measured = [multfun.m_sum_smooth(spec, x, m, q, x ** (1.0 / u), exact=False).value for x in xs]
+    measured = [multfun.m_sum_smooth(spec, x, m, q, _root(x, u), exact=False).value for x in xs]
     return _report(
         f"{spec.name}: smoothed sum vs f-weighted main term",
         {
@@ -315,8 +324,8 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     The power sums are read from and kept in sums, as in check_theorem1.
     """
     coeffs = [float(c) for c in coeffs]
-    if not coeffs:
-        raise RangeError("need at least one polynomial coefficient")
+    if not coeffs or not all(map(math.isfinite, coeffs)):
+        raise RangeError(f"need one or more finite polynomial coefficients, got {coeffs}")
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
     sums = {} if sums is None else sums
     lxs = [math.log(x) for x in xs]

@@ -382,6 +382,34 @@ class TestExitCodes:
         assert out == ""
         assert "--cases must be at least 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["I", "--s", "1", "--m", "2", "--u", "inf"],
+        ["I", "--s", "1", "--m", "2", "--u", "1.5", "--v", "inf"],
+        ["f", "--k", "1", "--m", "1", "--u-max", "inf"],
+        ["f", "--k", "1", "--m", "1", "--step", "nan"],
+        ["verify", "--check", "theorem2", "--u", "inf", "--ladder", "1e3,1e4"],
+        ["zhang", "--k", "6", "--m", "8", "--theta", "0.9", "--delta", "1e-300"],
+        ["scan", "--k-max", "2", "--m-max", "3", "--theta", "0.9", "--delta", "1e-300"],
+        ["verify", "--check", "weight", "--coeffs", "1,nan", "--ladder", "1e3,1e4"],
+        ["verify", "--check", "weight", "--coeffs", "inf", "--ladder", "1e3,1e4"],
+    ])
+    def test_out_of_range_input_rejected(self, argv, capsys):
+        # infinite u or v has no panel count, a delta of 1e-300 asks for about
+        # 1e299 f panels, and a NaN weight would give NaN residuals
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sievesum: ")
+
+    def test_tiny_u_smooths_nothing(self, capsys):
+        # x^(1/u) overflows a float; z is taken as infinite
+        code, out, _ = run_cli(["verify", "--check", "theorem2", "--u", "1e-300",
+                                "--ladder", "1e3,1e4"], capsys)
+        assert code in (0, 4)
+        meta, header, rows = parse_csv(out)
+        assert header[0] == "x" and len(rows) == 2
+        assert all(math.isfinite(float(r[3])) for r in rows)
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
 

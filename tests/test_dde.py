@@ -114,6 +114,14 @@ class TestValidation:
         with pytest.raises(RangeError):
             dde.solve_f(1, 1, 0.5)
 
+    @pytest.mark.parametrize("U", [math.inf, math.nan])
+    def test_rejects_unbounded_U(self, U):
+        # ceil(inf) has no panel count
+        with pytest.raises(RangeError):
+            dde.solve_f(1, 1, U)
+        with pytest.raises(RangeError):
+            dde.solve_f_log(1, 2, U)
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
     def test_rejects_bad_tol(self, tol):
         # a NaN gate would pass every residual
@@ -127,9 +135,10 @@ class TestValidation:
         with pytest.raises(RangeError):
             dde.eval_f(sol, -0.1)
 
-    def test_unreachable_tol_reports_achieved(self):
+    def test_unreachable_tol_reports_achieved(self, monkeypatch):
+        monkeypatch.setattr(dde, "DEGREE", 6)
         with pytest.raises(ToleranceError) as exc:
-            dde.solve_f(1, 1, 5.0, tol=1e-15, degree=6)
+            dde.solve_f(1, 1, 5.0, tol=1e-15)
         assert exc.value.achieved is not None
         assert exc.value.achieved > 1e-15
 

@@ -42,6 +42,24 @@ class TestLogSumExp:
         assert quadchev.logsumexp([-math.inf, -math.inf]) == -math.inf
         assert quadchev.logsumexp([0.0, 0.0]) == math.log(2.0)
 
+    def test_axis_rows_match_one_dimensional_calls(self):
+        rows = np.array([
+            [-3.0, 0.5, -700.0, 2.0, 1e-3],
+            [-math.inf] * 5,
+            [0.0, math.inf, -1.0, -math.inf, 4.0],
+            [1.0, math.nan, 2.0, 3.0, 4.0],
+            [-math.inf, -1000.0, -1001.5, -999.25, -math.inf],
+        ])
+        want = np.array([quadchev.logsumexp(r) for r in rows])
+        for got in (quadchev.logsumexp(rows, axis=1), quadchev.logsumexp(rows.T, axis=0)):
+            assert got.shape == (5,)
+            assert got.tobytes() == want.tobytes()
+        assert want[1] == -math.inf and want[2] == math.inf and math.isnan(want[3])
+
+    def test_axis_over_empty_rows(self):
+        got = quadchev.logsumexp(np.empty((3, 0)), axis=1)
+        assert got.shape == (3,) and np.all(got == -math.inf)
+
 
 class TestBaseClosedForm:
     def test_all_small_orders(self):
@@ -100,10 +118,12 @@ class TestTable:
             b = iterints.i_eval(table, float(t), 1.0 + 1e-9)
             assert abs(a - b) / max(abs(a), 1e-30) < 1e-7
 
-    def test_grid_refinement_stable(self):
+    def test_grid_refinement_stable(self, monkeypatch):
         kern = iterints.make_kernel(2, 4, 2.5)
-        t33 = iterints.build_table(kern, v_max=2.5, tol=1e-9, n_per=17)
-        t65 = iterints.build_table(kern, v_max=2.5, tol=1e-9, n_per=33)
+        monkeypatch.setattr(iterints, "N_PER_START", 17)
+        t33 = iterints.build_table(kern, v_max=2.5, tol=1e-9)
+        monkeypatch.setattr(iterints, "N_PER_START", 33)
+        t65 = iterints.build_table(kern, v_max=2.5, tol=1e-9)
         rng = np.random.default_rng(11)
         for _ in range(20):
             t = float(rng.uniform(0.0, 1.0))
@@ -154,6 +174,22 @@ class TestBatch:
             for a, b in zip(got.panels, want.panels):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    def test_sixteen_log_kernels_march_as_one_batch(self, monkeypatch):
+        # log panels hold log phi alone, so a log batch is as wide as a float one
+        calls = []
+        ladder = iterints._ladder
+
+        def counting(kernels, *args):
+            calls.append(len(kernels))
+            return ladder(kernels, *args)
+
+        monkeypatch.setattr(iterints, "_ladder", counting)
+        u = 1.5
+        kerns = [iterints.make_kernel(s, s + 9, u, log_scale=True) for s in range(1, 17)]
+        done = dict(iterints.build_tables(kerns, u, tol=1e-6))
+        assert calls == [iterints.BATCH_KERNELS] == [16]
+        assert sorted(done) == list(range(16))
+
 
 class TestVQuadrature:
     @pytest.mark.parametrize("log_scale", [False, True])
@@ -197,6 +233,43 @@ class TestLogMode:
             b = iterints.i_base_signed_log(kl, t)[1]
             assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
+    def test_panels_hold_log_phi_only(self):
+        kern = iterints.make_kernel(2, 4, 2.5, log_scale=True)
+        table = iterints.build_table(kern, v_max=2.5, tol=1e-9)
+        assert len(table.panels) == 2
+        for panel in table.panels:
+            assert isinstance(panel, np.ndarray)
+            assert panel.shape == (iterints.N_V, table.grid.total)
+
+    def test_gap_reads_levels_far_below_zero(self):
+        # every log phi near -100: the mask is taken from the level's own
+        # top, so all entries are still compared
+        rng = np.random.default_rng(5)
+        fine_base = -100.0 + rng.uniform(0.0, 1.0, 9)
+        fine_panel = -100.0 + rng.uniform(0.0, 1.0, (iterints.N_V, 9))
+        coarse_panel = fine_panel.copy()
+        coarse_panel[3, 4] += 2.5e-7
+        B = np.eye(9)
+        est = iterints._compare_levels(
+            iterints._Log, B, (fine_base, [coarse_panel]), (fine_base, [fine_panel])
+        )
+        assert est == abs(coarse_panel[3, 4] - fine_panel[3, 4])
+
+    def test_gap_ignores_entries_far_below_the_top(self):
+        fine = np.array([[-100.0, -100.5, -150.0]])
+        coarse = fine + np.array([[1e-9, 2e-9, 1e-3]])
+        assert iterints._Log.gap(coarse, fine) == abs(coarse[0, 1] - fine[0, 1])
+
+    def test_clamp_is_relative_to_the_panel_top(self):
+        # rows near -1000 with one entry of sign -1: it is clamped 700
+        # below the panel's top, so it stays below every other entry
+        lv = [np.array([-1000.0, -1001.0, -1002.0]), np.array([-1000.5, -1003.0, -1001.5])]
+        sg = [np.array([1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0])]
+        panel, hits = iterints._Log.close(list(zip(sg, lv)))
+        assert hits == 1
+        assert panel[1, 1] == -1700.0
+        assert panel[0].tolist() == lv[0].tolist()
+
     def test_huge_orders_stay_finite(self):
         kern = iterints.make_kernel(200, 260, 1.5, log_scale=True)
         sign, lv = iterints.i_base_signed_log(kern, 1.0)
@@ -237,10 +310,15 @@ class TestValidation:
 
     def test_bad_v_max(self):
         kern = iterints.make_kernel(1, 2, 2.0)
+        for v_max in (0.0, 1e9, math.inf, math.nan):
+            with pytest.raises(RangeError):
+                iterints.build_table(kern, v_max=v_max)
+
+    @pytest.mark.parametrize("u", [math.inf, 1e299, iterints.MAX_PANELS + 2.0])
+    def test_u_beyond_the_panel_cap(self, u):
+        # rejected before f is solved out to u
         with pytest.raises(RangeError):
-            iterints.build_table(kern, v_max=0.0)
-        with pytest.raises(RangeError):
-            iterints.build_table(kern, v_max=1e9)
+            iterints.make_kernel(1, 2, u)
 
     def test_unreachable_tol_reports_estimate(self):
         kern = iterints.make_kernel(2, 4, 1.8)

@@ -25,6 +25,11 @@ class TestVerdict:
         assert verify._verdict([1.0])
         assert verify._verdict([])
 
+    def test_nan_residual_fails(self):
+        # NaN compares false, so it would never count as a rise
+        assert not verify._verdict([4.0, 3.0, math.nan])
+        assert not verify._verdict([math.nan])
+
 
 class TestTheorem1:
     def test_one_over_n_converges(self):
@@ -72,6 +77,16 @@ class TestTheorem2:
         spec = multfun.builtin_spec("one_over_n")
         with pytest.raises(RangeError):
             verify.check_theorem2(spec, m=1, q=1, u=0.0, xs=(1e3,))
+        with pytest.raises(RangeError):
+            verify.check_theorem2(spec, m=1, q=1, u=math.inf, xs=(1e3,))
+
+    def test_tiny_u_restricts_nothing(self):
+        # x^(1/u) overflows a float: z is taken as infinite, so the
+        # smoothed sums are the plain ones
+        spec = multfun.builtin_spec("one_over_n")
+        rep = verify.check_theorem2(spec, m=1, q=1, u=1e-300, xs=(1e3, 1e4))
+        plain = [multfun.m_sum(spec, x, 1, 1, exact=False).value for x in (1e3, 1e4)]
+        assert list(rep.measured) == plain
 
 
 class TestWeightLemma:
@@ -108,6 +123,13 @@ class TestWeightLemma:
         spec = multfun.builtin_spec("one_over_n")
         with pytest.raises(RangeError):
             verify.check_weight_lemma(spec, [], q=1, xs=(1e3,))
+
+    @pytest.mark.parametrize("coeffs", [[math.nan], [1.0, math.inf], [-math.inf, 1.0]])
+    def test_rejects_non_finite_coeffs(self, coeffs):
+        # a NaN weight would give NaN residuals
+        spec = multfun.builtin_spec("one_over_n")
+        with pytest.raises(RangeError):
+            verify.check_weight_lemma(spec, coeffs, q=1, xs=(1e3,))
 
 
 class TestMainTerm:
