@@ -17,6 +17,7 @@ ENV_OUTDIR = "SIEVESUM_OUTDIR"
 CONFIG_KEYS = {"format": str, "threads": int, "outdir": str, "tol": float}
 SPECS_WITH_K = ("k_over_p",)
 SPECS_WITH_OFFSETS = ("nu_over_p", "nu_minus1_over_phi")
+F_MAX_ROWS = 1_000_000  # rows of the f command's u grid
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,10 @@ def _cmd_f(ns, cfg):
     tol = _tol(ns, cfg, 1e-8)
     if not (0 < ns.step <= ns.u_max < math.inf):
         raise RangeError("need 0 < step <= u-max < inf")
-    count = int(math.floor(ns.u_max / ns.step + 1e-9))
-    us = [j * ns.step for j in range(1, count + 1)]
+    count = ns.u_max / ns.step + 1e-9
+    if count >= F_MAX_ROWS + 1:
+        raise RangeError(f"u-max / step asks for {count:.3g} rows, more than {F_MAX_ROWS}")
+    us = [j * ns.step for j in range(1, math.floor(count) + 1)]
     meta = {
         "command": "f",
         "k": ns.k,
@@ -248,15 +251,9 @@ def _cmd_f(ns, cfg):
         "step": ns.step,
         "tol": tol,
     }
-    if ns.u_max <= 1.0:
-        rows = [(u, 1.0) for u in us]
-        meta["residual"] = 0.0
-    else:
-        sol = dde.solve_f(ns.k, ns.m, ns.u_max, tol=tol)
-        vals = dde.eval_f_many(sol, us)
-        rows = list(zip(us, (float(v) for v in vals)))
-        meta["residual"] = sol.residual
-    _emit(cfg, meta, ("u", "f"), rows)
+    sol = dde.solve_f(ns.k, ns.m, max(1.0, ns.u_max), tol=tol)  # f = 1 on (0, 1]
+    meta["residual"] = sol.residual
+    _emit(cfg, meta, ("u", "f"), [(u, float(v)) for u, v in zip(us, dde.eval_f_many(sol, us))])
     return 0
 
 

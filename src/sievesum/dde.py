@@ -22,8 +22,10 @@ from . import quadchev
 from .errors import RangeError, ToleranceError
 
 DEGREE = 32
+MAX_PANELS = 2048  # unit panels a solution may span, so U <= MAX_PANELS + 1
 QUAD_NODES = 64
 RESIDUAL_SAMPLES = 16
+EVAL_CHUNK = 2048  # points per Clenshaw pass of _eval_panels
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ def _march(k, km, U, log):
     QUAD_NODES-point Gauss-Legendre rule on [r, v] per node v: f adds -k
     times the integral, log f adds log(-k) plus its logsumexp by logaddexp.
     """
-    if not (1.0 <= U < math.inf):
-        raise RangeError("U must be finite and at least 1")
+    if not (1.0 <= U <= MAX_PANELS + 1):
+        raise RangeError(f"U must lie in [1, {MAX_PANELS + 1}], got {U}")
     glx, glw = quadchev.gauss_legendre(QUAD_NODES)
     coeffs = []
     left = fill = 0.0 if log else 1.0  # f = 1 on (0, 1]
@@ -80,7 +82,7 @@ def solve_f(k, m, U, tol=1e-8):
     ----------
     k : integer, either sign
     m : positive integer with m > max(0, -k), so the exponent k+m >= 1
-    U : coverage bound, finite and >= 1; panels are built through ceil(U)
+    U : coverage bound in [1, MAX_PANELS + 1]; panels are built through ceil(U)
     tol : scaled residual gate per panel (see PanelSolution.residual)
 
     The residual gate is relative: the defect of the differential form is
@@ -136,17 +138,30 @@ def _panel_residual(coeffs, r, k, km):
 def _eval_panels(coeffs, u, fill):
     """The piecewise-Chebyshev function with coefficients coeffs[r] on the
     panel [r+1, r+2] (the last panel extended to the right), at every u of
-    an array of any shape; fill on u <= 1."""
+    an array of any shape; fill on u <= 1.  One Clenshaw pass with numpy
+    chebval's steps, EVAL_CHUNK points at a time on coefficients gathered
+    from the transposed table, so each step reads a contiguous row and
+    every value is bit-identical to quadchev.cheb_eval on its panel."""
     out = np.full_like(u, fill)
     inside = u > 1.0
     if coeffs and np.any(inside):
         ui = u[inside]
         idx = np.minimum(np.ceil(ui).astype(int) - 2, len(coeffs) - 1)
-        vals = np.empty_like(ui)
-        for r in np.unique(idx):
-            m = idx == r
-            vals[m] = quadchev.cheb_eval(coeffs[r], float(r + 1), float(r + 2), ui[m])
-        out[inside] = vals
+        x = 2.0 * ui - (2.0 * idx + 3.0)  # (2u - (a + b)) / (b - a) on [a, b] = [r+1, r+2]
+        first = idx.min()  # the table holds only the panels the points use
+        table = np.array(coeffs[first : idx.max() + 1]).T  # row j: coefficient j per panel
+        for lo in range(0, ui.shape[0], EVAL_CHUNK):
+            c = np.take(table, idx[lo : lo + EVAL_CHUNK] - first, axis=1)
+            xc = x[lo : lo + EVAL_CHUNK]
+            x2 = 2 * xc
+            c0, c1 = c[-2], c[-1]
+            for row in c[-3::-1]:  # c0, c1 = row - c1, c0 + c1 * x2, in place
+                row -= c1
+                c1 *= x2
+                c1 += c0
+                c0 = row
+            ui[lo : lo + EVAL_CHUNK] = c0 + c1 * xc  # ui, a copy, takes the values
+        out[inside] = ui
     return out
 
 

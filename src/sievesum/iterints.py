@@ -28,12 +28,14 @@ per-panel Lobatto resolution is doubled until a nested-grid comparison
 meets tol.  When m - s is large the kinks are negligible (order m-s+1) and
 a single t panel is used.
 
-Barycentric rows depend on the nodes and the query points only, not on
-the values they interpolate, so every kernel on the same t grid can share
-them: build_tables marches such kernels in batches and builds each
-interpolation operator once per rung, v-panel and v-node.  Tables are
-built one batch after another in the calling thread; nothing here runs
-concurrently.
+Every t query is interpolated against one reference Chebyshev-Lobatto
+panel on [-1, 1] at its local coordinate in the panel that owns it (the
+barycentric formula is invariant under the affine map), one bary_matrix
+call per block of CHUNK_ROWS queries.  The rows do not depend on the
+values, so build_tables marches the kernels that share a t grid in
+batches and builds the rows once per rung, v-panel and v-node; each
+kernel contracts them with its own values, one einsum per block, so a
+table's bits do not depend on its batch.  Nothing here runs concurrently.
 
 Two reductions keep the numbers representable:
   * the constant A = (m!/(m-s)!)^2/(s-1)! is pulled out (its log is the
@@ -65,7 +67,7 @@ N_PER_MAX = 129
 N_V = 17
 GL_NODES = 64
 MARCH_NODES = 16  # Gauss-Legendre nodes per v-node interval of the march
-MAX_PANELS = 2048
+MAX_PANELS = dde.MAX_PANELS
 T_PANEL_CAP = 512
 KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
 DEGREE_BUDGET = 100  # GL_NODES integrates polynomials up to degree 2*GL_NODES-1
@@ -117,29 +119,18 @@ class TGrid:
     breaks: np.ndarray
     n_per: int
     nodes: np.ndarray  # concatenated per-panel nodes, length n_panels * n_per
+    ref: np.ndarray  # the n_per nodes of the reference panel [-1, 1]
     bw: np.ndarray
 
     @property
     def total(self):
         return self.nodes.shape[0]
 
-    def panel_nodes(self, p):
-        return self.nodes[p * self.n_per : (p + 1) * self.n_per]
-
-    def owner(self, q):
-        """Panel index for each query point (boundary points go left)."""
-        idx = np.searchsorted(self.breaks, q, side="left") - 1
-        return np.clip(idx, 0, len(self.breaks) - 2)
-
 
 def _t_breaks(kernel):
     if kernel.m - kernel.s > KINK_SPLIT_ORDER:
         return np.array([0.0, 1.0])
-    pts = {0.0, 1.0}
-    j = 1
-    while j < kernel.u:
-        pts.add(j / kernel.u)
-        j += 1
+    pts = {0.0, 1.0, *(j / kernel.u for j in range(1, math.ceil(kernel.u)))}
     if len(pts) - 1 > T_PANEL_CAP:
         raise RangeError(
             f"u={kernel.u} with m-s={kernel.m - kernel.s} needs more than "
@@ -149,34 +140,30 @@ def _t_breaks(kernel):
 
 
 def _make_tgrid(breaks, n_per):
-    nodes = np.concatenate(
-        [quadchev.cheb_lobatto(a, b, n_per) for a, b in zip(breaks[:-1], breaks[1:])]
-    )
-    return TGrid(breaks, n_per, nodes, quadchev.lobatto_bary_weights(n_per))
+    ref = quadchev.cheb_lobatto(-1.0, 1.0, n_per)
+    mid, half = 0.5 * (breaks[:-1] + breaks[1:]), 0.5 * (breaks[1:] - breaks[:-1])
+    nodes = (mid[:, None] + half[:, None] * ref).ravel()  # cheb_lobatto on each panel
+    return TGrid(breaks, n_per, nodes, ref, quadchev.lobatto_bary_weights(n_per))
 
 
-def _interp_blocks(grid, q):
-    """Yield (rows, cols, B): B @ values[cols] interpolates the t grid at q[rows].
+def _t_rows(grid, q):
+    """Yield (rows, owner, B) per block of at most CHUNK_ROWS queries:
+    B[i] interpolates the n_per values of t panel owner[i] at q[rows][i].
 
-    Rows are grouped by owning panel and cut into blocks of at most
-    CHUNK_ROWS; each row depends on its own query point only, so a block
-    can serve every table on the grid.
+    Rows are built on the reference panel grid.ref at each query's local
+    coordinate; panel ends map to exactly -1 or 1 and get one-hot rows.
+    The blocks are of nearly equal size: numpy sums a lone column in
+    another order, which would make a row's bits depend on the blocking.
     """
-    owner = grid.owner(q)
-    for p in np.flatnonzero(np.bincount(owner)):
-        idx = np.nonzero(owner == p)[0]
-        cols = slice(p * grid.n_per, (p + 1) * grid.n_per)
-        for lo in range(0, idx.shape[0], CHUNK_ROWS):
-            rows = idx[lo : lo + CHUNK_ROWS]
-            yield rows, cols, quadchev.bary_matrix(grid.panel_nodes(p), grid.bw, q[rows])
-
-
-def _piecewise_matrix(grid, q):
-    """Dense (len(q), grid.total) interpolation matrix (block nonzeros)."""
-    out = np.zeros((q.shape[0], grid.total))
-    for rows, cols, B in _interp_blocks(grid, q):
-        out[rows, cols] = B
-    return out
+    n_q = q.shape[0]
+    n_blocks = -(-n_q // CHUNK_ROWS)
+    for b in range(n_blocks):
+        rows = slice(b * n_q // n_blocks, (b + 1) * n_q // n_blocks)
+        qb = q[rows]
+        owner = np.searchsorted(grid.breaks[1:-1], qb, side="left")  # panel ends go left
+        lo, hi = grid.breaks[owner], grid.breaks[owner + 1]
+        x = ((qb - lo) - (hi - qb)) / (hi - lo)
+        yield rows, owner, quadchev.bary_matrix(grid.ref, grid.bw, x)
 
 
 def _merge_close(pts, eps=1e-13):
@@ -205,10 +192,7 @@ def _base_grid(kernel, t):
     else:
         pts.add(0.0)
     ut = kernel.u * t
-    j = 1
-    while j < ut:
-        pts.add(j / ut)
-        j += 1
+    pts.update(j / ut for j in range(1, math.ceil(ut)))
     pts = _merge_close(sorted(pts))
     degree = kernel.s - 1 + 2 * (kernel.m - kernel.s)
     if not kernel.log_scale and degree + 1 > DEGREE_BUDGET:
@@ -360,13 +344,15 @@ def _march(kernels, v_max, grid, arith):
 
     The interpolated values are phi (or log phi, with arith = _Log).  At
     each v-panel and v-node the v rows Bv and the blocks of t rows are
-    built once and applied to every kernel in turn.
+    built once and applied to every kernel in turn: a query row is
+    contracted with the row g * P + p of D, the kernel's values at x-node
+    g on t panel p, so a kernel's bits do not depend on its batch.
     """
     t_nodes = grid.nodes
     T = grid.total
     bw_v = quadchev.lobatto_bary_weights(N_V)
     glx, glw = quadchev.gauss_legendre(MARCH_NODES)
-    g_idx = np.repeat(np.arange(MARCH_NODES), T)
+    g_key = np.repeat(np.arange(MARCH_NODES) * (len(grid.breaks) - 1), T)
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
     bases = [_base_row(k, t_nodes) for k in kernels]
@@ -387,16 +373,14 @@ def _march(kernels, v_max, grid, arith):
             tp = 1.0 - 1.0 / x
             tq = (tp[:, None] * t_nodes[None, :]).ravel()
             if r == 1:
-                Ds = [np.broadcast_to(d, (MARCH_NODES, T)) for d in data]
+                Ds = [np.broadcast_to(d, (MARCH_NODES, T)).reshape(-1, grid.n_per) for d in data]
             else:
                 Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0)
-                Ds = [Bv @ d for d in data]
-            for idx, cols, B in _interp_blocks(grid, tq):
-                g = g_idx[idx]
+                Ds = [(Bv @ d).reshape(-1, grid.n_per) for d in data]
+            for blk, owner, B in _t_rows(grid, tq):
+                key = g_key[blk] + owner
                 for i, D in enumerate(Ds):
-                    block = D[g, cols]
-                    block *= B
-                    inner[i, idx] = np.add.reduce(block, axis=1)
+                    np.einsum("rc,rc->r", B, D[key], out=inner[i, blk])
             for i, e in enumerate(sexp):
                 seg = arith.seg(inner[i].reshape(MARCH_NODES, T), tp, x, half, glw, e)
                 Q[i] = arith.add(Q[i], seg)
@@ -436,7 +420,9 @@ def _ladder(kernels, v_max, tol, n):
     while active:
         grid = _make_tgrid(breaks, n)
         cur = _march([kernels[i] for i in active], v_max, grid, arith)
-        B = _piecewise_matrix(prev_grid, grid.nodes)
+        B = np.zeros((grid.total, prev_grid.total))  # the coarse grid at the fine nodes
+        for rows, owner, C in _t_rows(prev_grid, grid.nodes):
+            np.put_along_axis(B[rows], owner[:, None] * C.shape[1] + np.arange(C.shape[1]), C, 1)
         still = []
         for i, p, c in zip(active, prev, cur):
             est = _compare_levels(arith, B, p, c)
@@ -536,8 +522,9 @@ def i_eval_signed_log(table, t, v):
     a = float(idx + 1)
     v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
     bv = quadchev.bary_matrix(v_nodes, quadchev.lobatto_bary_weights(N_V), np.array([v]))[0]
-    bt = _piecewise_matrix(table.grid, np.array([t]))[0]
-    return _signed_log(kernel, t, float(bv @ table.panels[idx] @ bt))
+    ((_, (p,), bt),) = _t_rows(table.grid, np.array([t]))
+    n = table.grid.n_per
+    return _signed_log(kernel, t, float(bv @ table.panels[idx][:, p * n : (p + 1) * n] @ bt[0]))
 
 
 def i_eval(table, t, v):

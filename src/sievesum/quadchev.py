@@ -41,20 +41,19 @@ def lobatto_bary_weights(n):
 def bary_matrix(nodes, weights, q):
     """Row matrix B with B @ values = interpolant of (nodes, values) at q.
 
-    q is 1-D; rows hitting a node exactly become one-hot rows.
+    q is 1-D; rows hitting a node exactly become one-hot rows.  B is built
+    column-major and returned as its transposed (len(q), len(nodes)) view.
     """
     q = np.asarray(q, dtype=float)
-    B = q[:, None] - nodes[None, :]
-    hit = B == 0.0
-    on_node = hit.any()
-    if on_node:
-        B[hit] = 1.0
-    np.divide(weights[None, :], B, out=B)
-    B /= B.sum(axis=1, keepdims=True)
-    if on_node:
-        rows = hit.any(axis=1)
-        B[rows] = hit[rows]
-    return B
+    Bt = nodes[:, None] - q[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights[:, None], Bt, out=Bt)
+        total = Bt.sum(axis=0)
+        Bt *= 1.0 / total
+    hit = np.isinf(total)  # w/0 at the node that q hits
+    if hit.any():
+        Bt[:, hit] = nodes[:, None] == q[None, hit]
+    return Bt.T
 
 
 def lobatto_to_cheb_coeffs(values):

@@ -344,6 +344,8 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
         lx = math.log(x)
         measured.append(sum(c * _plain_sum(sums, spec, x, j, q) / lx ** j
                             for j, c in enumerate(coeffs)))
+    if not all(map(math.isfinite, predicted + measured)):
+        raise RangeError(f"coefficients {coeffs} make the weighted sums overflow a float")
     return _report(
         f"{spec.name}: polynomial-weight sum vs residue main term",
         {

@@ -392,14 +392,29 @@ class TestExitCodes:
         ["scan", "--k-max", "2", "--m-max", "3", "--theta", "0.9", "--delta", "1e-300"],
         ["verify", "--check", "weight", "--coeffs", "1,nan", "--ladder", "1e3,1e4"],
         ["verify", "--check", "weight", "--coeffs", "inf", "--ladder", "1e3,1e4"],
+        ["f", "--k", "1", "--m", "1", "--u-max", "1e300", "--step", "1e299"],
+        ["verify", "--check", "theorem2", "--u", "1e300", "--ladder", "1e3,1e4"],
+        ["verify", "--check", "weight", "--coeffs", "1e308,1e308", "--ladder", "1e3,1e4"],
+        ["f", "--k", "1", "--m", "-5", "--u-max", "0.5"],
     ])
     def test_out_of_range_input_rejected(self, argv, capsys):
-        # infinite u or v has no panel count, a delta of 1e-300 asks for about
-        # 1e299 f panels, and a NaN weight would give NaN residuals
+        # infinite u or v has no panel count, a delta of 1e-300 or a finite
+        # u of 1e300 asks for far more f panels than dde.MAX_PANELS, and a
+        # NaN weight, or finite ones whose sums overflow, would give NaN
+        # residuals; f checks k and m also when u-max <= 1, where f = 1
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("sievesum: ")
+
+    @pytest.mark.parametrize("u_max, step", [("100", "1e-12"), ("1.7e308", "1e-308")])
+    def test_f_row_count_checked_before_the_grid(self, u_max, step, capsys):
+        # 1e14 rows (or an infinite count): rejected before any u is listed
+        code, out, err = run_cli(["f", "--k", "1", "--m", "1", "--u-max", u_max,
+                                  "--step", step], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"more than {cli.F_MAX_ROWS}" in err
 
     def test_tiny_u_smooths_nothing(self, capsys):
         # x^(1/u) overflows a float; z is taken as infinite

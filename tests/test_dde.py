@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sievesum import dde
+from sievesum import dde, iterints, quadchev
 from sievesum.errors import RangeError, ToleranceError
 
 import oracles
@@ -122,6 +122,19 @@ class TestValidation:
         with pytest.raises(RangeError):
             dde.solve_f_log(1, 2, U)
 
+    @pytest.mark.parametrize("U", [dde.MAX_PANELS + 2.0, 1e300])
+    def test_rejects_U_past_the_panel_cap(self, U):
+        # a huge finite U would march f one unit panel at a time toward it
+        with pytest.raises(RangeError):
+            dde.solve_f(1, 1, U)
+        with pytest.raises(RangeError):
+            dde.solve_f_log(1, 2, U)
+        with pytest.raises(RangeError):
+            dde.solve_f_exponent(1, 0, U)
+
+    def test_one_panel_cap_for_f_and_the_tables(self):
+        assert iterints.MAX_PANELS == dde.MAX_PANELS
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
     def test_rejects_bad_tol(self, tol):
         # a NaN gate would pass every residual
@@ -164,3 +177,59 @@ class TestLogSolver:
             dde.solve_f_log(0, 3, 2.0)
         with pytest.raises(RangeError):
             dde.solve_f_log(3, 3, 2.0)
+
+
+def per_panel_eval(coeffs, u, fill):
+    """_eval_panels' reference: one quadchev.cheb_eval call per panel."""
+    u = np.asarray(u, dtype=float)
+    out = np.full_like(u, fill)
+    for i in np.ndindex(u.shape):
+        if u[i] > 1.0:
+            r = min(math.ceil(u[i]) - 2, len(coeffs) - 1)
+            out[i] = quadchev.cheb_eval(coeffs[r], float(r + 1), float(r + 2), u[i])
+    return out
+
+
+class TestEvalPanels:
+    """The one Clenshaw pass against per-panel chebval, bit for bit."""
+
+    SOLUTIONS = {
+        "f": lambda: dde.solve_f(3, 4, 6.5),
+        "f_negative_k": lambda: dde.solve_f(-2, 5, 5.0),
+        "log_f": lambda: dde.solve_f_log(200, 230, 6.5),
+    }
+
+    @pytest.fixture(params=sorted(SOLUTIONS))
+    def sol_fill(self, request):
+        sol = self.SOLUTIONS[request.param]()
+        return sol, (0.0 if isinstance(sol, dde.LogPanelSolution) else 1.0)
+
+    def test_random_points_across_chunks(self, sol_fill):
+        sol, fill = sol_fill
+        u = np.random.default_rng(3).uniform(0.0, sol.U, 3 * dde.EVAL_CHUNK + 5)
+        got = dde._eval_panels(sol.coeffs, u, fill)
+        assert got.tobytes() == per_panel_eval(sol.coeffs, u, fill).tobytes()
+
+    def test_integers_and_past_the_last_panel(self, sol_fill):
+        sol, fill = sol_fill
+        u = np.concatenate([np.arange(0.0, 10.0), [0.5, 1.0, sol.U + 0.25, sol.U + 3.0]])
+        got = dde._eval_panels(sol.coeffs, u, fill)
+        assert got.tobytes() == per_panel_eval(sol.coeffs, u, fill).tobytes()
+        assert np.all(got[u <= 1.0] == fill)
+
+    def test_empty_input(self, sol_fill):
+        sol, fill = sol_fill
+        got = dde._eval_panels(sol.coeffs, np.array([]), fill)
+        assert got.shape == (0,)
+
+    def test_two_dimensional_march_points(self, sol_fill):
+        # dde._march evaluates the previous panels at v - 1.0, one row per node
+        sol, fill = sol_fill
+        glx, _ = quadchev.gauss_legendre(dde.QUAD_NODES)
+        a = 4.0
+        nodes = quadchev.cheb_lobatto(a, a + 1.0, dde.DEGREE + 1)[1:]
+        half = 0.5 * (nodes - a)
+        v = (0.5 * (a + nodes))[:, None] + half[:, None] * glx[None, :]
+        got = dde._eval_panels(sol.coeffs, v - 1.0, fill)
+        assert got.shape == v.shape
+        assert got.tobytes() == per_panel_eval(sol.coeffs, v - 1.0, fill).tobytes()

@@ -28,6 +28,60 @@ class TestBaryMatrix:
         assert B[1, 5] == 1.0
 
 
+class TestTRows:
+    """iterints._t_rows: reference-panel rows of the piecewise t grid."""
+
+    GRID = iterints._make_tgrid(np.array([0.0, 1 / 3.5, 2 / 3.5, 3 / 3.5, 1.0]), 17)
+
+    def blocks(self, q):
+        return list(iterints._t_rows(self.GRID, np.asarray(q, dtype=float)))
+
+    def test_rows_match_the_owning_panel(self):
+        # the grid's nodes are the rounded images of the reference nodes, so
+        # the two rows differ by that rounding times the rows' slope (up to
+        # about n^2): entrywise to about 1e-13, and to a few ulps on smooth data
+        grid = self.GRID
+        q = np.random.default_rng(5).uniform(0.0, 1.0, 3 * iterints.CHUNK_ROWS + 11)
+        q = np.concatenate([q, grid.nodes])
+        values = np.cos(3.0 * grid.nodes) * np.exp(grid.nodes)
+        blocks = self.blocks(q)
+        assert len(blocks) == 4
+        assert max(B.shape[0] for _, _, B in blocks) <= iterints.CHUNK_ROWS
+        for rows, owner, B in blocks:
+            assert B.shape == (q[rows].shape[0], grid.n_per)
+            for p in np.unique(owner):
+                mine = owner == p
+                nodes = grid.nodes[p * grid.n_per : (p + 1) * grid.n_per]
+                want = quadchev.bary_matrix(nodes, grid.bw, q[rows][mine])
+                assert np.max(np.abs(B[mine] - want)) < 1e-12
+                v = values[p * grid.n_per : (p + 1) * grid.n_per]
+                assert np.max(np.abs(B[mine] @ v - want @ v)) < 4e-15 * np.max(np.abs(v))
+
+    def test_panel_ends_give_one_hot_rows(self):
+        grid = self.GRID
+        (rows, owner, B), = self.blocks(grid.breaks)
+        # t = 0 is the left end of the first panel; each break j/u is the
+        # right end of the panel it closes
+        assert owner.tolist() == [0, 0, 1, 2, 3]
+        want = np.zeros_like(B)
+        want[0, 0] = want[1:, -1] = 1.0
+        assert B.tobytes() == want.tobytes()
+
+    def test_block_size_leaves_tables_bit_identical(self, monkeypatch):
+        # a two-kernel batch on a split t grid: with 7-row blocks the key of
+        # every row must still name its own x-node and t panel
+        u = 3.5
+        kerns = [iterints.make_kernel(s, 4, u) for s in (2, 3)]
+        want = dict(iterints.build_tables(kerns, u, tol=1e-9))
+        monkeypatch.setattr(iterints, "CHUNK_ROWS", 7)
+        got = dict(iterints.build_tables(kerns, u, tol=1e-9))
+        for i in range(len(kerns)):
+            assert len(want[i].grid.breaks) == 5
+            assert got[i].est_error == want[i].est_error
+            assert got[i].base.tobytes() == want[i].base.tobytes()
+            assert [p.tobytes() for p in got[i].panels] == [p.tobytes() for p in want[i].panels]
+
+
 class TestLogSumExp:
     def test_plus_inf_entry(self):
         assert quadchev.logsumexp([math.inf, 0.0]) == math.inf
