@@ -261,8 +261,7 @@ def _cmd_i(ns, cfg):
     tol = _tol(ns, cfg, 1e-9)
     ts = _float_list(ns.t)
     vs = _float_list(ns.v)
-    log_scale = bool(ns.log_scale)
-    kernel = iterints.make_kernel(ns.s, ns.m, ns.u, log_scale=log_scale)
+    kernel = iterints.make_kernel(ns.s, ns.m, ns.u)
     table = iterints.build_table(kernel, max(1.0, max(vs)), tol=tol)
     rows = []
     for t in ts:
@@ -275,7 +274,6 @@ def _cmd_i(ns, cfg):
         "m": ns.m,
         "u": ns.u,
         "tol": tol,
-        "log_scale": log_scale,
         "est_error": table.est_error,
     }
     _emit(cfg, meta, ("t", "v", "value", "sign", "log_abs"), rows)
@@ -300,13 +298,11 @@ def _cmd_tuple(ns, cfg):
 
 def _cmd_zhang(ns, cfg):
     tol = _tol(ns, cfg, 1e-9)
-    rep = zhang.zhang_coefficient(
-        ns.k, ns.m, ns.theta, ns.delta, tol=tol, log_scale=ns.log_scale
-    )
+    rep = zhang.zhang_coefficient(ns.k, ns.m, ns.theta, ns.delta, tol=tol)
     i_sub = rep.term_sub
     i_main = rep.term_main / (rep.k * rep.theta / 2.0)
     params = {"k": rep.k, "m": rep.m, "theta": rep.theta, "delta": rep.delta, "u": rep.u,
-              "tol": tol, "log_scale": rep.log_scale}
+              "tol": tol}
     meta = {"command": "zhang", **params, "assumption": _assumption(rep.theta, rep.delta)}
     header = (
         "coefficient",
@@ -356,7 +352,6 @@ def _cmd_scan(ns, cfg):
         ns.delta,
         tol=tol,
         threads=cfg.threads,
-        log_scale=ns.log_scale,
     )
     meta = {
         "command": "scan",
@@ -365,7 +360,6 @@ def _cmd_scan(ns, cfg):
         "theta": ns.theta,
         "delta": ns.delta,
         "tol": tol,
-        "log_scale": zhang.resolve_log_scale(ns.k_max, ns.log_scale),
         "assumption": _assumption(ns.theta, ns.delta),
     }
     header = ("k", "m", "status", "value", "sign", "log_abs", "cancellation")
@@ -480,6 +474,11 @@ def _common_flags():
     return common
 
 
+def _add_ignored_log_scale(p):
+    p.add_argument("--log-scale", action=argparse.BooleanOptionalAction, default=None,
+                   help="ignored: every table has one float arithmetic")
+
+
 def build_parser():
     """The argparse tree; global flags work before or after the subcommand."""
     common = _common_flags()
@@ -532,7 +531,7 @@ def build_parser():
     p.add_argument("--t", default="1.0", help="comma list of t values in [0, 1]")
     p.add_argument("--v", default="1.0", help="comma list of v values")
     p.add_argument("--tol", type=float, default=None, help="table tolerance (default 1e-9)")
-    p.add_argument("--log-scale", action=argparse.BooleanOptionalAction, default=None)
+    _add_ignored_log_scale(p)
     p.set_defaults(func=_cmd_i)
 
     p = sub.add_parser("tuple", parents=[common],
@@ -551,8 +550,7 @@ def build_parser():
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--tol", type=float, default=None, help="table tolerance (default 1e-9)")
-    p.add_argument("--log-scale", action=argparse.BooleanOptionalAction, default=None,
-                   help="force the log-scaled kernel (auto for k > 60)")
+    _add_ignored_log_scale(p)
     p.set_defaults(func=_cmd_zhang)
 
     p = sub.add_parser("scan", parents=[common],
@@ -562,7 +560,7 @@ def build_parser():
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--tol", type=float, default=None, help="table tolerance (default 1e-6)")
-    p.add_argument("--log-scale", action=argparse.BooleanOptionalAction, default=None)
+    _add_ignored_log_scale(p)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", parents=[common],

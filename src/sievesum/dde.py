@@ -7,10 +7,12 @@ f(u) = f(r) - k * integral_r^u f(v-1) (v-1)^(k+m) v^(-k-m-1) dv.
 Since k and m are integers the integrand is analytic on each open panel,
 so a fixed-degree Chebyshev representation converges spectrally.
 
-One march serves two representations: f itself (solve_f, with a residual
-gate), and log f for k = -s < 0 (solve_f_log), where every increment is
-positive, so the march stays in log space and f may overflow any float
-while log f stays moderate.
+One march serves two representations: f itself (solve_f), and, for
+k = -s < 0, f scaled panel by panel (solve_f_log): panel r holds
+d = f / f(r) - 1, which lies in [0, f(r+1)/f(r) - 1], beside log f(r), so
+f may overflow any float while log f = log f(r) + log1p(d) keeps the
+relative accuracy of float f, down to increments far below an ulp of f.
+Both solutions pass one residual gate on the differential form.
 """
 
 import math
@@ -42,37 +44,63 @@ class PanelSolution:
 
 
 def _march(k, km, U, log):
-    """Chebyshev coefficients of f (of log f with log=True) per panel (r, r+1].
+    """Chebyshev coefficients of f per panel (r, r+1], or with log=True of
+    d = f / f(r) - 1 together with the tuple of log f(r).
 
     The DEGREE+1 Lobatto values of a panel come from its left end and one
-    QUAD_NODES-point Gauss-Legendre rule on [r, v] per node v: f adds -k
-    times the integral, log f adds log(-k) plus its logsumexp by logaddexp.
+    QUAD_NODES-point Gauss-Legendre rule on [r, v] per node v, which adds
+    -k times the integral; in d the integrand's f(v-1) is divided by f(r).
     """
     if not (1.0 <= U <= MAX_PANELS + 1):
         raise RangeError(f"U must lie in [1, {MAX_PANELS + 1}], got {U}")
     glx, glw = quadchev.gauss_legendre(QUAD_NODES)
     coeffs = []
-    left = fill = 0.0 if log else 1.0  # f = 1 on (0, 1]
+    logs = []
+    left = 0.0 if log else 1.0  # f(r), or in d the previous panel's d(r); f = 1 on (0, 1]
     for r in range(1, int(math.ceil(U))):
         a = float(r)
         # the first node's integral has zero width; the others go at once
         nodes = quadchev.cheb_lobatto(a, a + 1.0, DEGREE + 1)[1:]
         half = 0.5 * (nodes - a)
         v = (0.5 * (a + nodes))[:, None] + half[:, None] * glx[None, :]
-        prev = _eval_panels(coeffs, v - 1.0, fill)
-        lp = km * np.log(v - 1.0)
-        lq = (km + 1) * np.log(v)
+        w = half[:, None] * glw[None, :]
         vals = np.empty(DEGREE + 1)
-        vals[0] = left
-        if log:
-            terms = np.log(half[:, None]) + np.log(glw)[None, :] + prev + lp - lq
-            vals[1:] = np.logaddexp(left, math.log(-k) + quadchev.logsumexp(terms, axis=1))
+        if log:  # d(r) = 0; the previous panel gives f(v-1) / f(r-1) = 1 + d
+            logs.append((logs[-1] if logs else 0.0) + math.log1p(left))
+            prev = (1.0 + _eval_panels(coeffs, v - 1.0, 0.0)) / (1.0 + left)
+            vals[0] = left = 0.0
         else:
-            w = half[:, None] * glw[None, :]
-            vals[1:] = left - k * np.sum(w * (prev * np.exp(lp - lq)), axis=1)
+            prev = _eval_panels(coeffs, v - 1.0, 1.0)
+            vals[0] = left
+        g = prev * np.exp(km * np.log(v - 1.0) - (km + 1) * np.log(v))
+        vals[1:] = left - k * np.sum(w * g, axis=1)
         coeffs.append(quadchev.lobatto_to_cheb_coeffs(vals))
         left = float(vals[-1])
-    return tuple(coeffs)
+    return tuple(coeffs), tuple(logs)
+
+
+def _residual(coeffs, k, km, logs=None):
+    """Largest scaled defect of u^(km+1) f'(u) = -k (u-1)^km f(u-1) at
+    RESIDUAL_SAMPLES interior points of every panel; NaN if any defect is.
+
+    Both sides are divided by u^(km+1), so the right one is c f(u-1) with
+    c = -k ((u-1)/u)^km / u, and the defect is normalized by
+    1 + |f'| + |c| (1 + |f(u-1)|).  Given logs, coeffs hold d = f / f(r) - 1
+    and the same measure is divided through by f(u).
+    """
+    x = quadchev.cheb_lobatto(0.0, 1.0, RESIDUAL_SAMPLES + 2)[1:-1]
+    u = (np.arange(1.0, len(coeffs) + 1.0)[:, None] + x[None, :]).ravel()
+    fp = _eval_panels([np.polynomial.chebyshev.chebder(c, scl=2.0) for c in coeffs], u, 0.0)
+    c = -k * ((u - 1.0) / u) ** km / u
+    if logs is None:
+        a, b, g = fp, c * _eval_panels(coeffs, u - 1.0, 1.0), 1.0
+    else:
+        lf = _log_f(coeffs, logs, u)
+        a = fp / (1.0 + _eval_panels(coeffs, u, 0.0))
+        b = c * np.exp(_log_f(coeffs, logs, u - 1.0) - lf)
+        g = np.exp(-lf)
+    defect = np.abs(a - b) / (g * (1.0 + np.abs(c)) + np.abs(a) + np.abs(b))
+    return float(np.max(defect, initial=0.0))
 
 
 def solve_f(k, m, U, tol=1e-8):
@@ -109,30 +137,18 @@ def solve_f_exponent(k, e, U, tol=1e-8):
         raise RangeError("need an integer exponent e >= 0")
     if not tol > 0:
         raise RangeError("tol must be positive")
-    coeffs = _march(k, km, U, log=False)
-    worst = max([0.0, *(_panel_residual(coeffs, r, k, km) for r in range(1, len(coeffs) + 1))])
-    sol = PanelSolution(k, km - k, float(U), tol, DEGREE, coeffs, worst)
-    if worst > tol:
+    coeffs, _ = _march(k, km, U, log=False)
+    worst = _residual(coeffs, k, km)
+    _gate(f"f(u;{k},{km - k})", worst, tol)
+    return PanelSolution(k, km - k, float(U), tol, DEGREE, coeffs, worst)
+
+
+def _gate(name, worst, tol):
+    if not worst <= tol:  # a NaN residual fails too
         raise ToleranceError(
-            f"f(u;{k},{km - k}): residual {worst:.3e} exceeds tol {tol:.1e} at degree {DEGREE}",
+            f"{name}: residual {worst:.3e} exceeds tol {tol:.1e} at degree {DEGREE}",
             achieved=worst,
         )
-    return sol
-
-
-def _panel_residual(coeffs, r, k, km):
-    a, b = float(r), float(r + 1)
-    c = coeffs[r - 1]
-    # strictly interior Chebyshev sample points
-    u = quadchev.cheb_lobatto(a, b, RESIDUAL_SAMPLES + 2)[1:-1]
-    fp = quadchev.cheb_eval_deriv(c, a, b, u)
-    fprev = _eval_panels(coeffs, u - 1.0, 1.0)
-    lhs = u ** (km + 1) * fp
-    rhs = -k * (u - 1.0) ** km * fprev
-    scale = np.abs(u ** (km + 1)) * (1.0 + np.abs(fp)) + abs(k) * (u - 1.0) ** km * (
-        1.0 + np.abs(fprev)
-    )
-    return float(np.max(np.abs(lhs - rhs) / scale))
 
 
 def _eval_panels(coeffs, u, fill):
@@ -193,22 +209,37 @@ def eval_f_deriv(sol, u):
 
 @dataclass(frozen=True)
 class LogPanelSolution:
-    """log f(.; -s, m) on (0, U], for s so large that f overflows a float."""
+    """f(.; -s, m) on (0, U] for log f, which stays moderate where f overflows."""
 
     s: int
     m: int
     U: float
+    tol: float
     degree: int
-    coeffs: tuple  # Chebyshev coefficients of log f per panel
+    coeffs: tuple  # Chebyshev coefficients of d = f / f(r) - 1 on the panel (r, r+1]
+    logs: tuple  # logs[r-1] = log f(r)
+    residual: float
 
 
-def solve_f_log(s, m, U):
-    """Solve f(u; -s, m) in log space; returns a LogPanelSolution."""
+def solve_f_log(s, m, U, tol=1e-8):
+    """Solve f(u; -s, m) for log f; the residual gate is solve_f's, divided by f(u)."""
     s = int(s)
     m = int(m)
     if s < 1 or m <= s:
         raise RangeError("need integers 1 <= s < m")
-    return LogPanelSolution(s, m, float(U), DEGREE, _march(-s, m - s, U, log=True))
+    if not tol > 0:
+        raise RangeError("tol must be positive")
+    coeffs, logs = _march(-s, m - s, U, log=True)
+    worst = _residual(coeffs, -s, m - s, logs)
+    _gate(f"log f(u;{-s},{m})", worst, tol)
+    return LogPanelSolution(s, m, float(U), tol, DEGREE, coeffs, logs, worst)
+
+
+def _log_f(coeffs, logs, u):
+    """log f(r) + log1p(d) at every u (0 on u <= 1), the last panel extended."""
+    ends = np.asarray((0.0, *logs))
+    d = _eval_panels(coeffs, u, 0.0)
+    return ends[np.clip(np.ceil(u).astype(int) - 1, 0, len(logs))] + np.log1p(d)
 
 
 def eval_log_f_many(sol, u):
@@ -216,4 +247,4 @@ def eval_log_f_many(sol, u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u < 0.0) or np.any(u > sol.U * (1.0 + 1e-12)):
         raise RangeError("u out of coverage")
-    return _eval_panels(sol.coeffs, u, 0.0)
+    return _log_f(sol.coeffs, sol.logs, u)

@@ -38,20 +38,17 @@ kernel contracts them with its own values, one einsum per block, so a
 table's bits do not depend on its batch.  Nothing here runs concurrently.
 
 Two reductions keep the numbers representable:
-  * the constant A = (m!/(m-s)!)^2/(s-1)! is pulled out (its log is the
-    kernel's L) and only phi = I * t^(-2(m-s)) / A is stored, which is
-    smooth and positive down to t = 0;
-  * an optional log-scale mode stores log phi and integrates with
-    logsumexp, for parameter sizes where phi itself overflows a float.
-Both reductions leave the recursion form-invariant (the power of (1-1/x)
-becomes s + 2(m-s) for phi).  Both modes share one march, one ladder and
-one level comparison; the arithmetic that differs (add or logaddexp,
-subtract or a signed log difference, the gap between two levels) lives
-in the _Float and _Log classes.
+  * the constant A = (m!/(m-s)!)^2/(s-1)! and the beta integral
+    B = B(s, 2(m-s)+1) are pulled out (the log of A B is the kernel's L),
+    and only phi = I * t^(-2(m-s)) / (A B) is stored: it is smooth and
+    positive down to t = 0, where the base row equals 1, and the recursion
+    keeps its form (the power of (1-1/x) becomes s + 2(m-s) for phi);
+  * the base integrand is exponentiated from its log, formed from log f
+    (dde.solve_f_log) and log B, so neither f nor B has to fit a float.
 
-All tolerances here are relative: float mode normalizes the gap between
-two levels by the largest entry of the row or panel under comparison, and
-log mode compares log phi, on the entries within e^40 of that largest.
+All tolerances here are relative: the gap between two levels is the
+largest per-entry relative difference over the entries of the row or
+panel within a factor e^40 of its largest.
 """
 
 import math
@@ -71,12 +68,10 @@ MAX_PANELS = dde.MAX_PANELS
 T_PANEL_CAP = 512
 KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
 DEGREE_BUDGET = 100  # GL_NODES integrates polynomials up to degree 2*GL_NODES-1
-LOG_GRID_RATIO = 2.0 ** -0.25
-LOG_GRID_FLOOR = 1e-16
 CHUNK_ROWS = 2048  # t-interpolation rows built and applied per block
 BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
 BATCH_KERNELS = 16  # kernels marched together on one t grid
-F_TOL = 1e-10  # residual gate of the float-mode f solution
+F_TOL = 1e-10  # residual gate of the tables' f solution
 
 
 @dataclass(frozen=True)
@@ -86,12 +81,11 @@ class SieveKernel:
     s: int
     m: int
     u: float
-    log_scale: bool
-    L: float  # log of the pulled-out constant (m!/(m-s)!)^2/(s-1)!
-    f_sol: object
+    L: float  # log of the pulled-out constant (m!/(m-s)!)^2/(s-1)! * B(s, 2(m-s)+1)
+    f_sol: object  # a dde.LogPanelSolution
 
 
-def make_kernel(s, m, u, log_scale=False):
+def make_kernel(s, m, u):
     """Prepare the f solution and scaling constants for (s, m, u).
 
     u is the largest v a table reaches, so it is held to build_tables'
@@ -103,13 +97,14 @@ def make_kernel(s, m, u, log_scale=False):
         raise RangeError("need integers 1 <= s < m")
     if not (0 < u <= MAX_PANELS + 1):
         raise RangeError(f"u must lie in (0, {MAX_PANELS + 1}], got {u}")
-    L = 2.0 * (math.lgamma(m + 1) - math.lgamma(m - s + 1)) - math.lgamma(s)
-    U = max(1.0, float(u))
-    if log_scale:
-        f_sol = dde.solve_f_log(s, m, U)
-    else:
-        f_sol = dde.solve_f(-s, m, U, tol=F_TOL)
-    return SieveKernel(s, m, float(u), bool(log_scale), L, f_sol)
+    L = 2.0 * (math.lgamma(m + 1) - math.lgamma(m - s + 1)) - math.lgamma(s) + _log_beta(s, m)
+    f_sol = dde.solve_f_log(s, m, max(1.0, float(u)), tol=F_TOL)
+    return SieveKernel(s, m, float(u), L, f_sol)
+
+
+def _log_beta(s, m):
+    """log B(s, 2(m-s)+1), the base integral of phi's unscaled integrand at f = 1."""
+    return math.lgamma(s) + math.lgamma(2 * (m - s) + 1) - math.lgamma(2 * m - s + 1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,7 @@ def _t_breaks(kernel):
     if len(pts) - 1 > T_PANEL_CAP:
         raise RangeError(
             f"u={kernel.u} with m-s={kernel.m - kernel.s} needs more than "
-            f"{T_PANEL_CAP} t panels; use a larger m - s or log-scale scan"
+            f"{T_PANEL_CAP} t panels; use a larger m - s"
         )
     return np.asarray(sorted(pts))
 
@@ -177,25 +172,12 @@ def _merge_close(pts, eps=1e-13):
 
 
 def _base_grid(kernel, t):
-    """Quadrature segments on [0, 1] split at the kinks of f(u t x).
-
-    Log mode replaces 0 by a geometric grid that resolves the spike of
-    x^2w (1-x)^(s-1); float mode halves the segments when the integrand's
-    degree exceeds what GL_NODES points integrate.
-    """
-    pts = {1.0}
-    if kernel.log_scale:
-        x = 1.0
-        while x > LOG_GRID_FLOOR:
-            x *= LOG_GRID_RATIO
-            pts.add(x)
-    else:
-        pts.add(0.0)
+    """Quadrature segments on [0, 1] split at the kinks of f(u t x), halved
+    while the integrand's degree exceeds what GL_NODES points integrate."""
     ut = kernel.u * t
-    pts.update(j / ut for j in range(1, math.ceil(ut)))
-    pts = _merge_close(sorted(pts))
+    pts = _merge_close(sorted({0.0, 1.0, *(j / ut for j in range(1, math.ceil(ut)))}))
     degree = kernel.s - 1 + 2 * (kernel.m - kernel.s)
-    if not kernel.log_scale and degree + 1 > DEGREE_BUDGET:
+    if degree + 1 > DEGREE_BUDGET:
         splits = min(int(math.ceil(math.log2((degree + 1) / DEGREE_BUDGET))), 4)
         for _ in range(splits):
             mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
@@ -204,12 +186,15 @@ def _base_grid(kernel, t):
 
 
 def _base_row(kernel, t_nodes):
-    """phi(t, v<=1) at each t node by composite Gauss-Legendre (log phi in log mode).
+    """phi(t, v<=1) at each t node by composite Gauss-Legendre.
 
-    The quadrature points of consecutive t nodes, at most BASE_POINTS at a
-    time, go through one f evaluation; each node keeps its own sum.
+    The integrand (1-x)^(s-1) (f(u t x) x^w)^2 / B is exponentiated from
+    its log.  The quadrature points of consecutive t nodes, at most
+    BASE_POINTS at a time, go through one f evaluation; each node keeps
+    its own sum.
     """
     s, w, u, sol = kernel.s, kernel.m - kernel.s, kernel.u, kernel.f_sol
+    log_b = _log_beta(s, kernel.m)
     glx, glw = quadchev.gauss_legendre(GL_NODES)
     grids = [_base_grid(kernel, t) for t in t_nodes]
     sizes = np.array([(len(p) - 1) * GL_NODES for p in grids])
@@ -223,37 +208,16 @@ def _base_row(kernel, t_nodes):
         x = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
         wts = (half[:, None] * glw[None, :]).ravel()
         y = np.minimum(np.repeat(u * t_nodes[lo:hi], sizes[lo:hi]) * x, sol.U)
-        if kernel.log_scale:
-            g = np.log(wts) + 2.0 * (dde.eval_log_f_many(sol, y) + w * np.log(x))
-            if s > 1:
-                g = g + (s - 1) * np.log1p(-x)
-        else:
-            g = (1.0 - x) ** (s - 1) * (dde.eval_f_many(sol, y) * x ** w) ** 2
+        g = 2.0 * (dde.eval_log_f_many(sol, y) + w * np.log(x)) - log_b
+        if s > 1:
+            g += (s - 1) * np.log1p(-x)
+        g = np.exp(g)
         a = 0
         for i, b in enumerate(sizes[lo:hi], lo):
-            if kernel.log_scale:
-                out[i] = quadchev.logsumexp(g[a : a + b])
-            else:
-                out[i] = wts[a : a + b] @ g[a : a + b]
+            out[i] = wts[a : a + b] @ g[a : a + b]
             a += b
         lo = hi
     return out
-
-
-def _slog_sub(la, lb):
-    """Signed log of exp(la) - exp(lb), elementwise on arrays."""
-    la = np.asarray(la, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    mx = np.maximum(la, lb)
-    ok = np.isfinite(mx)
-    diff = np.zeros_like(mx)
-    with np.errstate(invalid="ignore"):
-        diff[ok] = np.exp(la[ok] - mx[ok]) - np.exp(lb[ok] - mx[ok])
-    sign = np.sign(diff)
-    with np.errstate(divide="ignore"):
-        out = np.where(diff != 0.0, mx + np.log(np.abs(np.where(diff != 0.0, diff, 1.0))), -np.inf)
-    out = np.where(ok, out, -np.inf)
-    return sign, out
 
 
 @dataclass(frozen=True)
@@ -261,14 +225,12 @@ class ITable:
     """Marched table of phi over [0,1] x (1, v_max].
 
     base holds the v <= 1 row on the t grid; panels[r-1] holds the
-    17 x grid.total values on the v-panel (r, r+1].  In log mode the
-    stored values are log phi (phi is positive in exact arithmetic;
-    entries that come out non-positive are clamped and counted by
-    floor_hits).  The t resolution is chosen adaptively and est_error
-    compares two t resolutions, so it covers the t direction only.  The v
-    resolution per panel is fixed: 17 nodes, with a composite
-    MARCH_NODES-point rule between neighbours for the x integral.  The
-    acceptance tests compare against a direct recursive evaluation.
+    17 x grid.total values on the v-panel (r, r+1].  The t resolution is
+    chosen adaptively and est_error compares two t resolutions, so it
+    covers the t direction only.  The v resolution per panel is fixed:
+    17 nodes, with a composite MARCH_NODES-point rule between neighbours
+    for the x integral.  The acceptance tests compare against a direct
+    recursive evaluation.
     """
 
     kernel: SieveKernel
@@ -277,73 +239,13 @@ class ITable:
     base: np.ndarray
     panels: tuple
     est_error: float
-    floor_hits: int = 0
 
 
-class _Float:
-    """phi itself: segments add, the recursion subtracts s times their sum."""
+def _march(kernels, v_max, grid, bases):
+    """March the kernels' tables of phi over one t grid from their base rows;
+    one (base, panels) each.
 
-    zero = 0.0
-    add = staticmethod(np.add)
-
-    @staticmethod
-    def seg(inner, tp, x, half, glw, sexp):
-        return half * (glw @ (inner * (tp ** sexp / x)[:, None]))
-
-    @staticmethod
-    def row(base, s, tot):
-        return base - s * tot
-
-    @staticmethod
-    def close(rows):
-        """(panel, floor hits): the panel is stored and interpolated next."""
-        return np.array(rows), 0
-
-    @staticmethod
-    def gap(coarse, fine):
-        """Largest difference relative to the largest entry of fine."""
-        return float(np.max(np.abs(coarse - fine))) / (float(np.max(np.abs(fine))) + 1e-300)
-
-
-class _Log:
-    """log phi: segments combine by logaddexp, rows are signed differences."""
-
-    zero = -np.inf
-    add = staticmethod(np.logaddexp)
-
-    @staticmethod
-    def seg(inner, tp, x, half, glw, sexp):
-        lt = inner + (sexp * np.log(tp) - np.log(x) + np.log(half * glw))[:, None]
-        return quadchev.logsumexp(lt, axis=0)
-
-    @staticmethod
-    def row(base, s, tot):
-        return _slog_sub(base, math.log(s) + tot)
-
-    @staticmethod
-    def close(rows):
-        """(log phi, floor hits): entries of sign <= 0 are clamped to
-        700 below the panel's largest finite entry and counted; the signs
-        are dropped."""
-        lm = np.array([lv for _, lv in rows])
-        bad = np.array([sg for sg, _ in rows]) <= 0.0
-        if np.any(bad):
-            lm[bad] = np.max(lm, where=np.isfinite(lm), initial=-np.inf) - 700.0
-        return lm, int(np.count_nonzero(bad))
-
-    @staticmethod
-    def gap(coarse, fine):
-        """Largest difference of log phi over the entries of fine within
-        e^40 of its largest."""
-        keep = fine > np.max(fine, where=np.isfinite(fine), initial=-np.inf) - 40.0
-        return float(np.max(np.abs(coarse - fine), where=keep, initial=0.0))
-
-
-def _march(kernels, v_max, grid, arith):
-    """March the kernels' tables over one t grid; one (base, panels, hits) each.
-
-    The interpolated values are phi (or log phi, with arith = _Log).  At
-    each v-panel and v-node the v rows Bv and the blocks of t rows are
+    At each v-panel and v-node the v rows Bv and the blocks of t rows are
     built once and applied to every kernel in turn: a query row is
     contracted with the row g * P + p of D, the kernel's values at x-node
     g on t panel p, so a kernel's bits do not depend on its batch.
@@ -355,17 +257,15 @@ def _march(kernels, v_max, grid, arith):
     g_key = np.repeat(np.arange(MARCH_NODES) * (len(grid.breaks) - 1), T)
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
-    bases = [_base_row(k, t_nodes) for k in kernels]
-    Q = [np.full(T, arith.zero) for _ in kernels]
+    Q = [np.zeros(T) for _ in kernels]
     data = list(bases)  # what the next v-panel interpolates: the base row, then a panel
     panels = [[] for _ in kernels]
-    hits = [0] * len(kernels)
     inner = np.empty((len(kernels), MARCH_NODES * T))
     prev_v_nodes = None
     for r in range(1, max(int(math.ceil(v_max)) - 1, 0) + 1):
         a = float(r)
         v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
-        rows = [[arith.row(b, si, q)] for b, si, q in zip(bases, s, Q)]
+        rows = [[b - si * q] for b, si, q in zip(bases, s, Q)]
         for j in range(1, N_V):
             mid = 0.5 * (v_nodes[j - 1] + v_nodes[j])
             half = 0.5 * (v_nodes[j] - v_nodes[j - 1])
@@ -382,52 +282,71 @@ def _march(kernels, v_max, grid, arith):
                 for i, D in enumerate(Ds):
                     np.einsum("rc,rc->r", B, D[key], out=inner[i, blk])
             for i, e in enumerate(sexp):
-                seg = arith.seg(inner[i].reshape(MARCH_NODES, T), tp, x, half, glw, e)
-                Q[i] = arith.add(Q[i], seg)
-                rows[i].append(arith.row(bases[i], s[i], Q[i]))
+                g = inner[i].reshape(MARCH_NODES, T) * (tp ** e / x)[:, None]
+                Q[i] += half * (glw @ g)
+                rows[i].append(bases[i] - s[i] * Q[i])
         for i, rws in enumerate(rows):
-            data[i], h = arith.close(rws)
+            data[i] = np.array(rws)
             panels[i].append(data[i])
-            hits[i] += h
         prev_v_nodes = v_nodes
-    return list(zip(bases, panels, hits))
+    return list(zip(bases, panels))
 
 
-def _compare_levels(arith, B, coarse, fine):
+def _gap(coarse, fine):
+    """Largest |coarse - fine| / |fine| over the entries of fine within a
+    factor e^40 of its largest; NaN if either level is not finite."""
+    size = np.abs(fine)
+    if not (np.isfinite(coarse).all() and np.isfinite(size).all()):
+        return math.nan
+    keep = size >= np.max(size) * math.exp(-40.0)
+    return float(np.max(np.abs(coarse - fine)[keep] / size[keep]))
+
+
+def _compare_levels(B, coarse, fine):
     """Disagreement of two t resolutions at the fine nodes: the largest
-    arith.gap over the base row and every panel.
+    _gap over the base row and every panel.
 
     B interpolates the coarse grid at the fine nodes.
     """
-    est = arith.gap(B @ coarse[0], fine[0])
-    for cm, fm in zip(coarse[1], fine[1]):
-        est = max(est, arith.gap(cm @ B.T, fm))
-    return est
+    gaps = [_gap(B @ coarse[0], fine[0])]
+    gaps += [_gap(cm @ B.T, fm) for cm, fm in zip(coarse[1], fine[1])]
+    return float(np.max(gaps))
+
+
+def _refine_base(kernel, grid, coarse):
+    """The base row on grid from coarse, the row on the grid with half its
+    n_per - 1 intervals per panel.  Lobatto node 2j of a fine panel is node
+    j of the coarse one, bit for bit, so only the odd nodes are integrated."""
+    fine = np.empty((len(grid.breaks) - 1, grid.n_per))
+    fine[:, ::2] = coarse.reshape(len(fine), -1)
+    odd = grid.nodes.reshape(fine.shape)[:, 1::2]
+    fine[:, 1::2] = _base_row(kernel, odd.ravel()).reshape(odd.shape)
+    return fine.ravel()
 
 
 def _ladder(kernels, v_max, tol, n):
-    """Tables of kernels that share one t-grid family and mode.
+    """Tables of kernels that share one t-grid family.
 
     Every rung marches the kernels still active; a kernel leaves once its
     estimate against the previous rung meets tol.
     """
-    arith = _Log if kernels[0].log_scale else _Float
     breaks = _t_breaks(kernels[0])
     prev_grid = _make_tgrid(breaks, (n + 1) // 2)
-    prev = _march(kernels, v_max, prev_grid, arith)
+    prev = _march(kernels, v_max, prev_grid, [_base_row(k, prev_grid.nodes) for k in kernels])
     active = list(range(len(kernels)))
     tables = [None] * len(kernels)
     while active:
         grid = _make_tgrid(breaks, n)
-        cur = _march([kernels[i] for i in active], v_max, grid, arith)
+        bases = [_refine_base(kernels[i], grid, p[0]) for i, p in zip(active, prev)]
+        cur = _march([kernels[i] for i in active], v_max, grid, bases)
         B = np.zeros((grid.total, prev_grid.total))  # the coarse grid at the fine nodes
         for rows, owner, C in _t_rows(prev_grid, grid.nodes):
             np.put_along_axis(B[rows], owner[:, None] * C.shape[1] + np.arange(C.shape[1]), C, 1)
         still = []
         for i, p, c in zip(active, prev, cur):
-            est = _compare_levels(arith, B, p, c)
+            est = _compare_levels(B, p, c)
             if est <= tol:
-                tables[i] = ITable(kernels[i], v_max, grid, c[0], tuple(c[1]), est, c[2])
+                tables[i] = ITable(kernels[i], v_max, grid, c[0], tuple(c[1]), est)
             elif n >= N_PER_MAX:
                 raise ToleranceError(
                     f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
@@ -445,7 +364,7 @@ def _ladder(kernels, v_max, tol, n):
 def build_tables(kernels, v_max, tol=1e-9):
     """Yield (index, table) for every kernel, one batch of tables at a time.
 
-    Kernels that share a t grid (the same breaks and mode) are marched
+    Kernels that share a t grid (the same breaks) are marched
     together, at most BATCH_KERNELS at a time: the interpolation rows of
     each rung, v-panel and v-node are built once for the whole batch.
     Each kernel keeps its own resolution ladder, starting at N_PER_START
@@ -460,7 +379,7 @@ def build_tables(kernels, v_max, tol=1e-9):
         raise RangeError(f"tol must be a positive finite number, got {tol}")
     groups = {}
     for i, kern in enumerate(kernels):
-        groups.setdefault((kern.log_scale, _t_breaks(kern).tobytes()), []).append(i)
+        groups.setdefault(_t_breaks(kern).tobytes(), []).append(i)
     for idx in groups.values():
         for lo in range(0, len(idx), BATCH_KERNELS):
             batch = idx[lo : lo + BATCH_KERNELS]
@@ -483,17 +402,15 @@ def _check_t(t):
 
 
 def _signed_log(kernel, t, phi):
-    """(sign, log|I_s|) at t > 0 from phi, or from log phi in log mode."""
+    """(sign, log|I_s|) at t > 0 from phi."""
     head = kernel.L + 2 * (kernel.m - kernel.s) * math.log(t)
-    if kernel.log_scale:
-        return 1.0, head + phi
     if phi == 0.0:
         return 0.0, -np.inf
     return math.copysign(1.0, phi), head + math.log(abs(phi))
 
 
 def i_base_signed_log(kernel, t):
-    """(sign, log|I_s(t, v<=1)|), valid in both modes."""
+    """(sign, log|I_s(t, v<=1)|), finite where I_s itself overflows a float."""
     _check_t(t)
     if t == 0.0:
         return 0.0, -np.inf

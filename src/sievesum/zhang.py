@@ -19,8 +19,6 @@ import numpy as np
 from . import iterints, multfun, primes
 from .errors import RangeError
 
-LOG_SCALE_K = 60  # beyond this the float tables overflow; switch to log mode
-
 nu_p = multfun._residue_count  # distinct residues of the offsets modulo p
 
 
@@ -123,7 +121,6 @@ class ZhangReport:
     term_sub: float
     cancellation: float  # |C| / max(|terms|); small means heavy cancellation
     table_errors: tuple
-    log_scale: bool
 
 
 def _validate_params(k, m, theta, delta):
@@ -160,18 +157,12 @@ def _combine(k, theta, pair1, pair2):
     return math.copysign(1.0, y), mx + math.log(abs(y)), abs(y)
 
 
-def resolve_log_scale(k, log_scale):
-    """The table mode at k, or up to k in a scan: log_scale if given, else auto."""
-    return k > LOG_SCALE_K if log_scale is None else bool(log_scale)
-
-
-def zhang_coefficient(k, m, theta, delta, tol=1e-9, log_scale=None):
+def zhang_coefficient(k, m, theta, delta, tol=1e-9):
     """Evaluate the smoothed coefficient, building the two tables needed."""
     k, m, theta, delta = _validate_params(k, m, theta, delta)
     u = theta / (2.0 * delta)
-    log_scale = resolve_log_scale(k, log_scale)
-    kern1 = iterints.make_kernel(k - 1, m, u, log_scale=log_scale)
-    kern2 = iterints.make_kernel(k, m, u, log_scale=log_scale)
+    kern1 = iterints.make_kernel(k - 1, m, u)
+    kern2 = iterints.make_kernel(k, m, u)
     tab1 = iterints.build_table(kern1, u, tol=tol)
     tab2 = iterints.build_table(kern2, u, tol=tol)
     pair1 = iterints.i_eval_signed_log(tab1, 1.0, u)
@@ -190,7 +181,6 @@ def zhang_coefficient(k, m, theta, delta, tol=1e-9, log_scale=None):
         term_sub=_to_value(pair2[0], pair2[1]),
         cancellation=canc,
         table_errors=(tab1.est_error, tab2.est_error),
-        log_scale=bool(log_scale),
     )
 
 
@@ -207,7 +197,7 @@ class ScanCell:
     cancellation: float
 
 
-def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1, log_scale=None):
+def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1):
     """Coefficient over the grid 1 <= k <= k_max, 1 <= m <= m_max.
 
     Cells with k < 2 or m <= k are marked rejected.  Tables are shared
@@ -226,10 +216,9 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1, log_scale=None):
     if not (0.0 < delta <= theta / 2):
         raise RangeError("delta must lie in (0, theta/2]")
     u = theta / (2.0 * delta)
-    log_scale = resolve_log_scale(k_max, log_scale)
     valid = [(k, m) for k in range(2, k_max + 1) for m in range(k + 1, m_max + 1)]
     needed = sorted({(k - 1, m) for k, m in valid} | {(k, m) for k, m in valid})
-    kerns = [iterints.make_kernel(s, m, u, log_scale=log_scale) for s, m in needed]
+    kerns = [iterints.make_kernel(s, m, u) for s, m in needed]
     pairs = {}
     for i, table in iterints.build_tables(kerns, u, tol=tol):
         pairs[needed[i]] = iterints.i_eval_signed_log(table, 1.0, u)

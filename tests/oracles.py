@@ -195,14 +195,24 @@ def i_recursive(kernel, t, v, n=64):
     return total
 
 
-def phi_base_trapz(kernel, t, points=1 << 21):
-    """Base-regime phi by brute trapezoid integration of the integrand."""
+def phi_base_trapz(kernel, t, points=1 << 21, f_sol=None):
+    """Base-regime phi by brute trapezoid integration of the integrand,
+    divided by B(s, 2(m-s)+1) as the tables store it.
+
+    f comes from the kernel's log solution, or from f_sol, a float
+    dde.PanelSolution of f(.; -s, m), when one is given.
+    """
     import numpy as np
 
     from sievesum import dde
 
     s, w, u = kernel.s, kernel.m - kernel.s, kernel.u
     x = np.linspace(0.0, 1.0, points)
-    fv = dde.eval_f_many(kernel.f_sol, np.minimum(u * t * x, kernel.f_sol.U))
+    y = np.minimum(u * t * x, kernel.f_sol.U)
+    if f_sol is None:
+        fv = np.exp(dde.eval_log_f_many(kernel.f_sol, y))
+    else:
+        fv = dde.eval_f_many(f_sol, y)
     g = (1.0 - x) ** (s - 1) * (fv * x ** w) ** 2
-    return float(np.trapezoid(g, x))
+    log_b = math.lgamma(s) + math.lgamma(2 * w + 1) - math.lgamma(2 * w + s + 1)
+    return float(np.trapezoid(g, x)) / math.exp(log_b)

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -84,6 +85,19 @@ class TestF:
         assert byu["1"] == 1.0
         assert abs(byu["2"] - (1.625 - math.log(2.0))) < 1e-10
         assert float(meta["residual"]) < 1e-8
+
+    def test_large_order_residual_covers_every_panel(self, capsys):
+        # u^(k+m+1) overflows at k + m = 1000; the gate divides it out, so
+        # no panel's residual turns NaN and drops out of the maximum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                ["f", "--k", "-10000", "--m", "11000", "--u-max", "3", "--step", "1"], capsys
+            )
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        assert 0.0 < float(meta["residual"]) < 1e-8
+        assert [row[1] for row in rows] == ["1", "1", "1"]
 
     def test_unit_interval_only(self, capsys):
         code, out, _ = run_cli(
@@ -202,11 +216,17 @@ class TestScan:
                 assert rec["status"] == "ok"
                 assert math.isfinite(float(rec["value"]))
 
-    def test_meta_reports_resolved_log_scale(self, capsys):
-        argv = ["scan", "--k-max", "2", "--m-max", "3", "--theta", "0.9", "--delta", "0.3"]
-        outs = [run_cli(argv + flag, capsys)[1] for flag in ([], ["--log-scale"])]
-        assert [parse_csv(out)[0]["log_scale"] for out in outs] == ["false", "true"]
-        assert outs[0] == run_cli(argv + ["--no-log-scale"], capsys)[1]
+    @pytest.mark.parametrize("argv", [
+        ["I", "--s", "2", "--m", "4", "--u", "2.5", "--t", "0.5,1.0", "--v", "1.0,2.5"],
+        ["zhang", "--k", "3", "--m", "5", "--theta", "0.9", "--delta", "0.3"],
+        ["scan", "--k-max", "2", "--m-max", "3", "--theta", "0.9", "--delta", "0.3"],
+    ])
+    def test_log_scale_flags_are_ignored(self, argv, capsys):
+        # every table has one arithmetic; the flags are still accepted
+        outs = [run_cli(argv + flag, capsys) for flag in ([], ["--log-scale"], ["--no-log-scale"])]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] == outs[2][1]
+        assert "log_scale" not in parse_csv(outs[0][1])[0]
 
 
 class TestVerify:

@@ -172,6 +172,37 @@ class TestLogSolver:
         assert np.isfinite(lf)
         assert lf > 0
 
+    @pytest.mark.parametrize("s,m,U", [(1, 2, 9.5), (61, 62, 30.0), (1000, 1001, 9.5)])
+    def test_residual_reads_as_the_float_gate(self, s, m, U):
+        # the same measure divided by f(u); with m - s = 1 and large s the
+        # log of f is far from a low-degree polynomial near u = 1, which
+        # the stored d = f / f(r) - 1 does not mind
+        lsol = dde.solve_f_log(s, m, U, tol=1e-10)
+        fsol = dde.solve_f(-s, m, U, tol=1e-10)
+        assert lsol.residual <= 3.0 * fsol.residual
+        u = np.linspace(0.5, U, 301)
+        lf = dde.eval_log_f_many(lsol, u)
+        assert np.max(np.abs(lf - np.log(dde.eval_f_many(fsol, u)))) < 1e-12 * max(1.0, lf[-1])
+
+    def test_gate_raises_with_the_achieved_residual(self):
+        with pytest.raises(ToleranceError) as exc:
+            dde.solve_f_log(2, 4, 5.0, tol=1e-18)
+        assert 1e-18 < exc.value.achieved < 1e-10
+
+    def test_nan_residual_fails_the_gate(self, monkeypatch):
+        # a NaN panel anywhere must not drop out of the maximum
+        march = dde._march
+
+        def poisoned(*args, **kwargs):
+            coeffs, logs = march(*args, **kwargs)
+            return coeffs[:-1] + (np.full_like(coeffs[-1], np.nan),), logs
+
+        monkeypatch.setattr(dde, "_march", poisoned)
+        for solve in (lambda: dde.solve_f(1, 1, 5.0), lambda: dde.solve_f_log(1, 2, 5.0)):
+            with pytest.raises(ToleranceError) as exc:
+                solve()
+            assert math.isnan(exc.value.achieved)
+
     def test_rejects_bad_orders(self):
         with pytest.raises(RangeError):
             dde.solve_f_log(0, 3, 2.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sievesum import iterints, quadchev
+from sievesum import dde, iterints, quadchev
 from sievesum.errors import RangeError, ToleranceError
 
 import oracles
@@ -151,6 +151,21 @@ class TestBaseQuadrature:
         assert abs(got - want) / abs(want) < 1e-7
 
 
+class TestRefineBase:
+    @pytest.mark.parametrize("s,m,u", [(2, 4, 3.5), (61, 70, 9.5)])
+    def test_matches_a_fresh_base_row(self, s, m, u):
+        # split and single-panel t grids: every rung reuses the last one's
+        # base row at the shared nodes, and must get the same bits
+        kern = iterints.make_kernel(s, m, u)
+        breaks = iterints._t_breaks(kern)
+        coarse = iterints._make_tgrid(breaks, 9)
+        row = iterints._base_row(kern, coarse.nodes)
+        for n in (17, 33):
+            grid = iterints._make_tgrid(breaks, n)
+            row = iterints._refine_base(kern, grid, row)
+            assert row.tobytes() == iterints._base_row(kern, grid.nodes).tobytes()
+
+
 class TestTable:
     @pytest.mark.parametrize("s,m,u", [(2, 4, 2.5), (3, 5, 3.0)])
     def test_matches_direct_recursion(self, s, m, u):
@@ -206,15 +221,17 @@ class TestTable:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("log_scale", [False, True])
-    def test_mixed_batch_matches_separate_builds(self, log_scale):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_mixed_batch_matches_separate_builds(self, reverse):
         # (1, 2) and (2, 4) share the t grid split at j/u and stop at
-        # different rungs; (1, 11) and (2, 12) have m - s > 8 and one t panel
+        # different rungs; (1, 11) and (2, 12) have m - s > 8 and one t panel.
+        # A kernel's bits depend neither on its batch nor on its place in it
         u = 2.5
         sms = [(1, 11), (1, 2), (2, 12), (2, 4)]
-        kerns = [iterints.make_kernel(s, m, u, log_scale=log_scale) for s, m in sms]
-        done = dict(iterints.build_tables(kerns, u, tol=1e-9))
-        batch = [done[i] for i in range(len(kerns))]
+        kerns = [iterints.make_kernel(s, m, u) for s, m in sms]
+        order = kerns[::-1] if reverse else kerns
+        done = dict(iterints.build_tables(order, u, tol=1e-9))
+        batch = [done[order.index(kern)] for kern in kerns]
         assert [len(t.grid.breaks) for t in batch] == [2, 4, 2, 4]
         assert batch[1].grid.n_per != batch[3].grid.n_per
         for kern, got in zip(kerns, batch):
@@ -222,14 +239,15 @@ class TestBatch:
             assert got.kernel is kern
             assert got.grid.n_per == want.grid.n_per
             assert got.est_error == want.est_error
-            assert got.floor_hits == want.floor_hits
             assert got.base.tobytes() == want.base.tobytes()
-            assert len(got.panels) == len(want.panels)
+            assert len(got.panels) == len(want.panels) == 2
             for a, b in zip(got.panels, want.panels):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                assert isinstance(a, np.ndarray) and a.shape == (iterints.N_V, got.grid.total)
+                assert a.tobytes() == b.tobytes()
 
     def test_sixteen_log_kernels_march_as_one_batch(self, monkeypatch):
-        # log panels hold log phi alone, so a log batch is as wide as a float one
+        # orders past the old log-scale switch (s > 60) march in float
+        # phi/B like any other, so sixteen of them fill one batch
         calls = []
         ladder = iterints._ladder
 
@@ -239,20 +257,21 @@ class TestBatch:
 
         monkeypatch.setattr(iterints, "_ladder", counting)
         u = 1.5
-        kerns = [iterints.make_kernel(s, s + 9, u, log_scale=True) for s in range(1, 17)]
+        kerns = [iterints.make_kernel(s, s + 9, u) for s in range(61, 77)]
         done = dict(iterints.build_tables(kerns, u, tol=1e-6))
         assert calls == [iterints.BATCH_KERNELS] == [16]
         assert sorted(done) == list(range(16))
 
 
 class TestVQuadrature:
-    @pytest.mark.parametrize("log_scale", [False, True])
-    def test_march_rule_matches_triple_rule(self, monkeypatch, log_scale):
+    @pytest.mark.parametrize("large", [False, True])
+    def test_march_rule_matches_triple_rule(self, monkeypatch, large):
         # both builds stop on the same t grid, so only the v quadrature
         # differs.  (1, 2) has the roughest integrand: a 4-node rule is off
-        # by 1e-10 here, while with m - s > 8 even 4 nodes agree to the bit
+        # by 1e-10 here, while with m - s > 8 even 4 nodes agree to the bit.
+        # (61, 62) is past the old log-scale switch with m - s = 1
         u = 2.5
-        kern = iterints.make_kernel(1, 2, u, log_scale=log_scale)
+        kern = iterints.make_kernel(61, 62, u) if large else iterints.make_kernel(1, 2, u)
         table = iterints.build_table(kern, u, tol=1e-8)
         monkeypatch.setattr(iterints, "MARCH_NODES", 3 * iterints.MARCH_NODES)
         fine = iterints.build_table(kern, u, tol=1e-8)
@@ -265,71 +284,92 @@ class TestVQuadrature:
 
 
 class TestLogMode:
+    """What the removed log-scale tables covered: f taken from its log, and
+    I beyond the float range, with the level comparison they brought."""
+
     def test_matches_float_mode(self):
-        kf = iterints.make_kernel(6, 10, 2.5)
-        kl = iterints.make_kernel(6, 10, 2.5, log_scale=True)
-        tf = iterints.build_table(kf, v_max=2.5, tol=1e-9)
-        tl = iterints.build_table(kl, v_max=2.5, tol=1e-9)
-        rng = np.random.default_rng(23)
-        for _ in range(15):
-            t = float(rng.uniform(0.05, 1.0))
-            v = float(rng.uniform(0.5, 2.5))
-            sf, lf = iterints.i_eval_signed_log(tf, t, v)
-            sl, ll = iterints.i_eval_signed_log(tl, t, v)
-            assert sf == sl == 1.0
-            assert abs(lf - ll) < 1e-9 * max(1.0, abs(lf))
+        # log I_6(t, v) at m = 10, u = 2.5 from the former float-mode
+        # tables, which took f from the float solver
+        kern = iterints.make_kernel(6, 10, 2.5)
+        table = iterints.build_table(kern, v_max=2.5, tol=1e-9)
+        float_mode = [
+            (0.1, 0.5, -9.154581538490655),
+            (0.35, 1.3, 0.8675222093291506),
+            (0.6, 2.5, 5.179124003089889),
+            (0.85, 1.9, 7.97455288122358),
+            (1.0, 2.5, 9.298534080473488),
+        ]
+        for t, v, want in float_mode:
+            sign, got = iterints.i_eval_signed_log(table, t, v)
+            assert sign == 1.0
+            assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
     def test_base_log_matches_float(self):
-        kf = iterints.make_kernel(3, 7, 2.0)
-        kl = iterints.make_kernel(3, 7, 2.0, log_scale=True)
+        # the base row reads f from its log; the oracle reads the float solver
+        kern = iterints.make_kernel(3, 7, 2.0)
+        fsol = dde.solve_f(-3, 7, kern.f_sol.U, tol=iterints.F_TOL)
         for t in [0.2, 0.7, 1.0]:
-            a = iterints.i_base_signed_log(kf, t)[1]
-            b = iterints.i_base_signed_log(kl, t)[1]
-            assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-
-    def test_panels_hold_log_phi_only(self):
-        kern = iterints.make_kernel(2, 4, 2.5, log_scale=True)
-        table = iterints.build_table(kern, v_max=2.5, tol=1e-9)
-        assert len(table.panels) == 2
-        for panel in table.panels:
-            assert isinstance(panel, np.ndarray)
-            assert panel.shape == (iterints.N_V, table.grid.total)
+            got = iterints._base_row(kern, np.array([t]))[0]
+            want = oracles.phi_base_trapz(kern, t, f_sol=fsol)
+            assert abs(got - want) / want < 1e-7
 
     def test_gap_reads_levels_far_below_zero(self):
-        # every log phi near -100: the mask is taken from the level's own
-        # top, so all entries are still compared
+        # every phi near e^-100 (log phi far below zero): the window is
+        # taken from the level's own top, so all entries are still compared
         rng = np.random.default_rng(5)
-        fine_base = -100.0 + rng.uniform(0.0, 1.0, 9)
-        fine_panel = -100.0 + rng.uniform(0.0, 1.0, (iterints.N_V, 9))
+        fine_base = np.exp(-100.0 + rng.uniform(0.0, 1.0, 9))
+        fine_panel = np.exp(-100.0 + rng.uniform(0.0, 1.0, (iterints.N_V, 9)))
         coarse_panel = fine_panel.copy()
-        coarse_panel[3, 4] += 2.5e-7
+        coarse_panel[3, 4] *= 1.0 + 2.5e-7
         B = np.eye(9)
-        est = iterints._compare_levels(
-            iterints._Log, B, (fine_base, [coarse_panel]), (fine_base, [fine_panel])
-        )
-        assert est == abs(coarse_panel[3, 4] - fine_panel[3, 4])
+        est = iterints._compare_levels(B, (fine_base, [coarse_panel]), (fine_base, [fine_panel]))
+        assert est == abs(coarse_panel[3, 4] - fine_panel[3, 4]) / fine_panel[3, 4]
 
     def test_gap_ignores_entries_far_below_the_top(self):
-        fine = np.array([[-100.0, -100.5, -150.0]])
-        coarse = fine + np.array([[1e-9, 2e-9, 1e-3]])
-        assert iterints._Log.gap(coarse, fine) == abs(coarse[0, 1] - fine[0, 1])
-
-    def test_clamp_is_relative_to_the_panel_top(self):
-        # rows near -1000 with one entry of sign -1: it is clamped 700
-        # below the panel's top, so it stays below every other entry
-        lv = [np.array([-1000.0, -1001.0, -1002.0]), np.array([-1000.5, -1003.0, -1001.5])]
-        sg = [np.array([1.0, 1.0, 1.0]), np.array([1.0, -1.0, 1.0])]
-        panel, hits = iterints._Log.close(list(zip(sg, lv)))
-        assert hits == 1
-        assert panel[1, 1] == -1700.0
-        assert panel[0].tolist() == lv[0].tolist()
+        fine = np.exp(np.array([[-100.0, -100.5, -150.0]]))
+        coarse = fine * (1.0 + np.array([[1e-9, 2e-9, 1e-3]]))
+        assert iterints._gap(coarse, fine) == abs(coarse[0, 1] - fine[0, 1]) / fine[0, 1]
 
     def test_huge_orders_stay_finite(self):
-        kern = iterints.make_kernel(200, 260, 1.5, log_scale=True)
+        kern = iterints.make_kernel(200, 260, 1.5)
         sign, lv = iterints.i_base_signed_log(kern, 1.0)
         assert sign == 1.0 and np.isfinite(lv)
         with pytest.raises(RangeError):
             iterints.i_base(kern, 1.0)
+
+
+class TestLevelComparison:
+    def test_gap_is_relative_per_entry(self):
+        # an entry 1e-6 of the top, off by 1e-4 of itself: a gap scaled by
+        # the top entry would read 1e-10, the per-entry gap reads 1e-4
+        fine = np.array([1.0, 1e-6, 0.5])
+        coarse = fine * np.array([1.0, 1.0 + 1e-4, 1.0])
+        assert iterints._gap(coarse, fine) == pytest.approx(1e-4, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_fail_the_comparison(self, bad):
+        fine = np.array([[1.0, 0.5], [0.25, 0.125]])
+        coarse = fine.copy()
+        coarse[1, 0] = bad
+        B = np.eye(2)
+        est = iterints._compare_levels(B, (fine[0], [coarse]), (fine[0], [fine]))
+        assert not est <= 1.0
+        coarse[1, 0], fine[1, 0] = fine[1, 0], bad
+        est = iterints._compare_levels(B, (fine[0], [coarse]), (fine[0], [fine]))
+        assert not est <= 1.0
+
+    def test_base_row_is_one_at_t_zero(self):
+        # phi/B at t = 0 is the beta integral over itself, whatever the order
+        for s, m in [(1, 2), (6, 8), (1000, 1100)]:
+            kern = iterints.make_kernel(s, m, 9.5)
+            assert abs(iterints._base_row(kern, np.array([0.0]))[0] - 1.0) < 1e-12
+
+    def test_f_gate_uses_the_table_tolerance(self, monkeypatch):
+        monkeypatch.setattr(iterints, "F_TOL", 1e-16)
+        with pytest.raises(ToleranceError) as exc:
+            iterints.make_kernel(61, 62, 9.5)
+        assert 1e-16 < exc.value.achieved <= 1e-10
 
 
 class TestValidation:

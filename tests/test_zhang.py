@@ -1,12 +1,13 @@
 """Tests for tuples, thresholds, and the sieve coefficient."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sievesum import zhang
+from sievesum import cli, zhang
 from sievesum.errors import RangeError
 
 import oracles
@@ -130,27 +131,22 @@ class TestCoefficient:
         vals = [zhang.zhang_coefficient(4, 6, th, th / 2).value for th in [0.2, 0.5, 0.8]]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_log_scale_matches_float(self):
-        a = zhang.zhang_coefficient(6, 8, 0.9, 0.15, tol=1e-8, log_scale=False)
-        b = zhang.zhang_coefficient(6, 8, 0.9, 0.15, tol=1e-8, log_scale=True)
-        assert a.sign == b.sign
-        assert abs(a.log_abs - b.log_abs) < 1e-7 * max(1.0, abs(a.log_abs))
-
-    @pytest.mark.parametrize("dk", [-1, 1])
-    def test_modes_agree_across_the_switch(self, dk):
-        # the default mode is float at LOG_SCALE_K - 1 and log at + 1; the
-        # other mode must agree within about 2 tol / cancellation (the two
-        # tables each meet tol), checked with a factor 5 to spare
-        k, theta, tol = zhang.LOG_SCALE_K + dk, 0.92, 1e-9
-        auto = zhang.zhang_coefficient(k, k + 9, theta, theta / 19, tol=tol)
-        other = zhang.zhang_coefficient(k, k + 9, theta, theta / 19, tol=tol, log_scale=dk < 0)
-        assert auto.log_scale is (dk > 0) and other.log_scale is (dk < 0)
-        assert auto.sign == other.sign != 0.0
-        assert abs(auto.log_abs - other.log_abs) <= 10.0 * tol / auto.cancellation
+    @pytest.mark.parametrize("k,m,want", [(3001, 3300, 21415.3538316239),
+                                          (10000, 11000, 83399.5349682224)],
+                             ids=["3001-3300", "10000-11000"])
+    def test_no_silent_zero_at_large_k(self, k, m, want, capsys):
+        # the float tables once underflowed to phi = 0 here and printed a
+        # zero coefficient; want is log_abs from the former log-scale tables
+        tol = 1e-9
+        argv = ["zhang", "--k", str(k), "--m", str(m), "--theta", "0.92", "--delta", "0.0484",
+                "--tol", repr(tol), "--no-log-scale", "--format", "json"]
+        assert cli.main(argv) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["sign"] == 1.0
+        assert abs(data["log_abs"] - want) <= 10.0 * tol / data["cancellation"]
 
     def test_experimental_large_k(self):
         r = zhang.zhang_coefficient(200, 240, 0.9, 0.45)
-        assert r.log_scale is True
         assert math.isfinite(r.log_abs)
         assert r.sign in (-1.0, 1.0)
 
