@@ -37,14 +37,21 @@ batches and builds the rows once per rung, v-panel and v-node; each
 kernel contracts them with its own values, one einsum per block, so a
 table's bits do not depend on its batch.  Nothing here runs concurrently.
 
-Two reductions keep the numbers representable:
+Three reductions keep the numbers representable:
   * the constant A = (m!/(m-s)!)^2/(s-1)! and the beta integral
     B = B(s, 2(m-s)+1) are pulled out (the log of A B is the kernel's L),
-    and only phi = I * t^(-2(m-s)) / (A B) is stored: it is smooth and
+    and only phi = I * t^(-2(m-s)) / (A B) is marched: it is smooth and
     positive down to t = 0, where the base row equals 1, and the recursion
     keeps its form (the power of (1-1/x) becomes s + 2(m-s) for phi);
-  * the base integrand is exponentiated from its log, formed from log f
-    (dde.solve_f_log) and log B, so neither f nor B has to fit a float.
+  * the base row is kept as its log, summed from the log of its integrand
+    (log f from dde.solve_f_log, and log B), so neither f nor B has to fit
+    a float;
+  * f grows like u^s, so for large s and u the base row b(t) grows by many
+    powers of e from t = 0 to 1 (e^22 at s = 1000, m = 1100, u = 200; past
+    the float range there from u = 1200).  A table whose base row spans
+    more than e^ENVELOPE_LOG stores psi = phi(t, v) / b(t) instead, which
+    spans little; the rounding of phi's smallest entries would otherwise
+    exceed tol relative to them.
 
 All tolerances here are relative: the gap between two levels is the
 largest per-entry relative difference over the entries of the row or
@@ -72,6 +79,7 @@ CHUNK_ROWS = 2048  # t-interpolation rows built and applied per block
 BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
 BATCH_KERNELS = 16  # kernels marched together on one t grid
 F_TOL = 1e-10  # residual gate of the tables' f solution
+ENVELOPE_LOG = 8.0  # tables whose base row spans more store phi over it
 
 
 @dataclass(frozen=True)
@@ -185,13 +193,14 @@ def _base_grid(kernel, t):
     return np.asarray(pts)
 
 
-def _base_row(kernel, t_nodes):
-    """phi(t, v<=1) at each t node by composite Gauss-Legendre.
+def _log_base_row(kernel, t_nodes):
+    """log phi(t, v<=1) at each t node by composite Gauss-Legendre.
 
-    The integrand (1-x)^(s-1) (f(u t x) x^w)^2 / B is exponentiated from
-    its log.  The quadrature points of consecutive t nodes, at most
-    BASE_POINTS at a time, go through one f evaluation; each node keeps
-    its own sum.
+    The integrand (1-x)^(s-1) (f(u t x) x^w)^2 / B is formed from its log
+    and exponentiated less its largest value at the node, so the row is
+    finite where phi overflows.  The quadrature points of consecutive t
+    nodes, at most BASE_POINTS at a time, go through one f evaluation;
+    each node keeps its own sum.
     """
     s, w, u, sol = kernel.s, kernel.m - kernel.s, kernel.u, kernel.f_sol
     log_b = _log_beta(s, kernel.m)
@@ -211,21 +220,32 @@ def _base_row(kernel, t_nodes):
         g = 2.0 * (dde.eval_log_f_many(sol, y) + w * np.log(x)) - log_b
         if s > 1:
             g += (s - 1) * np.log1p(-x)
-        g = np.exp(g)
+        top = np.maximum.reduceat(g, np.cumsum(sizes[lo:hi]) - sizes[lo:hi])
+        g = np.exp(g - np.repeat(top, sizes[lo:hi]))
         a = 0
         for i, b in enumerate(sizes[lo:hi], lo):
             out[i] = wts[a : a + b] @ g[a : a + b]
             a += b
+        out[lo:hi] = top + np.log(out[lo:hi])
         lo = hi
     return out
+
+
+def _enveloped(log_base):
+    """Whether a table stores phi over its base row: the row rises from 1
+    at t = 0 to more than e^ENVELOPE_LOG at t = 1, the last node of every
+    rung's grid, so every rung decides alike."""
+    return float(log_base[-1]) > ENVELOPE_LOG
 
 
 @dataclass(frozen=True)
 class ITable:
     """Marched table of phi over [0,1] x (1, v_max].
 
-    base holds the v <= 1 row on the t grid; panels[r-1] holds the
-    17 x grid.total values on the v-panel (r, r+1].  The t resolution is
+    log_base holds log phi on the v <= 1 row of the t grid; panels[r-1]
+    holds the 17 x grid.total values on the v-panel (r, r+1]: phi, or
+    phi(t, v) / phi(t, 1) where the base row spans more than
+    e^ENVELOPE_LOG (the table is enveloped).  The t resolution is
     chosen adaptively and est_error compares two t resolutions, so it
     covers the t direction only.  The v resolution per panel is fixed:
     17 nodes, with a composite MARCH_NODES-point rule between neighbours
@@ -236,14 +256,23 @@ class ITable:
     kernel: SieveKernel
     v_max: float
     grid: TGrid
-    base: np.ndarray
+    log_base: np.ndarray
     panels: tuple
     est_error: float
+    enveloped: bool
 
 
-def _march(kernels, v_max, grid, bases):
-    """March the kernels' tables of phi over one t grid from their base rows;
-    one (base, panels) each.
+def _march(kernels, v_max, grid, log_bases):
+    """March the kernels' tables over one t grid from the logs of their
+    base rows; one (base, panels) each, in the values the table stores.
+
+    An enveloped table stores psi = phi(t, v) / b(t), b the base row:
+
+        psi(t, v) = 1 - s * integral_1^v psi(t', x-1) b(t') / b(t) (1-1/x)^(s+2(m-s)) dx/x,
+
+    t' = (1-1/x) t, with log b interpolated at t' like psi.  b grows like
+    t^(2s) once u t is large, so psi spans far less than phi and the float
+    rounding of its small entries stays below tol.
 
     At each v-panel and v-node the v rows Bv and the blocks of t rows are
     built once and applied to every kernel in turn: a query row is
@@ -257,10 +286,14 @@ def _march(kernels, v_max, grid, bases):
     g_key = np.repeat(np.arange(MARCH_NODES) * (len(grid.breaks) - 1), T)
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
+    env = {i: np.broadcast_to(lb, (MARCH_NODES, T)).reshape(-1, grid.n_per)
+           for i, lb in enumerate(log_bases) if _enveloped(lb)}
+    bases = [np.ones(T) if i in env else np.exp(lb) for i, lb in enumerate(log_bases)]
     Q = [np.zeros(T) for _ in kernels]
     data = list(bases)  # what the next v-panel interpolates: the base row, then a panel
     panels = [[] for _ in kernels]
     inner = np.empty((len(kernels), MARCH_NODES * T))
+    log_inner = np.empty((len(kernels), MARCH_NODES * T))
     prev_v_nodes = None
     for r in range(1, max(int(math.ceil(v_max)) - 1, 0) + 1):
         a = float(r)
@@ -281,8 +314,12 @@ def _march(kernels, v_max, grid, bases):
                 key = g_key[blk] + owner
                 for i, D in enumerate(Ds):
                     np.einsum("rc,rc->r", B, D[key], out=inner[i, blk])
+                for i, D in env.items():
+                    np.einsum("rc,rc->r", B, D[key], out=log_inner[i, blk])
             for i, e in enumerate(sexp):
                 g = inner[i].reshape(MARCH_NODES, T) * (tp ** e / x)[:, None]
+                if i in env:
+                    g *= np.exp(log_inner[i].reshape(MARCH_NODES, T) - log_bases[i])
                 Q[i] += half * (glw @ g)
                 rows[i].append(bases[i] - s[i] * Q[i])
         for i, rws in enumerate(rows):
@@ -320,7 +357,7 @@ def _refine_base(kernel, grid, coarse):
     fine = np.empty((len(grid.breaks) - 1, grid.n_per))
     fine[:, ::2] = coarse.reshape(len(fine), -1)
     odd = grid.nodes.reshape(fine.shape)[:, 1::2]
-    fine[:, 1::2] = _base_row(kernel, odd.ravel()).reshape(odd.shape)
+    fine[:, 1::2] = _log_base_row(kernel, odd.ravel()).reshape(odd.shape)
     return fine.ravel()
 
 
@@ -328,34 +365,40 @@ def _ladder(kernels, v_max, tol, n):
     """Tables of kernels that share one t-grid family.
 
     Every rung marches the kernels still active; a kernel leaves once its
-    estimate against the previous rung meets tol.
+    estimate against the previous rung meets tol.  A level that is not
+    finite raises RangeError at once: no finer rung brings it back.
     """
     breaks = _t_breaks(kernels[0])
     prev_grid = _make_tgrid(breaks, (n + 1) // 2)
-    prev = _march(kernels, v_max, prev_grid, [_base_row(k, prev_grid.nodes) for k in kernels])
+    prev_logs = [_log_base_row(k, prev_grid.nodes) for k in kernels]
+    prev = _march(kernels, v_max, prev_grid, prev_logs)
     active = list(range(len(kernels)))
     tables = [None] * len(kernels)
     while active:
         grid = _make_tgrid(breaks, n)
-        bases = [_refine_base(kernels[i], grid, p[0]) for i, p in zip(active, prev)]
-        cur = _march([kernels[i] for i in active], v_max, grid, bases)
+        logs = [_refine_base(kernels[i], grid, lb) for i, lb in zip(active, prev_logs)]
+        cur = _march([kernels[i] for i in active], v_max, grid, logs)
         B = np.zeros((grid.total, prev_grid.total))  # the coarse grid at the fine nodes
         for rows, owner, C in _t_rows(prev_grid, grid.nodes):
             np.put_along_axis(B[rows], owner[:, None] * C.shape[1] + np.arange(C.shape[1]), C, 1)
         still = []
-        for i, p, c in zip(active, prev, cur):
+        for i, p, c, lb in zip(active, prev, cur, logs):
             est = _compare_levels(B, p, c)
+            if not math.isfinite(est):
+                k = kernels[i]
+                raise RangeError(f"I table of (s, m, u) = ({k.s}, {k.m}, {k.u:g}) is not finite")
             if est <= tol:
-                tables[i] = ITable(kernels[i], v_max, grid, c[0], tuple(c[1]), est)
+                tables[i] = ITable(kernels[i], v_max, grid, lb, tuple(c[1]), est, _enveloped(lb))
             elif n >= N_PER_MAX:
                 raise ToleranceError(
                     f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
                     achieved=est,
                 )
             else:
-                still.append((i, c))
-        active = [i for i, _ in still]
-        prev = [c for _, c in still]
+                still.append((i, c, lb))
+        active = [i for i, _, _ in still]
+        prev = [c for _, c, _ in still]
+        prev_logs = [lb for _, _, lb in still]
         prev_grid = grid
         n = 2 * n - 1
     return tables
@@ -401,12 +444,16 @@ def _check_t(t):
         raise RangeError("t must lie in [0, 1]")
 
 
-def _signed_log(kernel, t, phi):
-    """(sign, log|I_s|) at t > 0 from phi."""
-    head = kernel.L + 2 * (kernel.m - kernel.s) * math.log(t)
+def _signed_log(kernel, t, phi, log_env=0.0):
+    """(sign, log|I_s|) at t > 0 from phi * e^log_env."""
+    head = kernel.L + 2 * (kernel.m - kernel.s) * math.log(t) + log_env
     if phi == 0.0:
         return 0.0, -np.inf
     return math.copysign(1.0, phi), head + math.log(abs(phi))
+
+
+def _log_base(kernel, t):
+    return float(_log_base_row(kernel, np.array([t]))[0])
 
 
 def i_base_signed_log(kernel, t):
@@ -414,7 +461,7 @@ def i_base_signed_log(kernel, t):
     _check_t(t)
     if t == 0.0:
         return 0.0, -np.inf
-    return _signed_log(kernel, t, float(_base_row(kernel, np.array([t]))[0]))
+    return _signed_log(kernel, t, 1.0, _log_base(kernel, t))
 
 
 def i_base(kernel, t):
@@ -441,7 +488,8 @@ def i_eval_signed_log(table, t, v):
     bv = quadchev.bary_matrix(v_nodes, quadchev.lobatto_bary_weights(N_V), np.array([v]))[0]
     ((_, (p,), bt),) = _t_rows(table.grid, np.array([t]))
     n = table.grid.n_per
-    return _signed_log(kernel, t, float(bv @ table.panels[idx][:, p * n : (p + 1) * n] @ bt[0]))
+    value = float(bv @ table.panels[idx][:, p * n : (p + 1) * n] @ bt[0])
+    return _signed_log(kernel, t, value, _log_base(kernel, t) if table.enveloped else 0.0)
 
 
 def i_eval(table, t, v):

@@ -445,6 +445,16 @@ class TestExitCodes:
         assert header[0] == "x" and len(rows) == 2
         assert all(math.isfinite(float(r[3])) for r in rows)
 
+    def test_per_entry_estimate_misses_tol_at_s1_m2(self, capsys):
+        # The per-entry estimate stops at 5.02e-9 at n_per 129. The worst
+        # entries sit inside t panel (1/u, 2/u], where the t breaks at j/u
+        # miss the kinks that (1 - 1/x) t carries into later v-panels.
+        code, out, err = run_cli(["I", "--s", "1", "--m", "2", "--u", "9.5",
+                                  "--v", "9.5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "estimate 5.02" in err and "n_per=129" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
 

@@ -78,7 +78,7 @@ class TestTRows:
         for i in range(len(kerns)):
             assert len(want[i].grid.breaks) == 5
             assert got[i].est_error == want[i].est_error
-            assert got[i].base.tobytes() == want[i].base.tobytes()
+            assert got[i].log_base.tobytes() == want[i].log_base.tobytes()
             assert [p.tobytes() for p in got[i].panels] == [p.tobytes() for p in want[i].panels]
 
 
@@ -146,7 +146,7 @@ class TestBaseQuadrature:
     @pytest.mark.parametrize("s,m,u,t", [(2, 4, 2.5, 1.0), (3, 5, 3.0, 0.8), (1, 3, 4.0, 0.6)])
     def test_against_trapezoid(self, s, m, u, t):
         kern = iterints.make_kernel(s, m, u)
-        got = iterints._base_row(kern, np.array([t]))[0]
+        got = np.exp(iterints._log_base_row(kern, np.array([t]))[0])
         want = oracles.phi_base_trapz(kern, t)
         assert abs(got - want) / abs(want) < 1e-7
 
@@ -159,11 +159,11 @@ class TestRefineBase:
         kern = iterints.make_kernel(s, m, u)
         breaks = iterints._t_breaks(kern)
         coarse = iterints._make_tgrid(breaks, 9)
-        row = iterints._base_row(kern, coarse.nodes)
+        row = iterints._log_base_row(kern, coarse.nodes)
         for n in (17, 33):
             grid = iterints._make_tgrid(breaks, n)
             row = iterints._refine_base(kern, grid, row)
-            assert row.tobytes() == iterints._base_row(kern, grid.nodes).tobytes()
+            assert row.tobytes() == iterints._log_base_row(kern, grid.nodes).tobytes()
 
 
 class TestTable:
@@ -239,11 +239,26 @@ class TestBatch:
             assert got.kernel is kern
             assert got.grid.n_per == want.grid.n_per
             assert got.est_error == want.est_error
-            assert got.base.tobytes() == want.base.tobytes()
+            assert got.log_base.tobytes() == want.log_base.tobytes()
             assert len(got.panels) == len(want.panels) == 2
             for a, b in zip(got.panels, want.panels):
                 assert isinstance(a, np.ndarray) and a.shape == (iterints.N_V, got.grid.total)
                 assert a.tobytes() == b.tobytes()
+
+    def test_enveloped_and_plain_tables_share_a_batch(self, monkeypatch):
+        # base rows spanning e^0.2 and e^0.33 are enveloped at this
+        # threshold, those spanning e^0.001 are not; the batch of four
+        # gives every table the bits of its own build
+        monkeypatch.setattr(iterints, "ENVELOPE_LOG", 0.1)
+        u = 2.5
+        kerns = [iterints.make_kernel(s, m, u) for s, m in [(1, 11), (1, 2), (2, 12), (2, 4)]]
+        done = dict(iterints.build_tables(kerns, u, tol=1e-9))
+        assert [done[i].enveloped for i in range(4)] == [False, True, False, True]
+        for i, kern in enumerate(kerns):
+            want = iterints.build_table(kern, u, tol=1e-9)
+            assert done[i].est_error == want.est_error
+            assert done[i].log_base.tobytes() == want.log_base.tobytes()
+            assert [p.tobytes() for p in done[i].panels] == [p.tobytes() for p in want.panels]
 
     def test_sixteen_log_kernels_march_as_one_batch(self, monkeypatch):
         # orders past the old log-scale switch (s > 60) march in float
@@ -309,7 +324,7 @@ class TestLogMode:
         kern = iterints.make_kernel(3, 7, 2.0)
         fsol = dde.solve_f(-3, 7, kern.f_sol.U, tol=iterints.F_TOL)
         for t in [0.2, 0.7, 1.0]:
-            got = iterints._base_row(kern, np.array([t]))[0]
+            got = np.exp(iterints._log_base_row(kern, np.array([t]))[0])
             want = oracles.phi_base_trapz(kern, t, f_sol=fsol)
             assert abs(got - want) / want < 1e-7
 
@@ -334,6 +349,48 @@ class TestLogMode:
         kern = iterints.make_kernel(200, 260, 1.5)
         sign, lv = iterints.i_base_signed_log(kern, 1.0)
         assert sign == 1.0 and np.isfinite(lv)
+        with pytest.raises(RangeError):
+            iterints.i_base(kern, 1.0)
+
+
+class TestEnvelope:
+    """Tables whose base row spans more than e^ENVELOPE_LOG store phi over it."""
+
+    @pytest.mark.parametrize("s,m", [(6, 8), (61, 70)])
+    def test_enveloped_table_matches_plain_phi(self, monkeypatch, s, m):
+        # split and single-panel t grids; both tables meet tol 1e-9
+        u = 9.5
+        kern = iterints.make_kernel(s, m, u)
+        plain = iterints.build_table(kern, u, tol=1e-9)
+        monkeypatch.setattr(iterints, "ENVELOPE_LOG", -1.0)
+        env = iterints.build_table(kern, u, tol=1e-9)
+        assert env.enveloped and not plain.enveloped
+        for t, v in [(0.15, 9.5), (0.5, 4.2), (0.8, 1.7), (1.0, 9.5)]:
+            sa, la = iterints.i_eval_signed_log(plain, t, v)
+            sb, lb = iterints.i_eval_signed_log(env, t, v)
+            assert sa == sb == 1.0
+            assert abs(la - lb) < 5e-9, (t, v)
+
+    def test_large_u_matches_the_former_log_tables(self):
+        # phi at t = 1 is about e^22 times its value at t = 0; float phi
+        # itself missed tol here (its rounding at t near 0 reads 3e-7 of
+        # those entries), while the former log-scale tables gave log I
+        # = 6060.756414046666 with estimate 1.3e-12
+        kern = iterints.make_kernel(1000, 1100, 200.0)
+        table = iterints.build_table(kern, 200.0, tol=1e-9)
+        assert table.enveloped and table.est_error <= 1e-9
+        sign, lv = iterints.i_eval_signed_log(table, 1.0, 200.0)
+        assert sign == 1.0
+        assert abs(lv - 6060.756414046666) < 1e-8
+
+    def test_base_row_stays_finite_where_phi_overflows(self):
+        # f grows like u^s: phi at (1000, 1100, t = 1) is past e^709 from
+        # u between 1100 and 1200
+        kern = iterints.make_kernel(1000, 1100, 1500.0)
+        lb = iterints._log_base_row(kern, np.array([0.0, 0.5, 1.0]))
+        assert np.isfinite(lb).all() and lb[2] > 709.0
+        sign, lv = iterints.i_base_signed_log(kern, 1.0)
+        assert sign == 1.0 and lv == kern.L + lb[2]
         with pytest.raises(RangeError):
             iterints.i_base(kern, 1.0)
 
@@ -363,7 +420,16 @@ class TestLevelComparison:
         # phi/B at t = 0 is the beta integral over itself, whatever the order
         for s, m in [(1, 2), (6, 8), (1000, 1100)]:
             kern = iterints.make_kernel(s, m, 9.5)
-            assert abs(iterints._base_row(kern, np.array([0.0]))[0] - 1.0) < 1e-12
+            assert abs(iterints._log_base_row(kern, np.array([0.0]))[0]) < 1e-12
+
+    def test_non_finite_level_stops_the_ladder_at_once(self, monkeypatch):
+        marches = []
+        real_march = iterints._march
+        monkeypatch.setattr(iterints, "_march", lambda *a: marches.append(1) or real_march(*a))
+        monkeypatch.setattr(iterints, "_compare_levels", lambda *a: math.nan)
+        with pytest.raises(RangeError, match="not finite"):
+            iterints.build_table(iterints.make_kernel(1, 2, 1.5), 1.5)
+        assert len(marches) == 2
 
     def test_f_gate_uses_the_table_tolerance(self, monkeypatch):
         monkeypatch.setattr(iterints, "F_TOL", 1e-16)
