@@ -51,23 +51,21 @@ def _float_list(text):
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _g15(x):
-    return "%.15g" % float(x)
-
-
-def _cell(v):
-    """One CSV cell; reals at 15 significant digits, rationals as num/den."""
+def _text(v):
+    """The one scalar rule: reals at 15 significant digits, rationals as
+    num/den, booleans as true/false, None as empty, anything else by str."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
-        return _g15(v)
-    if isinstance(v, int):
-        return str(v)
-    if v is None:
-        return ""
-    s = str(v)
+        return "%.15g" % v
+    return "" if v is None else str(v)
+
+
+def _cell(v):
+    """One CSV cell: _text, quoted when it holds a comma or a quote."""
+    s = _text(v)
     if "," in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
@@ -78,30 +76,19 @@ def _meta_val(v):
         # a list of lists (one polynomial per power) separates its members by ';'
         sep = ";" if any(isinstance(x, (tuple, list)) for x in v) else ","
         return sep.join(_meta_val(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return _g15(v)
-    return str(v)
+    return _text(v)
 
 
 def _jval(v):
-    """JSON-safe value; non-finite reals become strings, rationals num/den."""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            return _g15(v)
-        return float(_g15(v))
+    """JSON-safe value: finite reals as numbers at _text's digits, other
+    reals and rationals as _text strings; containers element by element."""
     if isinstance(v, (tuple, list)):
         return [_jval(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _jval(x) for k, x in v.items()}
-    return v
+    if isinstance(v, float) and math.isfinite(v):
+        return float(_text(v))
+    return _text(v) if isinstance(v, (float, Fraction)) else v
 
 
 def _render_csv(meta, header, rows):
@@ -112,13 +99,17 @@ def _render_csv(meta, header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _render_json(meta, header, rows, data=None):
-    if data is None:
-        data = [{k: _jval(v) for k, v in zip(header, row)} for row in rows]
-    else:
-        data = _jval(data)
-    payload = {"meta": {k: _jval(v) for k, v in meta.items()}, "data": data}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _dumps(payload):
+    return json.dumps(_jval(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _render(fmt, meta, header, rows, json_data=None):
+    """One block as CSV, or as JSON with one object per row unless json_data
+    replaces the rows."""
+    if fmt != "json":
+        return _render_csv(meta, header, rows)
+    data = [dict(zip(header, row)) for row in rows] if json_data is None else json_data
+    return _dumps({"meta": meta, "data": data})
 
 
 def _write_text(path, text):
@@ -128,10 +119,7 @@ def _write_text(path, text):
 
 
 def _emit(cfg, meta, header, rows, json_data=None):
-    if cfg.format == "json":
-        text = _render_json(meta, header, rows, data=json_data)
-    else:
-        text = _render_csv(meta, header, rows)
+    text = _render(cfg.format, meta, header, rows, json_data)
     if cfg.out:
         _write_text(cfg.out, text)
     else:
@@ -202,7 +190,7 @@ def _tol(ns, cfg, default):
 
 
 def _assumption(theta, delta):
-    return f"EH({_g15(theta)},{_g15(delta)})"
+    return f"EH({_text(theta)},{_text(delta)})"
 
 
 def _cmd_sum(ns, cfg):
@@ -291,7 +279,7 @@ def _cmd_tuple(ns, cfg):
     meta = {"command": "tuple", "k": len(offsets), "tol": tol}
     header = ("offsets", "admissible", "series")
     rows = [(",".join(str(h) for h in offsets), admissible, series)]
-    data = {"offsets": list(offsets), "admissible": admissible, "series": _jval(series)}
+    data = {"offsets": list(offsets), "admissible": admissible, "series": series}
     _emit(cfg, meta, header, rows, json_data=data)
     return 0
 
@@ -299,46 +287,24 @@ def _cmd_tuple(ns, cfg):
 def _cmd_zhang(ns, cfg):
     tol = _tol(ns, cfg, 1e-9)
     rep = zhang.zhang_coefficient(ns.k, ns.m, ns.theta, ns.delta, tol=tol)
-    i_sub = rep.term_sub
-    i_main = rep.term_main / (rep.k * rep.theta / 2.0)
     params = {"k": rep.k, "m": rep.m, "theta": rep.theta, "delta": rep.delta, "u": rep.u,
               "tol": tol}
-    meta = {"command": "zhang", **params, "assumption": _assumption(rep.theta, rep.delta)}
-    header = (
-        "coefficient",
-        "sign",
-        "log_abs",
-        "i_k",
-        "i_k_minus_1",
-        "cancellation",
-        "table_error_1",
-        "table_error_2",
+    assumption = _assumption(rep.theta, rep.delta)
+    fields = (  # (CSV column, JSON key, value)
+        ("coefficient", "coefficient", rep.value),
+        ("sign", "sign", rep.sign),
+        ("log_abs", "log_abs", rep.log_abs),
+        ("i_k", "I_k", rep.term_sub),
+        ("i_k_minus_1", "I_k_minus_1", rep.term_main / (rep.k * rep.theta / 2.0)),
+        ("cancellation", "cancellation", rep.cancellation),
+        ("table_error_1", "table_error_1", rep.table_errors[0]),
+        ("table_error_2", "table_error_2", rep.table_errors[1]),
     )
-    rows = [
-        (
-            rep.value,
-            rep.sign,
-            rep.log_abs,
-            i_sub,
-            i_main,
-            rep.cancellation,
-            rep.table_errors[0],
-            rep.table_errors[1],
-        )
-    ]
-    data = {
-        "params": params,
-        "I_k": _jval(i_sub),
-        "I_k_minus_1": _jval(i_main),
-        "coefficient": _jval(rep.value),
-        "sign": _jval(rep.sign),
-        "log_abs": _jval(rep.log_abs),
-        "cancellation": _jval(rep.cancellation),
-        "table_error_1": _jval(rep.table_errors[0]),
-        "table_error_2": _jval(rep.table_errors[1]),
-        "assumption": _assumption(rep.theta, rep.delta),
-    }
-    _emit(cfg, meta, header, rows, json_data=data)
+    meta = {"command": "zhang", **params, "assumption": assumption}
+    data = {key: v for _, key, v in fields}
+    data.update(params=params, assumption=assumption)
+    header = tuple(col for col, _, _ in fields)
+    _emit(cfg, meta, header, [tuple(v for _, _, v in fields)], json_data=data)
     return 0
 
 
@@ -435,28 +401,18 @@ def _cmd_verify(ns, cfg):
 
     code = 0 if all(meta["verdict"] for _, meta, _, _ in blocks) else 4
 
-    ext = "json" if cfg.format == "json" else "csv"
     if cfg.out:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for check, meta, header, rows in blocks:
-            text = (
-                _render_json(meta, header, rows)
-                if cfg.format == "json"
-                else _render_csv(meta, header, rows)
-            )
-            _write_text(outdir / f"{check}.{ext}", text)
+            _write_text(outdir / f"{check}.{cfg.format}", _render(cfg.format, meta, header, rows))
     elif cfg.format == "json":
-        reports = [
-            {"meta": {k: _jval(v) for k, v in meta.items()},
-             "rows": [{k: _jval(v) for k, v in zip(header, row)} for row in rows]}
-            for _, meta, header, rows in blocks
-        ]
+        reports = [{"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
+                   for _, meta, header, rows in blocks]
         top = {"meta": {"command": "verify", "check": ns.check}, "data": reports}
-        sys.stdout.write(json.dumps(top, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(top))
     else:
-        out = "\n".join(_render_csv(meta, header, rows) for _, meta, header, rows in blocks)
-        sys.stdout.write(out)
+        sys.stdout.write("\n".join(_render_csv(m, h, r) for _, m, h, r in blocks))
     return code
 
 

@@ -32,15 +32,21 @@ EVAL_CHUNK = 2048  # points per Clenshaw pass of _eval_panels
 
 @dataclass(frozen=True)
 class PanelSolution:
-    """Piecewise-Chebyshev representation of f(.; k, m) on (0, U]."""
+    """Piecewise-Chebyshev representation of f(.; k, m) on (0, U].
+
+    Without logs, coeffs[r-1] holds f on the panel (r, r+1].  From
+    solve_f_log, coeffs[r-1] holds d = f / f(r) - 1 and logs[r-1] = log f(r),
+    so log f stays moderate where f overflows.
+    """
 
     k: int
     m: int
     U: float
     tol: float
     degree: int
-    coeffs: tuple  # coeffs[r-1] covers the panel (r, r+1]
+    coeffs: tuple
     residual: float
+    logs: tuple = ()
 
 
 def _march(k, km, U, log):
@@ -79,7 +85,7 @@ def _march(k, km, U, log):
     return tuple(coeffs), tuple(logs)
 
 
-def _residual(coeffs, k, km, logs=None):
+def _residual(coeffs, k, km, logs):
     """Largest scaled defect of u^(km+1) f'(u) = -k (u-1)^km f(u-1) at
     RESIDUAL_SAMPLES interior points of every panel; NaN if any defect is.
 
@@ -92,7 +98,7 @@ def _residual(coeffs, k, km, logs=None):
     u = (np.arange(1.0, len(coeffs) + 1.0)[:, None] + x[None, :]).ravel()
     fp = _eval_panels([np.polynomial.chebyshev.chebder(c, scl=2.0) for c in coeffs], u, 0.0)
     c = -k * ((u - 1.0) / u) ** km / u
-    if logs is None:
+    if not logs:
         a, b, g = fp, c * _eval_panels(coeffs, u - 1.0, 1.0), 1.0
     else:
         lf = _log_f(coeffs, logs, u)
@@ -138,7 +144,7 @@ def solve_f_exponent(k, e, U, tol=1e-8):
     if not tol > 0:
         raise RangeError("tol must be positive")
     coeffs, _ = _march(k, km, U, log=False)
-    worst = _residual(coeffs, k, km)
+    worst = _residual(coeffs, k, km, ())
     _gate(f"f(u;{k},{km - k})", worst, tol)
     return PanelSolution(k, km - k, float(U), tol, DEGREE, coeffs, worst)
 
@@ -181,14 +187,22 @@ def _eval_panels(coeffs, u, fill):
     return out
 
 
-def eval_f_many(sol, u):
-    """Vectorized f evaluation; accepts 0 <= u <= U."""
+def _covered(sol, u, log=False):
+    """u as a float array, once checked against [0, U]; log says whether the
+    caller reads a solve_f_log solution, whose logs cover every panel."""
+    if len(sol.logs) != (len(sol.coeffs) if log else 0):
+        raise ValueError("eval_log_f_many takes solve_f_log solutions, f's evaluations the others")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u < 0.0):
         raise RangeError("f is defined for u >= 0 only")
     if np.any(u > sol.U * (1.0 + 1e-12)):
         raise RangeError(f"u beyond coverage bound {sol.U}")
-    return _eval_panels(sol.coeffs, u, 1.0)
+    return u
+
+
+def eval_f_many(sol, u):
+    """Vectorized f evaluation; accepts 0 <= u <= U."""
+    return _eval_panels(sol.coeffs, _covered(sol, u), 1.0)
 
 
 def eval_f(sol, u):
@@ -197,28 +211,14 @@ def eval_f(sol, u):
 
 
 def eval_f_deriv(sol, u):
-    """f'(u) from the panel representation (0 on the constant panel)."""
-    u = float(u)
-    if u < 0 or u > sol.U * (1.0 + 1e-12):
-        raise RangeError("u out of coverage")
-    if u <= 1.0:
+    """f'(u) from the panel representation (0 on the constant panel), by
+    _eval_panels on the derivative of the one panel that holds u."""
+    u = _covered(sol, [u])
+    if u[0] <= 1.0:
         return 0.0
-    r = min(int(math.ceil(u)) - 2, len(sol.coeffs) - 1)
-    return float(quadchev.cheb_eval_deriv(sol.coeffs[r], float(r + 1), float(r + 2), u))
-
-
-@dataclass(frozen=True)
-class LogPanelSolution:
-    """f(.; -s, m) on (0, U] for log f, which stays moderate where f overflows."""
-
-    s: int
-    m: int
-    U: float
-    tol: float
-    degree: int
-    coeffs: tuple  # Chebyshev coefficients of d = f / f(r) - 1 on the panel (r, r+1]
-    logs: tuple  # logs[r-1] = log f(r)
-    residual: float
+    r = min(int(math.ceil(u[0])) - 2, len(sol.coeffs) - 1)
+    d = np.polynomial.chebyshev.chebder(sol.coeffs[r], scl=2.0)
+    return float(_eval_panels(sol.coeffs[:r] + (d,), u, 0.0)[0])
 
 
 def solve_f_log(s, m, U, tol=1e-8):
@@ -232,7 +232,7 @@ def solve_f_log(s, m, U, tol=1e-8):
     coeffs, logs = _march(-s, m - s, U, log=True)
     worst = _residual(coeffs, -s, m - s, logs)
     _gate(f"log f(u;{-s},{m})", worst, tol)
-    return LogPanelSolution(s, m, float(U), tol, DEGREE, coeffs, logs, worst)
+    return PanelSolution(-s, m, float(U), tol, DEGREE, coeffs, worst, logs)
 
 
 def _log_f(coeffs, logs, u):
@@ -243,8 +243,5 @@ def _log_f(coeffs, logs, u):
 
 
 def eval_log_f_many(sol, u):
-    """Vectorized log f(u; -s, m); zero on (0, 1]."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u < 0.0) or np.any(u > sol.U * (1.0 + 1e-12)):
-        raise RangeError("u out of coverage")
-    return _log_f(sol.coeffs, sol.logs, u)
+    """Vectorized log f(u; -s, m) of a solve_f_log solution; zero on (0, 1]."""
+    return _log_f(sol.coeffs, sol.logs, _covered(sol, u, log=True))

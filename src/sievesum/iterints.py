@@ -90,7 +90,7 @@ class SieveKernel:
     m: int
     u: float
     L: float  # log of the pulled-out constant (m!/(m-s)!)^2/(s-1)! * B(s, 2(m-s)+1)
-    f_sol: object  # a dde.LogPanelSolution
+    f_sol: object  # a dde.PanelSolution from solve_f_log
 
 
 def make_kernel(s, m, u):

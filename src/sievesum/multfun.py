@@ -90,19 +90,41 @@ def _residue_count(offsets, p):
     return len({h % p for h in offsets})
 
 
-def _make_nu_values(offsets):
-    offsets = tuple(offsets)
+def _rational_spec(name, a, c, offsets=()):
+    """The spec g(p) = (a + e(p)) / (p - c), c in {0, 1}, of dimension a.
+
+    e(p) = nu(p) - len(offsets) for the sorted distinct offsets; it is
+    nonzero only up to their diameter, the tail cutoff (no offsets: none).
+    Past it |g(p) - a/p| = |a| c / (p (p - c)) <= 2 |a| c p^-2, which gives
+    the tail constants theta = 1 and 2 |a| c.  The scalar and exact values
+    are plain int arithmetic per prime; the vector takes a / (p - c) past
+    the cutoff and the scalar value below it.  Every float is one division
+    of two exact numbers, so the scalar and vector values agree to the bit.
+    """
     kt = len(offsets)
-    maxdiff = max(offsets) - min(offsets) if kt > 1 else 1
+    cut = max(1, offsets[-1] - offsets[0]) if offsets else 1
 
-    def nu_array(ps):
-        nu = np.full(len(ps), float(kt))
-        cut = int(np.searchsorted(ps, maxdiff, side="right"))
-        for i in range(cut):
-            nu[i] = _residue_count(offsets, int(ps[i]))
-        return nu
+    def num(p):
+        return a if p > cut else a + _residue_count(offsets, p) - kt
 
-    return nu_array, maxdiff
+    def value(p):
+        return num(p) / (p - c)
+
+    def values(ps):
+        out = a / (ps - c)
+        for i in range(int(np.searchsorted(ps, cut, side="right"))):
+            out[i] = value(int(ps[i]))
+        return out
+
+    return MultFuncSpec(
+        name, value, a, 1.0, 2.0 * abs(a) * c, cut,
+        prime_values=values,
+        prime_value_exact=lambda p: Fraction(num(p), p - c),
+    )
+
+
+# the builtins without parameters, as (a, c) of g(p) = a / (p - c)
+_FIXED = {"one_over_n": (1, 0), "one_over_phi": (1, 1), "two_omega_over_n": (2, 0)}
 
 
 def _signed(base):
@@ -132,56 +154,21 @@ def builtin_spec(name, k=None, offsets=None, base=None):
     nu_over_p and nu_minus1_over_phi (take tuple offsets), signed_mu_times
     (takes base, a spec or a builtin name).
     """
-    if name == "one_over_n":
-        spec = MultFuncSpec(
-            "one_over_n", lambda p: 1.0 / p, 1, 1.0, 0.0, 1,
-            prime_values=lambda ps: 1.0 / ps.astype(np.float64),
-            prime_value_exact=lambda p: Fraction(1, p),
-        )
-    elif name == "one_over_phi":
-        spec = MultFuncSpec(
-            "one_over_phi", lambda p: 1.0 / (p - 1), 1, 1.0, 2.0, 1,
-            prime_values=lambda ps: 1.0 / (ps.astype(np.float64) - 1.0),
-            prime_value_exact=lambda p: Fraction(1, p - 1),
-        )
-    elif name == "two_omega_over_n":
-        spec = MultFuncSpec(
-            "two_omega_over_n", lambda p: 2.0 / p, 2, 1.0, 0.0, 1,
-            prime_values=lambda ps: 2.0 / ps.astype(np.float64),
-            prime_value_exact=lambda p: Fraction(2, p),
-        )
+    if name in _FIXED:
+        spec = _rational_spec(name, *_FIXED[name])
     elif name == "k_over_p":
         if k is None or int(k) != k:
             raise ValueError("k_over_p requires integer k")
-        k = int(k)
-        spec = MultFuncSpec(
-            f"k_over_p({k})", lambda p, _k=k: _k / p, k, 1.0, 0.0, 1,
-            prime_values=lambda ps, _k=k: _k / ps.astype(np.float64),
-            prime_value_exact=lambda p, _k=k: Fraction(_k, p),
-        )
+        spec = _rational_spec(f"k_over_p({int(k)})", int(k), 0)
     elif name in ("nu_over_p", "nu_minus1_over_phi"):
         if not offsets:
             raise ValueError(f"{name} requires tuple offsets")
         offsets = tuple(sorted(int(h) for h in offsets))
-        nu_array, maxdiff = _make_nu_values(offsets)
-        kt = len(offsets)
+        if len(set(offsets)) != len(offsets):
+            raise ValueError(f"{name} offsets must be distinct")
+        c = int(name == "nu_minus1_over_phi")
         label = "{" + ",".join(str(h) for h in offsets) + "}"
-        if name == "nu_over_p":
-            spec = MultFuncSpec(
-                f"nu_over_p{label}",
-                lambda p, _h=offsets: _residue_count(_h, p) / p,
-                kt, 1.0, 0.0, max(1, maxdiff),
-                prime_values=lambda ps, _f=nu_array: _f(ps) / ps.astype(np.float64),
-                prime_value_exact=lambda p, _h=offsets: Fraction(_residue_count(_h, p), p),
-            )
-        else:
-            spec = MultFuncSpec(
-                f"nu_minus1_over_phi{label}",
-                lambda p, _h=offsets: (_residue_count(_h, p) - 1) / (p - 1),
-                kt - 1, 1.0, 2.0 * max(kt - 1, 0), max(1, maxdiff),
-                prime_values=lambda ps, _f=nu_array: (_f(ps) - 1.0) / (ps.astype(np.float64) - 1.0),
-                prime_value_exact=lambda p, _h=offsets: Fraction(_residue_count(_h, p) - 1, p - 1),
-            )
+        spec = _rational_spec(name + label, len(offsets) - c, c, offsets)
     elif name == "signed_mu_times":
         if base is None:
             raise ValueError("signed_mu_times requires base")

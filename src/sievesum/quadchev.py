@@ -84,26 +84,3 @@ def cheb_eval(coeffs, a, b, u):
     s = np.asarray(u, dtype=float)
     x = (2.0 * s - (a + b)) / (b - a)
     return np.polynomial.chebyshev.chebval(x, coeffs)
-
-
-def cheb_eval_deriv(coeffs, a, b, u):
-    """Derivative of the Chebyshev series at u (chain rule for the map)."""
-    s = np.asarray(u, dtype=float)
-    x = (2.0 * s - (a + b)) / (b - a)
-    dc = np.polynomial.chebyshev.chebder(coeffs)
-    return np.polynomial.chebyshev.chebval(x, dc) * (2.0 / (b - a))
-
-
-def logsumexp(logs, axis=None):
-    """Stable log of a sum of exponentials, over all entries or along axis.
-
-    Each sum is -inf when it is empty or has -inf entries only, +inf when
-    an entry is +inf and NaN when an entry is NaN.
-    """
-    logs = np.asarray(logs, dtype=float)
-    m = np.max(logs, axis=axis, keepdims=True, initial=-np.inf)  # NaN if any entry is
-    ok = np.isfinite(m)
-    safe = np.where(ok, m, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(ok, safe + np.log(np.sum(np.exp(logs - safe), axis=axis, keepdims=True)), m)
-    return out.squeeze(axis=axis)[()]

@@ -123,6 +123,15 @@ class ZhangReport:
     table_errors: tuple
 
 
+def _check_theta_delta(theta, delta):
+    """theta in (0, 1] and delta in (0, theta/2], as floats."""
+    if not (0.0 < theta <= 1.0):
+        raise RangeError("theta must lie in (0, 1]")
+    if not (0.0 < delta <= theta / 2):
+        raise RangeError("delta must lie in (0, theta/2]")
+    return float(theta), float(delta)
+
+
 def _validate_params(k, m, theta, delta):
     k = int(k)
     m = int(m)
@@ -130,11 +139,7 @@ def _validate_params(k, m, theta, delta):
         raise RangeError("k must be at least 2")
     if m <= k:
         raise RangeError("m must exceed k")
-    if not (0.0 < theta <= 1.0):
-        raise RangeError("theta must lie in (0, 1]")
-    if not (0.0 < delta <= theta / 2):
-        raise RangeError("delta must lie in (0, theta/2]")
-    return k, m, float(theta), float(delta)
+    return (k, m, *_check_theta_delta(theta, delta))
 
 
 def _to_value(sign, log_abs):
@@ -211,10 +216,7 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1):
     m_max = int(m_max)
     if k_max < 1 or m_max < 1:
         raise RangeError("grid bounds must be positive")
-    if not (0.0 < theta <= 1.0):
-        raise RangeError("theta must lie in (0, 1]")
-    if not (0.0 < delta <= theta / 2):
-        raise RangeError("delta must lie in (0, theta/2]")
+    theta, delta = _check_theta_delta(theta, delta)
     u = theta / (2.0 * delta)
     valid = [(k, m) for k in range(2, k_max + 1) for m in range(k + 1, m_max + 1)]
     needed = sorted({(k - 1, m) for k, m in valid} | {(k, m) for k, m in valid})

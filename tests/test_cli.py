@@ -72,6 +72,37 @@ class TestSum:
         assert doc["meta"]["command"] == "sum"
 
 
+class TestGoldenBytes:
+    """The printed bytes of one sum, pinned: a comma-bearing meta value, a
+    bool, an int, a float from fsum and an exact rational, in both formats;
+    nothing here depends on the platform's float library."""
+
+    ARGV = ["sum", "--spec", "nu_over_p:0,2,6", "--x", "100", "--m", "0", "--exact"]
+    VALUE = "9.73055329411212"
+    EXACT = "575242357599216157582911461799677353/59117127280654318583412875572609130"
+
+    def test_csv(self, capsys):
+        code, out, _ = run_cli(self.ARGV, capsys)
+        assert code == 0
+        assert out == (
+            "# command=sum\n# spec=nu_over_p:0,2,6\n# x=100\n# m=0\n# q=1\n# exact=true\n"
+            f"value,exact,terms\n{self.VALUE},{self.EXACT},61\n"
+        )
+
+    def test_json(self, capsys):
+        code, out, _ = run_cli(self.ARGV + ["--format", "json"], capsys)
+        assert code == 0
+        assert out == (
+            '{\n  "data": [\n    {\n'
+            f'      "exact": "{self.EXACT}",\n'
+            '      "terms": 61,\n'
+            f'      "value": {self.VALUE}\n'
+            '    }\n  ],\n  "meta": {\n'
+            '    "command": "sum",\n    "exact": true,\n    "m": 0,\n    "q": 1,\n'
+            '    "spec": "nu_over_p:0,2,6",\n    "x": 100.0\n  }\n}\n'
+        )
+
+
 class TestF:
     def test_grid_contains_unit_value(self, capsys):
         code, out, _ = run_cli(

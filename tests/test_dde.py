@@ -209,6 +209,16 @@ class TestLogSolver:
         with pytest.raises(RangeError):
             dde.solve_f_log(3, 3, 2.0)
 
+    def test_each_evaluation_reads_its_own_kind(self):
+        # one PanelSolution type: a solve_f_log panel holds f / f(r) - 1, not f
+        lsol, fsol = dde.solve_f_log(2, 4, 5.0), dde.solve_f(-2, 4, 5.0)
+        for call in (lambda: dde.eval_f_many(lsol, [3.0]), lambda: dde.eval_f_deriv(lsol, 3.0),
+                     lambda: dde.eval_log_f_many(fsol, [3.0])):
+            with pytest.raises(ValueError, match="solve_f_log"):
+                call()
+        # with no panel (U = 1) the two kinds coincide: f = 1
+        assert dde.eval_log_f_many(dde.solve_f(-2, 4, 1.0), [0.5])[0] == 0.0
+
 
 def per_panel_eval(coeffs, u, fill):
     """_eval_panels' reference: one quadchev.cheb_eval call per panel."""
@@ -233,7 +243,7 @@ class TestEvalPanels:
     @pytest.fixture(params=sorted(SOLUTIONS))
     def sol_fill(self, request):
         sol = self.SOLUTIONS[request.param]()
-        return sol, (0.0 if isinstance(sol, dde.LogPanelSolution) else 1.0)
+        return sol, (0.0 if sol.logs else 1.0)
 
     def test_random_points_across_chunks(self, sol_fill):
         sol, fill = sol_fill

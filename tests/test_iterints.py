@@ -82,39 +82,6 @@ class TestTRows:
             assert [p.tobytes() for p in got[i].panels] == [p.tobytes() for p in want[i].panels]
 
 
-class TestLogSumExp:
-    def test_plus_inf_entry(self):
-        assert quadchev.logsumexp([math.inf, 0.0]) == math.inf
-        assert quadchev.logsumexp([-math.inf, math.inf]) == math.inf
-
-    def test_nan_entry(self):
-        assert math.isnan(quadchev.logsumexp([0.0, math.nan]))
-        assert math.isnan(quadchev.logsumexp([math.nan, math.inf]))
-
-    def test_empty_and_zero_sums(self):
-        assert quadchev.logsumexp([]) == -math.inf
-        assert quadchev.logsumexp([-math.inf, -math.inf]) == -math.inf
-        assert quadchev.logsumexp([0.0, 0.0]) == math.log(2.0)
-
-    def test_axis_rows_match_one_dimensional_calls(self):
-        rows = np.array([
-            [-3.0, 0.5, -700.0, 2.0, 1e-3],
-            [-math.inf] * 5,
-            [0.0, math.inf, -1.0, -math.inf, 4.0],
-            [1.0, math.nan, 2.0, 3.0, 4.0],
-            [-math.inf, -1000.0, -1001.5, -999.25, -math.inf],
-        ])
-        want = np.array([quadchev.logsumexp(r) for r in rows])
-        for got in (quadchev.logsumexp(rows, axis=1), quadchev.logsumexp(rows.T, axis=0)):
-            assert got.shape == (5,)
-            assert got.tobytes() == want.tobytes()
-        assert want[1] == -math.inf and want[2] == math.inf and math.isnan(want[3])
-
-    def test_axis_over_empty_rows(self):
-        got = quadchev.logsumexp(np.empty((3, 0)), axis=1)
-        assert got.shape == (3,) and np.all(got == -math.inf)
-
-
 class TestBaseClosedForm:
     def test_all_small_orders(self):
         for m in range(2, 13):

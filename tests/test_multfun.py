@@ -68,6 +68,51 @@ class TestBuiltinSpecs:
                 assert v == spec.prime_value(int(p))
 
 
+class TestBuiltinsUnchanged:
+    """Every builtin but the signed wrapper is g(p) = a(p) / (p - c); its
+    declared constants and its values on the primes up to 1e5 are pinned
+    here against independent per-spec formulas."""
+
+    # (name, kwargs): (dimension_k, tail_theta, tail_bound, tail_cutoff),
+    # c, and a(p) as a plain function of p
+    CASES = {
+        ("one_over_n", ()): ((1, 1.0, 0.0, 1), 0, lambda p: 1),
+        ("one_over_phi", ()): ((1, 1.0, 2.0, 1), 1, lambda p: 1),
+        ("two_omega_over_n", ()): ((2, 1.0, 0.0, 1), 0, lambda p: 2),
+        ("k_over_p", (("k", 3),)): ((3, 1.0, 0.0, 1), 0, lambda p: 3),
+        ("nu_over_p", (("offsets", (0, 2, 6)),)):
+            ((3, 1.0, 0.0, 6), 0, lambda p: len({0, 2 % p, 6 % p})),
+        ("nu_minus1_over_phi", (("offsets", (0, 4, 6)),)):
+            ((2, 1.0, 4.0, 6), 1, lambda p: len({0, 4 % p, 6 % p}) - 1),
+        ("signed_mu_times", (("base", "k_over_p"), ("k", 3))): ((-3, 1.0, 0.0, 1), 0, lambda p: -3),
+    }
+
+    @pytest.fixture(params=sorted(CASES, key=str), ids=lambda key: key[0])
+    def case(self, request):
+        name, kwargs = request.param
+        return (builtin_spec(name, **dict(kwargs)), *self.CASES[request.param])
+
+    def test_declared_constants(self, case):
+        spec, consts, _, _ = case
+        got = (spec.dimension_k, spec.tail_theta, spec.tail_bound, spec.tail_cutoff)
+        assert got == consts
+        assert [type(v) for v in got] == [int, float, float, int]
+
+    def test_values_bit_for_bit(self, case):
+        spec, _, c, a = case
+        ps = primes.shared_table(100_000).primes
+        want = np.array([float(a(int(p))) for p in ps]) / (ps.astype(np.float64) - c)
+        assert spec.values_on(ps).tobytes() == want.tobytes()
+        assert np.array([spec.prime_value(int(p)) for p in ps]).tobytes() == want.tobytes()
+        for p in ps[:200].tolist() + ps[-50:].tolist():
+            assert spec.prime_value_exact(p) == Fraction(a(p), p - c)
+
+    def test_duplicate_offsets_rejected(self):
+        # nu(p) counts distinct residues, so a repeated offset has no dimension
+        with pytest.raises(ValueError, match="distinct"):
+            builtin_spec("nu_over_p", offsets=(0, 0, 2))
+
+
 class TestMSum:
     def test_hand_sum_exact(self):
         r = m_sum(builtin_spec("one_over_n"), 10, 0, 1)

@@ -192,3 +192,22 @@ class TestScan:
             zhang.scan(0, 5, 0.9, 0.05)
         with pytest.raises(RangeError):
             zhang.scan(4, 6, 0.9, 0.6)
+
+    @pytest.mark.parametrize("theta, delta, message", [
+        (0.0, 0.05, "theta must lie in (0, 1]"),
+        (1.5, 0.05, "theta must lie in (0, 1]"),
+        (math.nan, 0.05, "theta must lie in (0, 1]"),
+        (0.9, 0.6, "delta must lie in (0, theta/2]"),
+        (0.9, -0.1, "delta must lie in (0, theta/2]"),
+    ])
+    def test_theta_delta_checked_as_for_one_point(self, theta, delta, message, capsys):
+        # scan and zhang_coefficient share one theta/delta check: same message, exit 2
+        for call in (lambda: zhang.scan(3, 5, theta, delta),
+                     lambda: zhang.zhang_coefficient(3, 5, theta, delta)):
+            with pytest.raises(RangeError) as err:
+                call()
+            assert str(err.value) == message
+        for cmd in (["scan", "--k-max", "3", "--m-max", "5"], ["zhang", "--k", "3", "--m", "5"]):
+            argv = cmd + ["--theta", repr(theta), "--delta", repr(delta)]
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.endswith(f"sievesum: {message}\n")
