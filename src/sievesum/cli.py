@@ -6,6 +6,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,11 +54,13 @@ def _float_list(text):
 
 def _text(v):
     """The one scalar rule: reals at 15 significant digits, rationals as
-    num/den, booleans as true/false, None as empty, anything else by str."""
+    num/den in full, booleans as true/false, None as empty, anything else
+    by str.  The rational's integers go through Decimal, which Python's
+    limit on int-to-str digits does not cover."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     if isinstance(v, float):
         return "%.15g" % v
     return "" if v is None else str(v)
@@ -458,7 +461,7 @@ def build_parser():
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--z", type=float, default=None, help="restrict to prime factors below z")
     p.add_argument("--exact", action="store_true",
-                   help="also compute the exact rational (m=0, small x only)")
+                   help="also compute the exact rational, printed in full (m=0, x up to 1e5)")
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("sseries", parents=[common],

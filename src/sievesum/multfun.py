@@ -5,6 +5,10 @@ integers through its values g(p) at primes, together with the dimension k
 and a tail bound |g(p) - k/p| <= c * p^(-1-theta) past a cutoff, which is
 what makes the Euler products here rigorously truncatable.
 
+Every sum and Euler product runs over the primes p <= cap that do not
+divide q: coprime_primes makes that selection from the shared prime table,
+with log p read from the table and g evaluated on the selected primes only.
+
 The Euler product G(s) = prod_p (1+g(p)p^-s)(1-p^(-1-s))^k has one
 path: euler_log_taylor gives the Taylor coefficients of log|G| at 0 with
 certified tail bounds, and truncate_euler owns the schedule of truncation
@@ -12,9 +16,8 @@ points.  The singular series G(0) and the residue main terms of verify
 both come from it.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,23 +49,12 @@ class MultFuncSpec:
     tail_cutoff: int = 1
     prime_values: object = None
     prime_value_exact: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def values_on(self, ps):
         """g at every prime of the array ps, as float64."""
         if self.prime_values is not None:
             return self.prime_values(ps)
         return np.fromiter((self.prime_value(int(p)) for p in ps), dtype=np.float64, count=len(ps))
-
-    def _table_arrays(self, table):
-        """Cached (g(p), log p) arrays aligned with table.primes."""
-        hit = self._cache.get(table.limit)
-        if hit is None:
-            gp = self.values_on(table.primes)
-            logp = _log_primes(table)
-            hit = (gp, logp)
-            self._cache[table.limit] = hit
-        return hit
 
 
 @dataclass(frozen=True)
@@ -72,17 +64,6 @@ class SumResult:
     value: float
     exact_value: object
     terms: int
-
-
-_logp_cache = {}
-
-
-def _log_primes(table):
-    hit = _logp_cache.get(table.limit)
-    if hit is None:
-        hit = np.log(table.primes.astype(np.float64))
-        _logp_cache[table.limit] = hit
-    return hit
 
 
 def _residue_count(offsets, p):
@@ -196,37 +177,34 @@ def builtin_spec_checked(spec):
     return spec
 
 
+def coprime_primes(spec, cap, q):
+    """(p, g(p), log p) arrays over the primes p <= cap not dividing q.
+
+    p and log p are read from the shared prime table (views when q has no
+    prime factor up to cap); g is evaluated on the selected primes only.
+    """
+    table = primes.shared_table(cap)
+    ps, logp = table.primes, table.logp
+    support = [s for s in primes.factor_support(q) if s <= cap]
+    if support:
+        keep = np.ones(len(ps), dtype=bool)
+        keep[ps.searchsorted(support)] = False
+        ps, logp = ps[keep], logp[keep]
+    return ps, spec.values_on(ps), logp
+
+
 def _filtered_arrays(spec, x, q, z):
-    """Prime, g(p), log p arrays for factors allowed at (x, q, z)."""
+    """nmax and coprime_primes for the factors allowed at (x, q, z)."""
     if x > primes.X_MAX:
         raise RangeError(f"x = {x} exceeds the representable bound 2^62")
     nmax = int(math.floor(x))
     cap = nmax
     if math.isfinite(z):
         cap = min(nmax, int(math.ceil(z)) - 1)
-    table = primes.full_table(max(cap, 2))
-    gp_all, logp_all = spec._table_arrays(table)
-    hi = int(table.primes.searchsorted(cap, side="right"))
-    arrays = table.primes[:hi], gp_all[:hi], logp_all[:hi]
-    if q != 1:
-        drop = _divisor_positions(table.limit, q)
-        drop = drop[: int(drop.searchsorted(hi))]
-        if len(drop):
-            keep = np.ones(hi, dtype=bool)
-            keep[drop] = False
-            arrays = [a[keep] for a in arrays]
-    return (nmax, *arrays)
+    return (nmax, *coprime_primes(spec, cap, q))
 
 
-@functools.lru_cache(maxsize=256)
-def _divisor_positions(limit, q):
-    """Positions in the shared prime table of the primes up to limit
-    that divide q."""
-    support = [s for s in primes.factor_support(q) if s <= limit]
-    return primes.full_table(limit).primes.searchsorted(support)
-
-
-def _order_and_modulus(m, q):
+def order_and_modulus(m, q):
     """m and q as ints, once checked."""
     if m < 0 or int(m) != m:
         raise RangeError("m must be a nonnegative integer")
@@ -238,7 +216,7 @@ def _order_and_modulus(m, q):
 def _sum_impl(spec, x, m, q, z, exact):
     if not x >= 1:
         raise RangeError("x must be at least 1")
-    m, q = _order_and_modulus(m, q)
+    m, q = order_and_modulus(m, q)
     if z < 2:
         z = 2.0
     nmax, sel_p, sel_g, sel_l = _filtered_arrays(spec, x, q, z)
@@ -285,14 +263,14 @@ def m_sum_smooth_each(spec, x, m, q, ps):
     One enumeration serves every p (_dfs.msum_float_below), and each sum
     is bit-equal to its own m_sum_smooth call.
     """
-    m, q = _order_and_modulus(m, q)
+    m, q = order_and_modulus(m, q)
     x = float(x)
     if len(ps) == 0:
         return []
     if not (2 <= ps[0] and ps[-1] <= x):
         raise RangeError("need 2 <= p <= x")
-    _, sel_p, sel_g, sel_l = _filtered_arrays(spec, x / int(ps[0]), q, math.inf)
-    return _dfs.msum_float_below(sel_p, sel_g, sel_l, x, ps, m)
+    sel = coprime_primes(spec, int(math.floor(x / int(ps[0]))), q)
+    return _dfs.msum_float_below(*sel, x, ps, m)
 
 
 def log_taylor_floor(spec, order):
@@ -390,15 +368,9 @@ def euler_log_taylor(spec, q, order, P):
     if P < log_taylor_floor(spec, order):
         raise RangeError(f"P = {P} is below the floor where the tail bounds hold")
     k = spec.dimension_k
-    table = primes.full_table(P)
-    hi = int(np.searchsorted(table.primes, P, side="right"))
-    gp_all, logp_all = spec._table_arrays(table)
-    theta_P = float(np.sum(logp_all[:hi])) * (1.0 - 1e-13)
-    ps, gs, lams = table.primes[:hi], gp_all[:hi], logp_all[:hi]
+    theta_P = float(np.sum(primes.shared_table(P).logp)) * (1.0 - 1e-13)
+    ps, gs, lams = coprime_primes(spec, P, q)
     support = primes.factor_support(q)
-    if support:
-        keep = ~np.isin(ps, np.asarray(support, dtype=np.int64))
-        ps, gs, lams = ps[keep], gs[keep], lams[keep]
     vanish = 1.0 + gs == 0.0
     sign = 0.0 if vanish.any() else (-1.0 if np.count_nonzero(gs < -1.0) % 2 else 1.0)
     if sign == 0.0:

@@ -1,4 +1,11 @@
-"""Prime tables and the factorization of moduli."""
+"""Prime tables and the factorization of moduli.
+
+One module-wide table (shared_table) holds the primes up to its limit and
+their logarithms.  It grows geometrically, sieving only the new stretch,
+and computes log p over the whole table once per growth; every smaller
+table it hands out is a view of the two arrays, so a prime's log p has the
+same bits however far the table has grown.
+"""
 
 import functools
 import math
@@ -14,10 +21,18 @@ SIEVE_MAX = 1 << 30  # largest supported sieve limit
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to limit, as a sorted int64 array."""
+    """All primes up to limit, as a sorted int64 array, and their
+    natural logarithms as float64."""
 
     limit: int
     primes: np.ndarray
+    logp: np.ndarray
+
+
+def _table(limit, ps):
+    logp = ps.astype(np.float64)
+    np.log(logp, out=logp)
+    return PrimeTable(limit, ps, logp)
 
 
 def _sieve(lo, hi):
@@ -44,16 +59,16 @@ def generate_primes(limit):
     """Sieve of Eratosthenes up to limit inclusive."""
     limit = _checked(limit)
     if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    return PrimeTable(limit, _sieve(2, limit))
+        return _table(limit, np.empty(0, dtype=np.int64))
+    return _table(limit, _sieve(2, limit))
 
 
 _cached_table = None
 
 
 def shared_table(limit):
-    """Module-wide prime table covering at least limit; grows geometrically,
-    sieving only the stretch past the cached limit."""
+    """The primes up to limit and their logs, as views of the module-wide
+    table; it grows geometrically, sieving only the stretch past its limit."""
     global _cached_table
     limit = int(limit)
     if _cached_table is None:
@@ -62,22 +77,11 @@ def shared_table(limit):
         old = _cached_table
         new_limit = max(_checked(limit), min(2 * old.limit, SIEVE_MAX))
         grown = _sieve(old.limit + 1, new_limit)
-        _cached_table = PrimeTable(new_limit, np.concatenate([old.primes, grown]))
+        _cached_table = _table(new_limit, np.concatenate([old.primes, grown]))
     if _cached_table.limit == limit:
         return _cached_table
     cut = int(np.searchsorted(_cached_table.primes, limit, side="right"))
-    return PrimeTable(limit, _cached_table.primes[:cut])
-
-
-def full_table(min_limit):
-    """The whole cached table, grown to cover at least min_limit.
-
-    Callers that slice by their own cap should prefer this over
-    shared_table so caches keyed by table identity stay warm.
-    """
-    if _cached_table is None or _cached_table.limit < min_limit:
-        shared_table(min_limit)
-    return _cached_table
+    return PrimeTable(limit, _cached_table.primes[:cut], _cached_table.logp[:cut])
 
 
 def _is_probable_prime(n):

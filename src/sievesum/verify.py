@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dde, multfun, primes
+from . import dde, multfun
 from .errors import RangeError
 
 DEFAULT_LADDER = (1e4, 1e5, 1e6, 1e7)
@@ -121,13 +121,6 @@ def _positive_dimension(spec):
     return k
 
 
-def _order(m):
-    m = int(m)
-    if m < 0:
-        raise RangeError("m must be a nonnegative integer")
-    return m
-
-
 def _report(label, params, xs, predicted, measured):
     residuals = tuple(
         abs(m / p - 1.0) if p != 0.0 else math.inf for p, m in zip(predicted, measured)
@@ -196,7 +189,7 @@ def _main_terms(spec, q, ms, lxs, series_tol, combine):
     most series_tol at every lx.  Returns (mains, bound).
     """
     k = _positive_dimension(spec)
-    ms = [_order(m) for m in ms]
+    ms = [multfun.order_and_modulus(m, q)[0] for m in ms]
 
     def certify(log_g, log_g_err, sign):
         if sign == 0.0:
@@ -251,7 +244,7 @@ def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     A dict passed as sums keeps the plain sums for a later check of the
     same run (check_weight_lemma) to reuse.
     """
-    m = _order(m)
+    m, q = multfun.order_and_modulus(m, q)
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
     sums = {} if sums is None else sums
     main, bound = main_term(spec, q, m, xs, series_tol)
@@ -285,7 +278,7 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     gate.
     """
     k = _positive_dimension(spec)
-    m = _order(m)
+    m, q = multfun.order_and_modulus(m, q)
     if not (u > 0):
         raise RangeError("u must be positive")
     xs = DEFAULT_LADDER if xs is None else tuple(xs)
@@ -376,14 +369,13 @@ def buchstab_defect(spec, x, m, q, z):
         raise RangeError("need 2 <= z <= x")
     lhs = multfun.m_sum_smooth(spec, x, m, q, z, exact=False).value
     top = multfun.m_sum_smooth(spec, x, m, q, x, exact=False).value
-    table = primes.full_table(int(x) + 1)
-    ps = table.primes[np.searchsorted(table.primes, int(math.ceil(z))) :]
-    ps = ps[ps < x]
-    ps = ps[[q % p != 0 for p in ps.tolist()]]
+    ps, gs, _ = multfun.coprime_primes(spec, math.ceil(x) - 1, q)
+    lo = int(ps.searchsorted(math.ceil(z)))
+    ps, gs = ps[lo:], gs[lo:]
     scale = abs(lhs) + abs(top)
     total = top
     sums = multfun.m_sum_smooth_each(spec, x, m, q, ps)
-    for gp, s in zip(spec.values_on(ps).tolist(), sums):
+    for gp, s in zip(gs.tolist(), sums):
         term = gp * s
         total -= term
         scale += abs(term)

@@ -6,6 +6,8 @@ import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +45,19 @@ class TestSum:
         assert rows[0][1] == "171/70"
         assert abs(float(rows[0][0]) - 2.442857142857143) < 1e-12
         assert rows[0][2] == "7"
+
+    def test_exact_printed_past_the_int_str_limit(self, capsys):
+        # numerator and denominator have more digits than str(int) allows
+        code, out, _ = run_cli(
+            ["sum", "--spec", "one_over_n", "--x", "15000", "--m", "0", "--exact"], capsys
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        num, den = rows[0][1].split("/")
+        assert len(num) > 4300
+        spec = multfun.builtin_spec("one_over_n")
+        want = multfun.m_sum(spec, 15000, 0, 1, exact=True).exact_value
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == want
 
     def test_smooth_matches_library(self, capsys):
         code, out, _ = run_cli(

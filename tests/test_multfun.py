@@ -277,7 +277,7 @@ class TestSmoothEach:
 
     @staticmethod
     def per_call(spec, x, m, q, z):
-        table = primes.full_table(int(x) + 1)
+        table = primes.shared_table(int(x) + 1)
         ps = table.primes[table.primes.searchsorted(math.ceil(z)):]
         ps = ps[(ps < x) & (q % ps != 0)]
         want = [m_sum_smooth(spec, x / p, m, q, p, exact=False).value for p in ps.tolist()]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sievesum import _dfs, multfun, primes
+from sievesum import _dfs, multfun, primes, verify
 from sievesum.errors import RangeError
 
 import oracles
@@ -41,9 +41,17 @@ class TestGeneratePrimes:
     def test_grown_table_equals_fresh_sieve(self, monkeypatch):
         monkeypatch.setattr(primes, "_cached_table", None)
         for limit in (100, 70_000, 140_001, 300_007, 10**6 + 1, 3 * 10**6):
-            table = primes.full_table(limit)
+            table = primes.shared_table(limit)
             assert table.limit >= limit
             assert np.array_equal(table.primes, primes.generate_primes(table.limit).primes)
+
+    def test_logs_are_views_with_the_bits_of_a_fresh_log(self, monkeypatch):
+        monkeypatch.setattr(primes, "_cached_table", None)
+        for limit in (1000, 70_000, 300_007):
+            table = primes.shared_table(limit)
+            want = np.log(table.primes.astype(np.float64))
+            assert table.logp.tobytes() == want.tobytes()
+            assert np.shares_memory(table.logp, primes._cached_table.logp)
 
 
 def entries(x, z, q):
@@ -151,3 +159,47 @@ class TestFactorSupport:
     def test_mixed(self):
         n = 2 * 3 * 104729 * 1_000_003
         assert primes.factor_support(n) == [2, 3, 104729, 1_000_003]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestTableGrowth:
+    """Sums, Euler products and Buchstab defects read the same bits from a
+    fresh prime table and from one grown far past what they use."""
+
+    SPECS = [
+        multfun.builtin_spec("one_over_phi"),
+        multfun.builtin_spec("nu_minus1_over_phi", offsets=(0, 4, 6)),
+        multfun.builtin_spec("signed_mu_times", base="k_over_p", k=3),
+    ]
+
+    @staticmethod
+    def results(spec, q):
+        out = []
+        for x, m, z in ((5000.5, 2, 300.0), (20000, 1, math.inf), (1, 0, 2.0)):
+            r = multfun.m_sum_smooth(spec, x, m, q, z, exact=False)
+            out.append((_bits([r.value]), r.terms))
+        for order, P in ((0, 1024), (3, 4096), (2, 1 << 17)):
+            coeffs, bounds, sign = multfun.euler_log_taylor(spec, q, order, P)
+            out.append((_bits(coeffs), _bits(bounds), sign))
+        out.append(_bits([verify.buchstab_defect(spec, 3000.5, 1, q, 40.0)]))
+        return out
+
+    @pytest.mark.parametrize("q", [1, 30, 77])
+    def test_fresh_and_grown_tables_agree(self, monkeypatch, q):
+        monkeypatch.setattr(primes, "_cached_table", None)
+        fresh = [self.results(spec, q) for spec in self.SPECS]
+        primes.shared_table(1 << 22)
+        assert [self.results(spec, q) for spec in self.SPECS] == fresh
+
+    def test_sum_evaluates_g_on_its_own_primes(self, monkeypatch):
+        monkeypatch.setattr(primes, "_cached_table", None)
+        primes.shared_table(1 << 22)
+        spec = multfun.builtin_spec("one_over_n")
+        seen = []
+        values = spec.prime_values
+        monkeypatch.setattr(spec, "prime_values", lambda ps: seen.append(len(ps)) or values(ps))
+        multfun.m_sum(spec, 1000, 1, 1)
+        assert 0 < sum(seen) <= 168  # pi(1000) = 168

@@ -57,6 +57,13 @@ class TestTheorem1:
         with pytest.raises(RangeError):
             verify.check_theorem1(signed, m=1, q=1, xs=(1e3,))
 
+    @pytest.mark.parametrize("check", [verify.check_theorem1, verify.check_theorem2])
+    @pytest.mark.parametrize("m,q", [(1.5, 1), (1, 1.5)])
+    def test_fractional_order_or_modulus_rejected(self, check, m, q):
+        spec = multfun.builtin_spec("one_over_n")
+        with pytest.raises(RangeError):
+            check(spec, m=m, q=q, xs=(1e3,))
+
 
 class TestTheorem2:
     def test_one_over_n_u2(self):
