@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dde, iterints, multfun, verify, zhang
-from .errors import RangeError, ToleranceError
+from .errors import RangeError, ToleranceError, check_tol
 
 ENV_THREADS = "SIEVESUM_THREADS"
 ENV_OUTDIR = "SIEVESUM_OUTDIR"
@@ -187,8 +187,7 @@ def _tol(ns, cfg, default):
     tol = getattr(ns, "tol", None)
     if tol is None:
         tol = cfg.tol_override if cfg.tol_override is not None else default
-    if not (0.0 < tol < math.inf):
-        raise RangeError(f"tol must be a positive finite number, got {tol}")
+    check_tol(tol)
     return tol
 
 

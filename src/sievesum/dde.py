@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadchev
-from .errors import RangeError, ToleranceError
+from .errors import RangeError, ToleranceError, check_tol
 
 DEGREE = 32
 MAX_PANELS = 2048  # unit panels a solution may span, so U <= MAX_PANELS + 1
@@ -141,8 +141,7 @@ def solve_f_exponent(k, e, U, tol=1e-8):
     km = int(e)
     if km < 0 or km != e:
         raise RangeError("need an integer exponent e >= 0")
-    if not tol > 0:
-        raise RangeError("tol must be positive")
+    check_tol(tol)
     coeffs, _ = _march(k, km, U, log=False)
     worst = _residual(coeffs, k, km, ())
     _gate(f"f(u;{k},{km - k})", worst, tol)
@@ -227,8 +226,7 @@ def solve_f_log(s, m, U, tol=1e-8):
     m = int(m)
     if s < 1 or m <= s:
         raise RangeError("need integers 1 <= s < m")
-    if not tol > 0:
-        raise RangeError("tol must be positive")
+    check_tol(tol)
     coeffs, logs = _march(-s, m - s, U, log=True)
     worst = _residual(coeffs, -s, m - s, logs)
     _gate(f"log f(u;{-s},{m})", worst, tol)

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the one tolerance rule."""
+
+import math
 
 
 class RangeError(ValueError):
@@ -15,3 +17,9 @@ class ToleranceError(ArithmeticError):
     def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
+
+
+def check_tol(tol):
+    """Raise RangeError unless tol is a positive finite number."""
+    if not (0.0 < tol < math.inf):
+        raise RangeError(f"tol must be a positive finite number, got {tol}")

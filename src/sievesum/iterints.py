@@ -36,6 +36,9 @@ values, so build_tables marches the kernels that share a t grid in
 batches and builds the rows once per rung, v-panel and v-node; each
 kernel contracts them with its own values, one einsum per block, so a
 table's bits do not depend on its batch.  Nothing here runs concurrently.
+The level comparison goes through the same reference panel: two rungs
+share their breaks, so one n_per x n_prev matrix takes every coarse
+panel to the fine panel's nodes.
 
 Three reductions keep the numbers representable:
   * the constant A = (m!/(m-s)!)^2/(s-1)! and the beta integral
@@ -60,11 +63,12 @@ panel within a factor e^40 of its largest.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import dde, quadchev
-from .errors import RangeError, ToleranceError
+from .errors import RangeError, ToleranceError, check_tol
 
 N_PER_START = 17
 N_PER_MAX = 129
@@ -339,14 +343,15 @@ def _gap(coarse, fine):
     return float(np.max(np.abs(coarse - fine)[keep] / size[keep]))
 
 
-def _compare_levels(B, coarse, fine):
+def _compare_levels(R, coarse, fine):
     """Disagreement of two t resolutions at the fine nodes: the largest
-    _gap over the base row and every panel.
-
-    B interpolates the coarse grid at the fine nodes.
+    _gap over the base row and every panel, where R, the coarse reference
+    panel interpolated at the fine one's nodes, acts on each t panel's run.
     """
-    gaps = [_gap(B @ coarse[0], fine[0])]
-    gaps += [_gap(cm @ B.T, fm) for cm, fm in zip(coarse[1], fine[1])]
+    gaps = []
+    for c, f in zip([coarse[0], *coarse[1]], [fine[0], *fine[1]]):
+        runs = c.reshape(*c.shape[:-1], -1, R.shape[1])
+        gaps.append(_gap((runs @ R.T).reshape(f.shape), f))
     return float(np.max(gaps))
 
 
@@ -361,29 +366,24 @@ def _refine_base(kernel, grid, coarse):
     return fine.ravel()
 
 
-def _ladder(kernels, v_max, tol, n):
-    """Tables of kernels that share one t-grid family.
+def _ladder(kernels, breaks, v_max, tol, n):
+    """Tables of kernels whose t grids split at breaks.
 
-    Every rung marches the kernels still active; a kernel leaves once its
-    estimate against the previous rung meets tol.  A level that is not
-    finite raises RangeError at once: no finer rung brings it back.
+    Each rung marches the live kernels, kept as (index, level, log base
+    row) of the last rung, until their estimates meet tol.  A level that
+    is not finite raises RangeError at once: no finer rung brings it back.
     """
-    breaks = _t_breaks(kernels[0])
-    prev_grid = _make_tgrid(breaks, (n + 1) // 2)
-    prev_logs = [_log_base_row(k, prev_grid.nodes) for k in kernels]
-    prev = _march(kernels, v_max, prev_grid, prev_logs)
-    active = list(range(len(kernels)))
+    grid = _make_tgrid(breaks, (n + 1) // 2)
+    logs = [_log_base_row(k, grid.nodes) for k in kernels]
+    live = list(zip(range(len(kernels)), _march(kernels, v_max, grid, logs), logs))
     tables = [None] * len(kernels)
-    while active:
-        grid = _make_tgrid(breaks, n)
-        logs = [_refine_base(kernels[i], grid, lb) for i, lb in zip(active, prev_logs)]
-        cur = _march([kernels[i] for i in active], v_max, grid, logs)
-        B = np.zeros((grid.total, prev_grid.total))  # the coarse grid at the fine nodes
-        for rows, owner, C in _t_rows(prev_grid, grid.nodes):
-            np.put_along_axis(B[rows], owner[:, None] * C.shape[1] + np.arange(C.shape[1]), C, 1)
-        still = []
-        for i, p, c, lb in zip(active, prev, cur, logs):
-            est = _compare_levels(B, p, c)
+    while live:
+        prev_grid, grid = grid, _make_tgrid(breaks, n)
+        R = quadchev.bary_matrix(prev_grid.ref, prev_grid.bw, grid.ref)
+        logs = [_refine_base(kernels[i], grid, lb) for i, _, lb in live]
+        cur = _march([kernels[i] for i, _, _ in live], v_max, grid, logs)
+        for (i, prev, _), c, lb in zip(live, cur, logs):
+            est = _compare_levels(R, prev, c)
             if not math.isfinite(est):
                 k = kernels[i]
                 raise RangeError(f"I table of (s, m, u) = ({k.s}, {k.m}, {k.u:g}) is not finite")
@@ -394,12 +394,7 @@ def _ladder(kernels, v_max, tol, n):
                     f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
                     achieved=est,
                 )
-            else:
-                still.append((i, c, lb))
-        active = [i for i, _, _ in still]
-        prev = [c for _, c, _ in still]
-        prev_logs = [lb for _, _, lb in still]
-        prev_grid = grid
+        live = [(i, c, lb) for (i, _, _), c, lb in zip(live, cur, logs) if tables[i] is None]
         n = 2 * n - 1
     return tables
 
@@ -418,15 +413,15 @@ def build_tables(kernels, v_max, tol=1e-9):
     v_max = float(v_max)
     if not (0 < v_max <= MAX_PANELS + 1):
         raise RangeError(f"v_max must lie in (0, {MAX_PANELS + 1}], got {v_max}")
-    if not (0.0 < tol < math.inf):
-        raise RangeError(f"tol must be a positive finite number, got {tol}")
+    check_tol(tol)
     groups = {}
     for i, kern in enumerate(kernels):
-        groups.setdefault(_t_breaks(kern).tobytes(), []).append(i)
-    for idx in groups.values():
+        groups.setdefault(tuple(_t_breaks(kern)), []).append(i)
+    for breaks, idx in groups.items():
         for lo in range(0, len(idx), BATCH_KERNELS):
             batch = idx[lo : lo + BATCH_KERNELS]
-            yield from zip(batch, _ladder([kernels[i] for i in batch], v_max, tol, N_PER_START))
+            tables = _ladder([kernels[i] for i in batch], np.array(breaks), v_max, tol, N_PER_START)
+            yield from zip(batch, tables)
 
 
 def build_table(kernel, v_max, tol=1e-9):
@@ -501,10 +496,8 @@ def i_eval(table, t, v):
 
 
 def closed_form_unit(s, m):
-    """I_s(1, 1) for u <= 1, where f is identically 1."""
-    return math.exp(
-        2 * math.lgamma(m + 1)
-        - 2 * math.lgamma(m - s + 1)
-        + math.lgamma(2 * (m - s) + 1)
-        - math.lgamma(2 * m - s + 1)
+    """I_s(1, 1) for u <= 1, where f is identically 1, as an exact Fraction."""
+    return Fraction(
+        math.factorial(m) ** 2 * math.factorial(2 * m - 2 * s),
+        math.factorial(m - s) ** 2 * math.factorial(2 * m - s),
     )

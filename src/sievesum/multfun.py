@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _dfs, primes
-from .errors import RangeError, ToleranceError
+from .errors import RangeError, ToleranceError, check_tol
 
 TAIL_CHECK_LIMIT = 100_000
 EXACT_X_MAX = 100_000
@@ -416,6 +416,9 @@ def truncate_euler(spec, q, order, target, certify, what):
     bound/target; at SERIES_PRIME_CAP a ToleranceError names what and
     carries the bound reached there.
     """
+    check_tol(target)
+    if spec.tail_bound is None:
+        raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
     P = 1024
     while P < log_taylor_floor(spec, order):
         P *= 2
@@ -444,10 +447,6 @@ def singular_series(spec, q, tol, a_variant=False):
     the product is prod (1-g(p))(1-1/p)^(-k), the same product for the
     sign-flipped spec.
     """
-    if not tol > 0:
-        raise RangeError("tol must be positive")
-    if spec.tail_bound is None:
-        raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
     if a_variant:
         spec = _signed(spec)
 

@@ -234,6 +234,15 @@ def _plain_sum(sums, spec, x, m, q):
     return sums[key]
 
 
+def _ladder(xs):
+    """xs, or DEFAULT_LADDER if None, once every x is finite and > 1 (log x > 0)."""
+    xs = DEFAULT_LADDER if xs is None else tuple(xs)
+    for x in xs:
+        if not (1.0 < x < math.inf):
+            raise RangeError(f"every ladder x must be finite and > 1, got {x}")
+    return xs
+
+
 def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     """Plain sums against the full residue main term.
 
@@ -245,7 +254,7 @@ def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     same run (check_weight_lemma) to reuse.
     """
     m, q = multfun.order_and_modulus(m, q)
-    xs = DEFAULT_LADDER if xs is None else tuple(xs)
+    xs = _ladder(xs)
     sums = {} if sums is None else sums
     main, bound = main_term(spec, q, m, xs, series_tol)
     predicted = [main.value(math.log(x)) for x in xs]
@@ -281,7 +290,7 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     m, q = multfun.order_and_modulus(m, q)
     if not (u > 0):
         raise RangeError("u must be positive")
-    xs = DEFAULT_LADDER if xs is None else tuple(xs)
+    xs = _ladder(xs)
     U = max(1.0, u)
     weights = [dde.eval_f(dde.solve_f_exponent(k, j, U), u) for j in range(k + m + 1)]
     fu = weights[k + m]  # f(u; k, m) itself
@@ -319,7 +328,7 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     coeffs = [float(c) for c in coeffs]
     if not coeffs or not all(map(math.isfinite, coeffs)):
         raise RangeError(f"need one or more finite polynomial coefficients, got {coeffs}")
-    xs = DEFAULT_LADDER if xs is None else tuple(xs)
+    xs = _ladder(xs)
     sums = {} if sums is None else sums
     lxs = [math.log(x) for x in xs]
 

@@ -81,22 +81,14 @@ def gpy_threshold(k, l):
     return Fraction((l + 1) * (2 * l + k + 1), k * (2 * l + 1))
 
 
-def _beta_closed(s, m):
-    """I_s(1, 1) in the u <= 1 regime, exact."""
-    return Fraction(
-        math.factorial(m) ** 2 * math.factorial(2 * m - 2 * s),
-        math.factorial(m - s) ** 2 * math.factorial(2 * m - s),
-    )
-
-
 def gpy_coefficient_unsmoothed(k, m, theta):
     """Closed form of the coefficient at u = 1, exact for Fraction theta."""
     k = int(k)
     m = int(m)
     if k < 2 or m <= k:
         raise RangeError("need k >= 2 and m > k")
-    th = theta if isinstance(theta, Fraction) else Fraction(theta)
-    val = Fraction(k, 2) * th * _beta_closed(k - 1, m) - _beta_closed(k, m)
+    beta = iterints.closed_form_unit
+    val = Fraction(k, 2) * Fraction(theta) * beta(k - 1, m) - beta(k, m)
     if isinstance(theta, Fraction):
         return val
     try:

@@ -430,6 +430,26 @@ class TestExitCodes:
             assert out == ""
             assert "tol must be a positive finite number" in err
 
+    @pytest.mark.parametrize("check", ["theorem1", "theorem2", "weight"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_series_tol_rejected(self, check, tol, capsys):
+        # inf once printed an uncertified main_bound, and 0 divided by zero
+        code, out, err = run_cli(["verify", "--check", check, "--ladder", "1e4",
+                                  "--series-tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"sievesum: tol must be a positive finite number, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("check", ["theorem1", "theorem2", "weight"])
+    @pytest.mark.parametrize("x", ["0", "-5", "1", "nan"])
+    def test_bad_ladder_rejected(self, check, x, capsys):
+        # log x <= 0 once divided by zero (weight), failed in math.log, or
+        # ran the Euler product out to its cap (theorem1 at x = 1)
+        code, out, err = run_cli(["verify", "--check", check, "--ladder", f"1e4,{x}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"sievesum: every ladder x must be finite and > 1, got {float(x)}\n"
+
     def test_bad_config_tol_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("tol=-1\n")

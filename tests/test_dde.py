@@ -135,7 +135,7 @@ class TestValidation:
     def test_one_panel_cap_for_f_and_the_tables(self):
         assert iterints.MAX_PANELS == dde.MAX_PANELS
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
     def test_rejects_bad_tol(self, tol):
         # a NaN gate would pass every residual
         with pytest.raises(RangeError):

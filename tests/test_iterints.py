@@ -1,6 +1,7 @@
 """Tests for the iterated sieve integrals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,13 @@ class TestBaseClosedForm:
     def test_worked_examples(self):
         assert abs(iterints.i_base(iterints.make_kernel(1, 2, 1.0), 1.0) - 4.0 / 3.0) < 1e-12
         assert abs(iterints.i_base(iterints.make_kernel(2, 3, 1.0), 1.0) - 3.0) < 1e-11
+
+    def test_closed_form_unit_is_exact(self):
+        assert iterints.closed_form_unit(1, 2) == Fraction(4, 3)
+        assert iterints.closed_form_unit(2, 3) == Fraction(3)
+        for m in range(2, 13):
+            for s in range(1, m):
+                assert iterints.closed_form_unit(s, m) == oracles.i_closed_base(s, m), (s, m)
 
     def test_zero_t(self):
         kern = iterints.make_kernel(2, 4, 1.5)
@@ -403,6 +411,43 @@ class TestLevelComparison:
         with pytest.raises(ToleranceError) as exc:
             iterints.make_kernel(61, 62, 9.5)
         assert 1e-16 < exc.value.achieved <= 1e-10
+
+
+class TestReferenceComparison:
+    """The level comparison applies one reference-panel matrix to every t panel."""
+
+    BREAKS = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+
+    def test_matches_the_dense_coarse_to_fine_matrix(self):
+        prev_grid = iterints._make_tgrid(self.BREAKS, 9)
+        grid = iterints._make_tgrid(self.BREAKS, 17)
+        n = prev_grid.n_per
+        dense = np.zeros((grid.total, prev_grid.total))  # the coarse grid at the fine nodes
+        for rows, owner, C in iterints._t_rows(prev_grid, grid.nodes):
+            np.put_along_axis(dense[rows], owner[:, None] * n + np.arange(n), C, 1)
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.5, 2.0, (2, iterints.N_V, 1))
+        coarse_base = 2.0 + np.sin(3.0 * prev_grid.nodes)
+        coarse_panel = 2.0 + np.cos(b * 4.0 * prev_grid.nodes) * np.exp(-a * prev_grid.nodes)
+        coarse = (coarse_base, [coarse_panel])
+        fine = (dense @ coarse_base, [coarse_panel @ dense.T])
+        R = quadchev.bary_matrix(prev_grid.ref, prev_grid.bw, grid.ref)
+        assert R.shape == (grid.n_per, prev_grid.n_per)
+        assert iterints._compare_levels(R, coarse, fine) <= 1e-13
+        fine[1][0][5, 40] *= 1.0 + 1e-6
+        assert iterints._compare_levels(R, coarse, fine) == pytest.approx(1e-6, rel=1e-5)
+
+    def test_ladder_compares_through_the_reference_panel(self, monkeypatch):
+        # (1, 2) at u = 3.5 has four t panels; each rung's matrix is
+        # n_per x n_prev, not (4 n_per) x (4 n_prev)
+        shapes = []
+        compare = iterints._compare_levels
+        monkeypatch.setattr(iterints, "_compare_levels",
+                            lambda R, *a: shapes.append(R.shape) or compare(R, *a))
+        table = iterints.build_table(iterints.make_kernel(1, 2, 3.5), 3.5, tol=1e-6)
+        assert len(table.grid.breaks) == 5
+        assert shapes[-1] == (table.grid.n_per, (table.grid.n_per + 1) // 2)
+        assert all(r == 2 * c - 1 for r, c in shapes)
 
 
 class TestValidation:

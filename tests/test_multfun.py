@@ -352,6 +352,11 @@ class TestSingularSeries:
         with pytest.raises(RangeError):
             singular_series(builtin_spec("one_over_n"), 1, math.nan)
 
+    def test_infinite_tolerance_rejected(self):
+        # an infinite target once certified the first truncation point
+        with pytest.raises(RangeError, match="tol must be a positive finite number"):
+            singular_series(builtin_spec("one_over_n"), 1, math.inf)
+
     def test_tolerance_unreachable(self):
         with pytest.raises(ToleranceError) as err:
             singular_series(builtin_spec("one_over_n"), 1, 1e-13)

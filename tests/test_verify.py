@@ -174,6 +174,18 @@ class TestMainTerm:
         with pytest.raises(RangeError):
             verify.main_term(spec, 1, 1, (1e4,), 1e-6)
 
+    def test_missing_tail_bound_rejected(self):
+        # the truncation's floor once added None to the dimension
+        spec = multfun.MultFuncSpec("custom", lambda p: 1.0 / p, 1, 1.0, None, 1)
+        with pytest.raises(ValueError, match="no tail bound"):
+            verify.main_term(spec, 1, 1, (1e4,), 1e-6)
+
+    def test_zero_series_tol_rejected(self):
+        # the truncation step once divided by it
+        spec = multfun.builtin_spec("one_over_n")
+        with pytest.raises(RangeError, match="tol must be a positive finite number"):
+            verify.check_theorem1(spec, m=1, q=1, xs=(1e4,), series_tol=0)
+
     def test_unreachable_tolerance_reports_bound(self, monkeypatch):
         monkeypatch.setattr(multfun, "SERIES_PRIME_CAP", 1 << 12)
         spec = multfun.builtin_spec("one_over_n")
