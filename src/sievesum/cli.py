@@ -197,15 +197,14 @@ def _assumption(theta, delta):
 
 def _cmd_sum(ns, cfg):
     spec = parse_spec(ns.spec)
-    exact = True if ns.exact else None
     if ns.z is None:
-        res = multfun.m_sum(spec, ns.x, ns.m, ns.q, exact=exact)
+        res = multfun.m_sum(spec, ns.x, ns.m, ns.q, exact=ns.exact)
     else:
-        res = multfun.m_sum_smooth(spec, ns.x, ns.m, ns.q, ns.z, exact=exact)
+        res = multfun.m_sum_smooth(spec, ns.x, ns.m, ns.q, ns.z, exact=ns.exact)
     meta = {"command": "sum", "spec": ns.spec, "x": ns.x, "m": ns.m, "q": ns.q}
     if ns.z is not None:
         meta["z"] = ns.z
-    meta["exact"] = bool(ns.exact)
+    meta["exact"] = ns.exact
     _emit(cfg, meta, ("value", "exact", "terms"), [(res.value, res.exact_value, res.terms)])
     return 0
 
@@ -460,7 +459,8 @@ def build_parser():
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--z", type=float, default=None, help="restrict to prime factors below z")
     p.add_argument("--exact", action="store_true",
-                   help="also compute the exact rational, printed in full (m=0, x up to 1e5)")
+                   help="also compute the exact rational, printed in full (m=0, x up to 1e5); "
+                   "without it the exact cell is empty")
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("sseries", parents=[common],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadchev
-from .errors import RangeError, ToleranceError, check_tol
+from .errors import RangeError, ToleranceError, check_int, check_tol
 
 DEGREE = 32
 MAX_PANELS = 2048  # unit panels a solution may span, so U <= MAX_PANELS + 1
@@ -115,7 +115,7 @@ def solve_f(k, m, U, tol=1e-8):
     Parameters
     ----------
     k : integer, either sign
-    m : positive integer with m > max(0, -k), so the exponent k+m >= 1
+    m : integer >= max(0, 1 - k), so the exponent k+m >= 1
     U : coverage bound in [1, MAX_PANELS + 1]; panels are built through ceil(U)
     tol : scaled residual gate per panel (see PanelSolution.residual)
 
@@ -123,10 +123,8 @@ def solve_f(k, m, U, tol=1e-8):
     normalized by the magnitude of its two sides, which keeps the gate
     meaningful when u^(k+m+1) is huge.
     """
-    k = int(k)
-    m = int(m)
-    if m < 0 or k + m < 1:
-        raise RangeError("need integer m >= 0 with k + m >= 1")
+    k = check_int("k", k)
+    m = check_int("m", m, max(0, 1 - k))
     return solve_f_exponent(k, k + m, U, tol)
 
 
@@ -137,10 +135,8 @@ def solve_f_exponent(k, e, U, tol=1e-8):
     exponents below k that solve_f rejects; the lower-order terms of the
     smoothed main term need them.  The returned solution records m = e-k.
     """
-    k = int(k)
-    km = int(e)
-    if km < 0 or km != e:
-        raise RangeError("need an integer exponent e >= 0")
+    k = check_int("k", k)
+    km = check_int("e", e, 0)
     check_tol(tol)
     coeffs, _ = _march(k, km, U, log=False)
     worst = _residual(coeffs, k, km, ())
@@ -222,10 +218,8 @@ def eval_f_deriv(sol, u):
 
 def solve_f_log(s, m, U, tol=1e-8):
     """Solve f(u; -s, m) for log f; the residual gate is solve_f's, divided by f(u)."""
-    s = int(s)
-    m = int(m)
-    if s < 1 or m <= s:
-        raise RangeError("need integers 1 <= s < m")
+    s = check_int("s", s, 1)
+    m = check_int("m", m, s + 1)
     check_tol(tol)
     coeffs, logs = _march(-s, m - s, U, log=True)
     worst = _residual(coeffs, -s, m - s, logs)

@@ -1,6 +1,9 @@
-"""Shared exception types and the one tolerance rule."""
+"""Shared exception types and the one integer and tolerance rules: every
+integer a caller passes goes through check_int, every tolerance through
+check_tol, and nothing is truncated."""
 
 import math
+import numbers
 
 
 class RangeError(ValueError):
@@ -17,6 +20,19 @@ class ToleranceError(ArithmeticError):
     def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
+
+
+def check_int(name, value, low=None):
+    """value as an int.  Ints, numpy integers and integer-valued floats
+    pass; anything else (2.5, NaN, None, a string), or a value below low,
+    raises RangeError naming the parameter."""
+    whole = type(value) is int or isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+    )
+    if not whole or (low is not None and value < low):
+        rule = "an integer" if low is None else f"an integer >= {low}"
+        raise RangeError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def check_tol(tol):

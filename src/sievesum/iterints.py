@@ -68,7 +68,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dde, quadchev
-from .errors import RangeError, ToleranceError, check_tol
+from .errors import RangeError, ToleranceError, check_int, check_tol
 
 N_PER_START = 17
 N_PER_MAX = 129
@@ -103,10 +103,8 @@ def make_kernel(s, m, u):
     u is the largest v a table reaches, so it is held to build_tables'
     bound before f is solved out to it.
     """
-    s = int(s)
-    m = int(m)
-    if s < 1 or m <= s:
-        raise RangeError("need integers 1 <= s < m")
+    s = check_int("s", s, 1)
+    m = check_int("m", m, s + 1)
     if not (0 < u <= MAX_PANELS + 1):
         raise RangeError(f"u must lie in (0, {MAX_PANELS + 1}], got {u}")
     L = 2.0 * (math.lgamma(m + 1) - math.lgamma(m - s + 1)) - math.lgamma(s) + _log_beta(s, m)
@@ -497,6 +495,8 @@ def i_eval(table, t, v):
 
 def closed_form_unit(s, m):
     """I_s(1, 1) for u <= 1, where f is identically 1, as an exact Fraction."""
+    s = check_int("s", s, 1)
+    m = check_int("m", m, s)
     return Fraction(
         math.factorial(m) ** 2 * math.factorial(2 * m - 2 * s),
         math.factorial(m - s) ** 2 * math.factorial(2 * m - s),

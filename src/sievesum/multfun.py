@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _dfs, primes
-from .errors import RangeError, ToleranceError, check_tol
+from .errors import RangeError, ToleranceError, check_int, check_tol
 
 TAIL_CHECK_LIMIT = 100_000
 EXACT_X_MAX = 100_000
@@ -128,6 +128,17 @@ def _signed(base):
     )
 
 
+def check_offsets(offsets):
+    """The one tuple-offset rule: at least one offset, all integers, all
+    distinct.  Returns them as a sorted tuple of ints."""
+    offs = tuple(sorted(check_int("offsets", h) for h in (() if offsets is None else offsets)))
+    if not offs:
+        raise RangeError("need at least one offset")
+    if len(set(offs)) != len(offs):
+        raise RangeError("offsets must be distinct")
+    return offs
+
+
 def builtin_spec(name, k=None, offsets=None, base=None):
     """Construct one of the named built-in specs.
 
@@ -138,15 +149,10 @@ def builtin_spec(name, k=None, offsets=None, base=None):
     if name in _FIXED:
         spec = _rational_spec(name, *_FIXED[name])
     elif name == "k_over_p":
-        if k is None or int(k) != k:
-            raise ValueError("k_over_p requires integer k")
-        spec = _rational_spec(f"k_over_p({int(k)})", int(k), 0)
+        k = check_int("k", k)
+        spec = _rational_spec(f"k_over_p({k})", k, 0)
     elif name in ("nu_over_p", "nu_minus1_over_phi"):
-        if not offsets:
-            raise ValueError(f"{name} requires tuple offsets")
-        offsets = tuple(sorted(int(h) for h in offsets))
-        if len(set(offsets)) != len(offsets):
-            raise ValueError(f"{name} offsets must be distinct")
+        offsets = check_offsets(offsets)
         c = int(name == "nu_minus1_over_phi")
         label = "{" + ",".join(str(h) for h in offsets) + "}"
         spec = _rational_spec(name + label, len(offsets) - c, c, offsets)
@@ -204,19 +210,10 @@ def _filtered_arrays(spec, x, q, z):
     return (nmax, *coprime_primes(spec, cap, q))
 
 
-def order_and_modulus(m, q):
-    """m and q as ints, once checked."""
-    if m < 0 or int(m) != m:
-        raise RangeError("m must be a nonnegative integer")
-    if q < 1 or int(q) != q:
-        raise RangeError("q must be a positive integer")
-    return int(m), int(q)
-
-
 def _sum_impl(spec, x, m, q, z, exact):
+    m, q = check_int("m", m, 0), check_int("q", q, 1)
     if not x >= 1:
         raise RangeError("x must be at least 1")
-    m, q = order_and_modulus(m, q)
     if z < 2:
         z = 2.0
     nmax, sel_p, sel_g, sel_l = _filtered_arrays(spec, x, q, z)
@@ -229,25 +226,21 @@ def _sum_impl(spec, x, m, q, z, exact):
             raise RangeError(f"exact path supports x <= {EXACT_X_MAX}")
         if spec.prime_value_exact is None:
             raise RangeError(f"spec {spec.name} has no exact rational values")
-    exact_value = None
-    run_exact = exact or (
-        exact is None and m == 0 and nmax <= EXACT_X_MAX and spec.prime_value_exact is not None
-    )
-    if run_exact:
         fr = [spec.prime_value_exact(int(p)) for p in sel_p]
         total, denom = _dfs.msum_exact_m0(
             [int(p) for p in sel_p], [f.numerator for f in fr], [f.denominator for f in fr], nmax
         )
-        exact_value = Fraction(total, denom)
-    return SumResult(float(value), exact_value, int(terms))
+        return SumResult(float(value), Fraction(total, denom), int(terms))
+    return SumResult(float(value), None, int(terms))
 
 
-def m_sum(spec, x, m, q, exact=None):
-    """Sum of g(n) (log x/n)^m over squarefree n <= x coprime to q."""
+def m_sum(spec, x, m, q, exact=False):
+    """Sum of g(n) (log x/n)^m over squarefree n <= x coprime to q; with
+    exact (m = 0, x <= EXACT_X_MAX) also the exact rational."""
     return _sum_impl(spec, x, m, q, math.inf, exact)
 
 
-def m_sum_smooth(spec, x, m, q, z, exact=None):
+def m_sum_smooth(spec, x, m, q, z, exact=False):
     """As m_sum, additionally restricted to n with all prime factors < z
     (z = inf restricts nothing)."""
     z = float(z)
@@ -257,19 +250,19 @@ def m_sum_smooth(spec, x, m, q, z, exact=None):
 
 
 def m_sum_smooth_each(spec, x, m, q, ps):
-    """m_sum_smooth(spec, x/p, m, q, p, exact=False).value for every p of
+    """m_sum_smooth(spec, x/p, m, q, p).value for every p of
     the sorted int64 array ps, 2 <= p <= x, as a list.
 
     One enumeration serves every p (_dfs.msum_float_below), and each sum
     is bit-equal to its own m_sum_smooth call.
     """
-    m, q = order_and_modulus(m, q)
+    m, q = check_int("m", m, 0), check_int("q", q, 1)
     x = float(x)
     if len(ps) == 0:
         return []
     if not (2 <= ps[0] and ps[-1] <= x):
         raise RangeError("need 2 <= p <= x")
-    sel = coprime_primes(spec, int(math.floor(x / int(ps[0]))), q)
+    sel = coprime_primes(spec, math.floor(x / ps[0]), q)
     return _dfs.msum_float_below(*sel, x, ps, m)
 
 
@@ -345,6 +338,11 @@ def _log_taylor_tail(spec, j, P, theta_P):
     return tail / math.factorial(j)
 
 
+def _theta(P):
+    """Chebyshev's theta(P) = sum of log p over p <= P, rounded down."""
+    return float(np.sum(primes.shared_table(P).logp)) * (1.0 - 1e-13)
+
+
 def euler_log_taylor(spec, q, order, P):
     """Taylor coefficients at s = 0 of log|G(s)| from the primes up to P.
 
@@ -360,15 +358,13 @@ def euler_log_taylor(spec, q, order, P):
     1+g(p) < 0 (every factor past P is positive), or 0.0 when a factor
     1+g(p) vanishes; coeffs then leave those factors out.
     """
-    order = int(order)
-    if order < 0:
-        raise RangeError("order must be a nonnegative integer")
+    order = check_int("order", order, 0)
     if spec.tail_bound is None:
         raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
     if P < log_taylor_floor(spec, order):
         raise RangeError(f"P = {P} is below the floor where the tail bounds hold")
     k = spec.dimension_k
-    theta_P = float(np.sum(primes.shared_table(P).logp)) * (1.0 - 1e-13)
+    theta_P = _theta(P)
     ps, gs, lams = coprime_primes(spec, P, q)
     support = primes.factor_support(q)
     vanish = 1.0 + gs == 0.0
@@ -411,10 +407,12 @@ def truncate_euler(spec, q, order, target, certify, what):
     certify(coeffs, bounds, sign) turns one euler_log_taylor output of the
     given order into (result, bound); the first (result, bound) whose bound
     is at most target is returned.  P starts at the first power of two from
-    1024 up that reaches log_taylor_floor.  The bounds fall roughly like
-    1/P, so each step multiplies P by the power of two nearest above
-    bound/target; at SERIES_PRIME_CAP a ToleranceError names what and
-    carries the bound reached there.
+    1024 up that reaches log_taylor_floor.  After a miss P moves to the
+    smallest power of two where certify, given the current coefficients and
+    tails re-taken there (with theta(P) > P (1 - 1/log P) for P >= 41,
+    Rosser-Schoenfeld) plus the current rounding allowances, predicts the
+    target met.  The bound returned is the one certified where it stops; at
+    SERIES_PRIME_CAP a ToleranceError names what and carries the bound.
     """
     check_tol(target)
     if spec.tail_bound is None:
@@ -424,7 +422,8 @@ def truncate_euler(spec, q, order, target, certify, what):
         P *= 2
     P = min(P, SERIES_PRIME_CAP)
     while True:
-        result, bound = certify(*euler_log_taylor(spec, q, order, P))
+        coeffs, bounds, sign = euler_log_taylor(spec, q, order, P)
+        result, bound = certify(coeffs, bounds, sign)
         if bound <= target:
             return result, bound
         if P >= SERIES_PRIME_CAP:
@@ -433,8 +432,15 @@ def truncate_euler(spec, q, order, target, certify, what):
                 f"(achieved about {bound:.3e})",
                 achieved=bound,
             )
-        step = 2 ** max(1, math.ceil(math.log2(bound / target))) if math.isfinite(bound) else 2
-        P = min(P * step, SERIES_PRIME_CAP)
+        theta_P = _theta(P)
+        rounding = [b - _log_taylor_tail(spec, j, P, theta_P) for j, b in enumerate(bounds)]
+        P *= 2
+        while P < SERIES_PRIME_CAP:
+            theta_low = P * (1.0 - 1.0 / math.log(P))
+            guess = [_log_taylor_tail(spec, j, P, theta_low) + r for j, r in enumerate(rounding)]
+            if certify(coeffs, guess, sign)[1] <= target:
+                break
+            P *= 2
 
 
 def singular_series(spec, q, tol, a_variant=False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, check_int
 
 X_MAX = 1 << 62  # values and intermediate products stay below this bound
 SIEVE_MAX = 1 << 30  # largest supported sieve limit
@@ -47,9 +47,7 @@ def _sieve(lo, hi):
 
 
 def _checked(limit):
-    limit = int(limit)
-    if limit < 0:
-        raise RangeError("limit must be nonnegative")
+    limit = check_int("limit", limit, 0)
     if limit > SIEVE_MAX:
         raise RangeError(f"sieve limit {limit} exceeds supported bound {SIEVE_MAX}")
     return limit
@@ -70,12 +68,12 @@ def shared_table(limit):
     """The primes up to limit and their logs, as views of the module-wide
     table; it grows geometrically, sieving only the stretch past its limit."""
     global _cached_table
-    limit = int(limit)
+    limit = _checked(limit)
     if _cached_table is None:
         _cached_table = generate_primes(max(limit, 1 << 16))
     elif _cached_table.limit < limit:
         old = _cached_table
-        new_limit = max(_checked(limit), min(2 * old.limit, SIEVE_MAX))
+        new_limit = max(limit, min(2 * old.limit, SIEVE_MAX))
         grown = _sieve(old.limit + 1, new_limit)
         _cached_table = _table(new_limit, np.concatenate([old.primes, grown]))
     if _cached_table.limit == limit:
@@ -141,10 +139,7 @@ def _pollard_brent(n):
 
 def factor_support(q):
     """Sorted distinct primes dividing q (trial division, then rho)."""
-    q = int(q)
-    if q < 1:
-        raise RangeError("q must be a positive integer")
-    return list(_support(q))
+    return list(_support(check_int("q", q, 1)))
 
 
 @functools.lru_cache(maxsize=1024)

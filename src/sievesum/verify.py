@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dde, multfun
-from .errors import RangeError
+from .errors import RangeError, check_int
 
 DEFAULT_LADDER = (1e4, 1e5, 1e6, 1e7)
 DEEP_LADDER = (1e4, 1e5, 1e6, 1e7, 1e8)
@@ -189,7 +189,7 @@ def _main_terms(spec, q, ms, lxs, series_tol, combine):
     most series_tol at every lx.  Returns (mains, bound).
     """
     k = _positive_dimension(spec)
-    ms = [multfun.order_and_modulus(m, q)[0] for m in ms]
+    ms = [check_int("m", m, 0) for m in ms]
 
     def certify(log_g, log_g_err, sign):
         if sign == 0.0:
@@ -230,7 +230,7 @@ def _plain_sum(sums, spec, x, m, q):
     """multfun.m_sum's value, computed once per (spec, x, m, q) in the dict sums."""
     key = (spec, x, m, q)
     if key not in sums:
-        sums[key] = multfun.m_sum(spec, x, m, q, exact=False).value
+        sums[key] = multfun.m_sum(spec, x, m, q).value
     return sums[key]
 
 
@@ -253,7 +253,7 @@ def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     A dict passed as sums keeps the plain sums for a later check of the
     same run (check_weight_lemma) to reuse.
     """
-    m, q = multfun.order_and_modulus(m, q)
+    m, q = check_int("m", m, 0), check_int("q", q, 1)
     xs = _ladder(xs)
     sums = {} if sums is None else sums
     main, bound = main_term(spec, q, m, xs, series_tol)
@@ -287,7 +287,7 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     gate.
     """
     k = _positive_dimension(spec)
-    m, q = multfun.order_and_modulus(m, q)
+    m, q = check_int("m", m, 0), check_int("q", q, 1)
     if not (u > 0):
         raise RangeError("u must be positive")
     xs = _ladder(xs)
@@ -296,7 +296,7 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     fu = weights[k + m]  # f(u; k, m) itself
     main, bound = main_term(spec, q, m, xs, series_tol, weights)
     predicted = [main.value(math.log(x), weights) for x in xs]
-    measured = [multfun.m_sum_smooth(spec, x, m, q, _root(x, u), exact=False).value for x in xs]
+    measured = [multfun.m_sum_smooth(spec, x, m, q, _root(x, u)).value for x in xs]
     return _report(
         f"{spec.name}: smoothed sum vs f-weighted main term",
         {
@@ -325,6 +325,7 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     certified on main_bound, the relative error bound of the combination.
     The power sums are read from and kept in sums, as in check_theorem1.
     """
+    q = check_int("q", q, 1)
     coeffs = [float(c) for c in coeffs]
     if not coeffs or not all(map(math.isfinite, coeffs)):
         raise RangeError(f"need one or more finite polynomial coefficients, got {coeffs}")
@@ -376,8 +377,8 @@ def buchstab_defect(spec, x, m, q, z):
     x = float(x)
     if not (2.0 <= z <= x):
         raise RangeError("need 2 <= z <= x")
-    lhs = multfun.m_sum_smooth(spec, x, m, q, z, exact=False).value
-    top = multfun.m_sum_smooth(spec, x, m, q, x, exact=False).value
+    lhs = multfun.m_sum_smooth(spec, x, m, q, z).value
+    top = multfun.m_sum_smooth(spec, x, m, q, x).value
     ps, gs, _ = multfun.coprime_primes(spec, math.ceil(x) - 1, q)
     lo = int(ps.searchsorted(math.ceil(z)))
     ps, gs = ps[lo:], gs[lo:]
@@ -403,6 +404,7 @@ class BuchstabCase:
 
 def buchstab_suite(seed=20240817, cases=50):
     """Randomized recursion-defect suite over all the builtin functions."""
+    cases = check_int("cases", cases, 1)
     rng = np.random.default_rng(seed)
     pool = [
         multfun.builtin_spec("one_over_n"),

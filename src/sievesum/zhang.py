@@ -17,23 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import iterints, multfun, primes
-from .errors import RangeError
+from .errors import RangeError, check_int
 
 nu_p = multfun._residue_count  # distinct residues of the offsets modulo p
 
 
-def _check_offsets(offsets):
-    offs = [int(h) for h in offsets]
-    if len(offs) == 0:
-        raise RangeError("need at least one offset")
-    if len(set(offs)) != len(offs):
-        raise RangeError("offsets must be distinct")
-    return offs
-
-
 def is_admissible(offsets):
     """True if the offsets avoid a full residue system mod every prime."""
-    offs = _check_offsets(offsets)
+    offs = multfun.check_offsets(offsets)
     k = len(offs)
     # for p > k the k offsets cannot cover all p residues
     for p in primes.shared_table(max(k, 2)).primes:
@@ -50,9 +41,7 @@ def first_k_tuple(k):
     This is the standard cheap admissible tuple: none of those primes can
     divide into a full residue system modulo any p <= k.
     """
-    k = int(k)
-    if k < 1:
-        raise RangeError("k must be positive")
+    k = check_int("k", k, 1)
     limit = max(64, 4 * k)
     while True:
         tab = primes.shared_table(limit)
@@ -64,29 +53,22 @@ def first_k_tuple(k):
 
 
 def tuple_singular_series(offsets, tol=1e-6):
-    """Hardy-Littlewood constant of the tuple; 0.0 when inadmissible."""
-    offs = _check_offsets(offsets)
-    if not is_admissible(offs):
-        return 0.0
-    spec = multfun.builtin_spec("nu_over_p", offsets=offs)
+    """Hardy-Littlewood constant of the tuple; 0.0 when inadmissible, as
+    some factor 1 - nu(p)/p of the Euler product is then exactly 0.0."""
+    spec = multfun.builtin_spec("nu_over_p", offsets=offsets)
     return multfun.singular_series(spec, 1, tol, a_variant=True)
 
 
 def gpy_threshold(k, l):
     """Exact sign-flip level (l+1)(2l+k+1)/(k(2l+1)) of the u = 1 coefficient."""
-    k = int(k)
-    l = int(l)
-    if k < 1 or l < 0:
-        raise RangeError("need k >= 1 and l >= 0")
+    k, l = check_int("k", k, 1), check_int("l", l, 0)
     return Fraction((l + 1) * (2 * l + k + 1), k * (2 * l + 1))
 
 
 def gpy_coefficient_unsmoothed(k, m, theta):
     """Closed form of the coefficient at u = 1, exact for Fraction theta."""
-    k = int(k)
-    m = int(m)
-    if k < 2 or m <= k:
-        raise RangeError("need k >= 2 and m > k")
+    k = check_int("k", k, 2)
+    m = check_int("m", m, k + 1)
     beta = iterints.closed_form_unit
     val = Fraction(k, 2) * Fraction(theta) * beta(k - 1, m) - beta(k, m)
     if isinstance(theta, Fraction):
@@ -125,12 +107,8 @@ def _check_theta_delta(theta, delta):
 
 
 def _validate_params(k, m, theta, delta):
-    k = int(k)
-    m = int(m)
-    if k < 2:
-        raise RangeError("k must be at least 2")
-    if m <= k:
-        raise RangeError("m must exceed k")
+    k = check_int("k", k, 2)
+    m = check_int("m", m, k + 1)
     return (k, m, *_check_theta_delta(theta, delta))
 
 
@@ -204,10 +182,7 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1):
     the work: tables are built in the calling thread, so results do not
     depend on it.
     """
-    k_max = int(k_max)
-    m_max = int(m_max)
-    if k_max < 1 or m_max < 1:
-        raise RangeError("grid bounds must be positive")
+    k_max, m_max = check_int("k_max", k_max, 1), check_int("m_max", m_max, 1)
     theta, delta = _check_theta_delta(theta, delta)
     u = theta / (2.0 * delta)
     valid = [(k, m) for k in range(2, k_max + 1) for m in range(k + 1, m_max + 1)]

@@ -59,6 +59,21 @@ class TestSum:
         want = multfun.m_sum(spec, 15000, 0, 1, exact=True).exact_value
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == want
 
+    def test_exact_only_on_request(self, monkeypatch, capsys):
+        # m = 0 and x <= 1e5 once ran the exact rational path unasked
+        def refuse(*args):
+            raise AssertionError("exact sum computed")
+
+        monkeypatch.setattr(multfun._dfs, "msum_exact_m0", refuse)
+        code, out, _ = run_cli(["sum", "--spec", "one_over_n", "--x", "1000", "--m", "0"], capsys)
+        assert code == 0
+        meta, header, rows = parse_csv(out)
+        assert meta["exact"] == "false"
+        assert header == ["value", "exact", "terms"]
+        assert rows[0][1] == ""
+        spec = multfun.builtin_spec("one_over_n")
+        assert rows[0][0] == cli._text(multfun.m_sum(spec, 1000, 0, 1).value)
+
     def test_smooth_matches_library(self, capsys):
         code, out, _ = run_cli(
             ["sum", "--spec", "one_over_phi", "--x", "5000", "--m", "1", "--z", "70"],

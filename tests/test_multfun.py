@@ -115,23 +115,23 @@ class TestBuiltinsUnchanged:
 
 class TestMSum:
     def test_hand_sum_exact(self):
-        r = m_sum(builtin_spec("one_over_n"), 10, 0, 1)
+        r = m_sum(builtin_spec("one_over_n"), 10, 0, 1, exact=True)
         assert r.exact_value == Fraction(171, 70)
         assert abs(r.value - 171 / 70) < 1e-12
         assert r.terms == 7
 
     def test_x_one(self):
-        r = m_sum(builtin_spec("two_omega_over_n"), 1, 0, 1)
+        r = m_sum(builtin_spec("two_omega_over_n"), 1, 0, 1, exact=True)
         assert r.value == 1.0
         assert r.exact_value == 1
         assert r.terms == 1
 
     def test_coprime_subset(self):
-        r = m_sum(builtin_spec("one_over_n"), 10, 0, 6)
+        r = m_sum(builtin_spec("one_over_n"), 10, 0, 6, exact=True)
         assert r.exact_value == Fraction(47, 35)
 
     def test_smooth_example(self):
-        r = m_sum_smooth(builtin_spec("one_over_n"), 10, 0, 1, 3)
+        r = m_sum_smooth(builtin_spec("one_over_n"), 10, 0, 1, 3, exact=True)
         assert r.exact_value == Fraction(3, 2)
 
     def test_smooth_vacuous(self):
@@ -161,17 +161,17 @@ class TestMSum:
 
     def test_exact_matches_float_at_1e4(self):
         for name in ("one_over_n", "one_over_phi", "two_omega_over_n"):
-            r = m_sum(builtin_spec(name), 10**4, 0, 1)
+            r = m_sum(builtin_spec(name), 10**4, 0, 1, exact=True)
             assert r.exact_value is not None
             assert abs(r.value - float(r.exact_value)) <= 1e-12 * abs(r.value)
 
     def test_exact_matches_float_at_1e5(self):
-        r = m_sum(builtin_spec("one_over_n"), 10**5, 0, 1)
+        r = m_sum(builtin_spec("one_over_n"), 10**5, 0, 1, exact=True)
         assert abs(r.value - float(r.exact_value)) <= 1e-12 * abs(r.value)
 
     def test_exact_matches_brute_rational(self):
         spec = builtin_spec("one_over_phi")
-        got = m_sum_smooth(spec, 150, 0, 5, 40).exact_value
+        got = m_sum_smooth(spec, 150, 0, 5, 40, exact=True).exact_value
         want = oracles.brute_weighted_sum_exact(lambda p: Fraction(1, p - 1), 150, 5, 40)
         assert got == want
 
@@ -370,6 +370,22 @@ class TestSingularSeries:
     def test_zeta2_to_1e_9(self):
         got = singular_series(builtin_spec("one_over_n"), 1, 1e-9)
         assert abs(got - 6 / math.pi**2) < 1e-9
+
+    @pytest.mark.parametrize("tol, points", [(1e-9, [1024, 1 << 26]), (1e-8, [1024, 1 << 23])])
+    def test_step_lands_on_the_smallest_sufficient_point(self, monkeypatch, tol, points):
+        # the step after a miss once rounded bound/target up to a power of
+        # two: 1024 then 2^27 at 1e-9 and 2^24 at 1e-8
+        seen = []
+        taylor = multfun.euler_log_taylor
+
+        def recorded(spec, q, order, P):
+            seen.append(P)
+            return taylor(spec, q, order, P)
+
+        monkeypatch.setattr(multfun, "euler_log_taylor", recorded)
+        got = singular_series(builtin_spec("one_over_n"), 1, tol)
+        assert seen == points
+        assert abs(got - 6 / math.pi**2) < tol
 
     def test_negative_series_matches_prime_zeta(self):
         # G(0) = (2/3)^-3 prod_{p != 3} (1 - 3/p)(1 - 1/p)^-3, negative

@@ -126,6 +126,27 @@ class TestWeightLemma:
         assert set(orders) == {3}
         assert rep.params["main_bound"] <= 1e-7
 
+    def test_truncation_points_of_the_bench_checks(self, monkeypatch):
+        # theorem1, theorem2 and weight at m = 1, u = 2, coefficients 1, 1
+        # on 1e4..1e6: one miss at 1024, then the point that certifies 1e-7
+        seen = []
+        taylor = multfun.euler_log_taylor
+
+        def recorded(spec, q, order, P):
+            seen.append(P)
+            return taylor(spec, q, order, P)
+
+        monkeypatch.setattr(multfun, "euler_log_taylor", recorded)
+        spec = multfun.builtin_spec("one_over_n")
+        xs = (1e4, 1e5, 1e6)
+        reports = [
+            verify.check_theorem1(spec, 1, 1, xs=xs, series_tol=1e-7),
+            verify.check_theorem2(spec, 1, 1, u=2.0, xs=xs, series_tol=1e-7),
+            verify.check_weight_lemma(spec, [1.0, 1.0], 1, xs=xs, series_tol=1e-7),
+        ]
+        assert seen == [1024, 1 << 24, 1024, 1 << 23, 1024, 1 << 23]
+        assert all(rep.params["main_bound"] <= 1e-7 for rep in reports)
+
     def test_needs_coeffs(self):
         spec = multfun.builtin_spec("one_over_n")
         with pytest.raises(RangeError):
