@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dde, iterints, multfun, verify, zhang
-from .errors import RangeError, ToleranceError, check_tol
+from .errors import RangeError, ToleranceError, check_int, check_tol
 
 ENV_THREADS = "SIEVESUM_THREADS"
 ENV_OUTDIR = "SIEVESUM_OUTDIR"
@@ -35,9 +35,9 @@ def parse_spec(text):
     """Build a MultFuncSpec from a CLI string like nu_over_p:0,2,6."""
     name, _, rest = text.partition(":")
     if name in SPECS_WITH_K:
-        return multfun.builtin_spec(name, k=int(rest))
+        return multfun.builtin_spec(name, k=_int_token("k", rest))
     if name in SPECS_WITH_OFFSETS:
-        offsets = tuple(int(tok) for tok in rest.split(","))
+        offsets = tuple(_int_token("offsets", tok) for tok in rest.split(","))
         return multfun.builtin_spec(name, offsets=offsets)
     if name == "signed_mu_times":
         if not rest:
@@ -46,6 +46,15 @@ def parse_spec(text):
     if rest:
         raise RangeError(f"spec {name!r} takes no arguments")
     return multfun.builtin_spec(name)
+
+
+def _int_token(name, tok):
+    """A spec argument as an int, by check_int's rule and message."""
+    try:
+        tok = int(tok)
+    except ValueError:
+        pass
+    return check_int(name, tok)
 
 
 def _float_list(text):
@@ -212,7 +221,7 @@ def _cmd_sum(ns, cfg):
 def _cmd_sseries(ns, cfg):
     spec = parse_spec(ns.spec)
     tol = _tol(ns, cfg, 1e-8)
-    val = multfun.singular_series(spec, ns.q, tol, a_variant=ns.a_variant)
+    val = multfun.singular_series(spec.negated() if ns.a_variant else spec, ns.q, tol)
     meta = {
         "command": "sseries",
         "spec": ns.spec,

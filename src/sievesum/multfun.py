@@ -1,9 +1,10 @@
 """Multiplicative function specs, weighted sums, and singular series.
 
-A spec describes a multiplicative function supported on squarefree
-integers through its values g(p) at primes, together with the dimension k
-and a tail bound |g(p) - k/p| <= c * p^(-1-theta) past a cutoff, which is
-what makes the Euler products here rigorously truncatable.
+A spec is a multiplicative function supported on squarefree integers,
+given at primes as g(p) = a(p) / (p - c) with c in {0, 1}: a(p) is the
+dimension k past a cutoff and is listed below it where it differs.  Past
+the cutoff |g(p) - k/p| <= 2 |k| c p^-2, which is what makes the Euler
+products here rigorously truncatable.
 
 Every sum and Euler product runs over the primes p <= cap that do not
 divide q: coprime_primes makes that selection from the shared prime table,
@@ -25,36 +26,65 @@ import numpy as np
 from . import _dfs, primes
 from .errors import RangeError, ToleranceError, check_int, check_tol
 
-TAIL_CHECK_LIMIT = 100_000
 EXACT_X_MAX = 100_000
 SERIES_PRIME_CAP = 1 << 27
 THETA_RATIO = 1.01624  # theta(t) < 1.01624 t for all t > 0 (Rosser-Schoenfeld 1962)
 _TAYLOR_CHUNK = 1 << 18
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class MultFuncSpec:
-    """A multiplicative function given by its prime values.
+    """The multiplicative function g(p) = a(p) / (p - c), c in {0, 1}.
 
-    prime_value maps a prime to g(p); prime_values (optional) does the
-    same for a whole int64 array; prime_value_exact (optional) returns a
-    Fraction and enables the exact summation path.
+    a(p) = dimension_k at every prime p > cutoff; low lists the pairs
+    (p, a(p)) for the primes p <= cutoff where a(p) != dimension_k.  Past
+    the cutoff |g(p) - k/p| = |k| c / (p (p - c)) <= tail_bound p^-2.  The
+    fields are plain data, so equal specs compare and hash equal, and
+    verify's per-run dict of sums shares them.  Every field is checked
+    here: RangeError unless c is 0 or 1, dimension_k, cutoff and each low
+    pair are integers, and each low prime is at most the cutoff.
     """
 
     name: str
-    prime_value: object
     dimension_k: int
-    tail_theta: float
-    tail_bound: float
-    tail_cutoff: int = 1
-    prime_values: object = None
-    prime_value_exact: object = None
+    c: int
+    cutoff: int = 1
+    low: tuple = ()
+
+    def __post_init__(self):
+        for field, floor in (("dimension_k", None), ("c", 0), ("cutoff", 1)):
+            object.__setattr__(self, field, check_int(field, getattr(self, field), floor))
+        pairs = ((check_int("low prime", p, 2), check_int("a(p)", a)) for p, a in self.low)
+        object.__setattr__(self, "low", tuple(sorted(pairs)))
+        if self.c > 1:
+            raise RangeError(f"c must be 0 or 1, got {self.c}")
+        if self.low and self.low[-1][0] > self.cutoff:
+            raise RangeError(f"low prime {self.low[-1][0]} exceeds the cutoff {self.cutoff}")
+
+    @property
+    def tail_bound(self):
+        """The constant of |g(p) - k/p| <= tail_bound p^-2 past the cutoff."""
+        return 2.0 * abs(self.dimension_k) * self.c
 
     def values_on(self, ps):
-        """g at every prime of the array ps, as float64."""
-        if self.prime_values is not None:
-            return self.prime_values(ps)
-        return np.fromiter((self.prime_value(int(p)) for p in ps), dtype=np.float64, count=len(ps))
+        """g at every prime of the sorted int64 array ps, as float64."""
+        out = self.dimension_k / (ps - self.c)
+        for p, a in self.low:
+            i = ps.searchsorted(p)
+            if i < len(ps) and ps[i] == p:
+                out[i] = a / (p - self.c)
+        return out
+
+    def value_exact(self, p):
+        """g(p) as a Fraction."""
+        a = next((a for lp, a in self.low if lp == p), self.dimension_k)
+        return Fraction(a, p - self.c)
+
+    def negated(self):
+        """The mu(n)-twisted spec: g -> -g, dimension k -> -k."""
+        low = tuple((p, -a) for p, a in self.low)
+        name = f"signed_mu_times({self.name})"
+        return MultFuncSpec(name, -self.dimension_k, self.c, self.cutoff, low)
 
 
 @dataclass(frozen=True)
@@ -71,61 +101,8 @@ def _residue_count(offsets, p):
     return len({h % p for h in offsets})
 
 
-def _rational_spec(name, a, c, offsets=()):
-    """The spec g(p) = (a + e(p)) / (p - c), c in {0, 1}, of dimension a.
-
-    e(p) = nu(p) - len(offsets) for the sorted distinct offsets; it is
-    nonzero only up to their diameter, the tail cutoff (no offsets: none).
-    Past it |g(p) - a/p| = |a| c / (p (p - c)) <= 2 |a| c p^-2, which gives
-    the tail constants theta = 1 and 2 |a| c.  The scalar and exact values
-    are plain int arithmetic per prime; the vector takes a / (p - c) past
-    the cutoff and the scalar value below it.  Every float is one division
-    of two exact numbers, so the scalar and vector values agree to the bit.
-    """
-    kt = len(offsets)
-    cut = max(1, offsets[-1] - offsets[0]) if offsets else 1
-
-    def num(p):
-        return a if p > cut else a + _residue_count(offsets, p) - kt
-
-    def value(p):
-        return num(p) / (p - c)
-
-    def values(ps):
-        out = a / (ps - c)
-        for i in range(int(np.searchsorted(ps, cut, side="right"))):
-            out[i] = value(int(ps[i]))
-        return out
-
-    return MultFuncSpec(
-        name, value, a, 1.0, 2.0 * abs(a) * c, cut,
-        prime_values=values,
-        prime_value_exact=lambda p: Fraction(num(p), p - c),
-    )
-
-
-# the builtins without parameters, as (a, c) of g(p) = a / (p - c)
+# the builtins without parameters, as (k, c) of g(p) = k / (p - c)
 _FIXED = {"one_over_n": (1, 0), "one_over_phi": (1, 1), "two_omega_over_n": (2, 0)}
-
-
-def _signed(base):
-    """The mu(n)-twisted spec: g -> -g, dimension k -> -k."""
-    neg_vec = None
-    if base.prime_values is not None:
-        neg_vec = lambda ps, _b=base: -_b.prime_values(ps)
-    neg_exact = None
-    if base.prime_value_exact is not None:
-        neg_exact = lambda p, _b=base: -_b.prime_value_exact(p)
-    return MultFuncSpec(
-        name=f"signed_mu_times({base.name})",
-        prime_value=lambda p, _b=base: -_b.prime_value(p),
-        dimension_k=-base.dimension_k,
-        tail_theta=base.tail_theta,
-        tail_bound=base.tail_bound,
-        tail_cutoff=base.tail_cutoff,
-        prime_values=neg_vec,
-        prime_value_exact=neg_exact,
-    )
 
 
 def check_offsets(offsets):
@@ -144,43 +121,31 @@ def builtin_spec(name, k=None, offsets=None, base=None):
 
     Names: one_over_n, one_over_phi, two_omega_over_n, k_over_p (takes k),
     nu_over_p and nu_minus1_over_phi (take tuple offsets), signed_mu_times
-    (takes base, a spec or a builtin name).
+    (takes base, a spec or a builtin name).  The tuple specs have
+    a(p) = nu(p) - c, nu(p) the offsets' residues mod p, cut off at their diameter.
     """
     if name in _FIXED:
-        spec = _rational_spec(name, *_FIXED[name])
-    elif name == "k_over_p":
+        return MultFuncSpec(name, *_FIXED[name])
+    if name == "k_over_p":
         k = check_int("k", k)
-        spec = _rational_spec(f"k_over_p({k})", k, 0)
-    elif name in ("nu_over_p", "nu_minus1_over_phi"):
+        return MultFuncSpec(f"k_over_p({k})", k, 0)
+    if name in ("nu_over_p", "nu_minus1_over_phi"):
         offsets = check_offsets(offsets)
         c = int(name == "nu_minus1_over_phi")
+        cutoff = max(1, offsets[-1] - offsets[0])
+        # nu(p) < len(offsets) exactly at the primes dividing a difference
+        diffs = {b - a for i, a in enumerate(offsets) for b in offsets[i + 1 :]}
+        ps = sorted({p for d in diffs for p in primes.factor_support(d)})
+        low = tuple((p, _residue_count(offsets, p) - c) for p in ps)
         label = "{" + ",".join(str(h) for h in offsets) + "}"
-        spec = _rational_spec(name + label, len(offsets) - c, c, offsets)
-    elif name == "signed_mu_times":
+        return MultFuncSpec(name + label, len(offsets) - c, c, cutoff, low)
+    if name == "signed_mu_times":
         if base is None:
             raise ValueError("signed_mu_times requires base")
         if isinstance(base, str):
             base = builtin_spec(base, k=k, offsets=offsets)
-        return builtin_spec_checked(_signed(base))
-    else:
-        raise ValueError(f"unknown builtin spec {name!r}")
-    return builtin_spec_checked(spec)
-
-
-def builtin_spec_checked(spec):
-    """Verify the declared tail bound over all primes up to 10^5."""
-    table = primes.shared_table(TAIL_CHECK_LIMIT)
-    ps = table.primes
-    sel = ps > spec.tail_cutoff
-    ps = ps[sel]
-    g = spec.values_on(ps)
-    pf = ps.astype(np.float64)
-    dev = np.abs(g - spec.dimension_k / pf)
-    bound = spec.tail_bound * pf ** (-1.0 - spec.tail_theta) + 1e-15 / pf
-    if np.any(dev > bound):
-        worst = int(ps[np.argmax(dev - bound)])
-        raise ValueError(f"spec {spec.name}: tail bound violated at p = {worst}")
-    return spec
+        return base.negated()
+    raise ValueError(f"unknown builtin spec {name!r}")
 
 
 def coprime_primes(spec, cap, q):
@@ -224,9 +189,7 @@ def _sum_impl(spec, x, m, q, z, exact):
             raise RangeError("exact path is defined for m = 0 only")
         if nmax > EXACT_X_MAX:
             raise RangeError(f"exact path supports x <= {EXACT_X_MAX}")
-        if spec.prime_value_exact is None:
-            raise RangeError(f"spec {spec.name} has no exact rational values")
-        fr = [spec.prime_value_exact(int(p)) for p in sel_p]
+        fr = [spec.value_exact(p) for p in sel_p.tolist()]
         total, denom = _dfs.msum_exact_m0(
             [int(p) for p in sel_p], [f.numerator for f in fr], [f.denominator for f in fr], nmax
         )
@@ -268,12 +231,11 @@ def m_sum_smooth_each(spec, x, m, q, ps):
 
 def log_taylor_floor(spec, order):
     """Smallest truncation point at which euler_log_taylor's tail bounds hold."""
-    sig = min(1.0 + spec.tail_theta, 2.0)
     return max(
-        spec.tail_cutoff,
+        spec.cutoff,
         2.0 * (abs(spec.dimension_k) + spec.tail_bound),
         17.0,
-        math.exp(max(order - 1, 0) / sig),
+        math.exp(max(order - 1, 0) / 2.0),
     )
 
 
@@ -303,28 +265,25 @@ def _log_taylor_tail(spec, j, P, theta_P):
     log((1+g(p)p^-s)(1-p^(-1-s))^k)|.
 
     The coefficient is (-log p)^j / j! * sum_r r^(j-1) ((-1)^(r+1) g^r - k p^-r);
-    its r = 1 part is at most c p^(-1-theta) and, as |g(p)| <= a/p with
-    a = |k| + c P^-theta, the rest at most (a^2 + |k|) p^-2 C_j.  The prime
-    sums of (log p)^j p^-sigma go by partial summation against
+    its r = 1 part is at most c p^-2, c = spec.tail_bound, and, as
+    |g(p)| <= a/p with a = |k| + c/P, the rest at most (a^2 + |k|) p^-2 C_j.
+    The prime sum of (log p)^j p^-2 goes by partial summation against
     theta(t) < 1.01624 t, with the exact theta(P) closing the boundary
-    term; their integrals are upper incomplete gamma functions.  Valid once
+    term; its integral is an upper incomplete gamma function.  Valid once
     P >= log_taylor_floor.
     """
     k = abs(spec.dimension_k)
     c = spec.tail_bound
-    a = k + c * P ** (-spec.tail_theta)
+    a = k + c * P ** -1.0
     lp = math.log(P)
-
-    def prime_sum(sig):
-        edge = lp ** (j - 1) * P ** (-sig) * max(0.0, THETA_RATIO * P - theta_P)
-        y = (sig - 1.0) * lp
-        if j == 0:
-            gamma_upper = math.exp(-y) / y  # E_1(y) < e^-y / y
-        else:
-            gamma_upper = math.factorial(j - 1) * math.exp(-y) * sum(
-                y**i / math.factorial(i) for i in range(j)
-            )
-        return edge + THETA_RATIO * gamma_upper / (sig - 1.0) ** j
+    edge = lp ** (j - 1) * P ** -2.0 * max(0.0, THETA_RATIO * P - theta_P)
+    if j == 0:
+        gamma_upper = math.exp(-lp) / lp  # E_1(y) < e^-y / y at y = log P
+    else:
+        gamma_upper = math.factorial(j - 1) * math.exp(-lp) * sum(
+            lp**i / math.factorial(i) for i in range(j)
+        )
+    prime_sum = edge + THETA_RATIO * gamma_upper
 
     # C_j = sum_{r >= 2} r^(j-1) rho^(r-2); past r = 2j+2 consecutive terms
     # shrink by at most e^(1/2) rho <= 0.83
@@ -332,9 +291,7 @@ def _log_taylor_tail(spec, j, P, theta_P):
     cut = 2 * j + 2
     cj = sum(r ** (j - 1) * rho ** (r - 2) for r in range(2, cut))
     cj += cut ** (j - 1) * rho ** (cut - 2) / (1.0 - math.exp(0.5) * rho)
-    tail = (a * a + k) * cj * prime_sum(2.0)
-    if c > 0.0:
-        tail += c * prime_sum(1.0 + spec.tail_theta)
+    tail = (a * a + k) * cj * prime_sum + c * prime_sum
     return tail / math.factorial(j)
 
 
@@ -359,8 +316,6 @@ def euler_log_taylor(spec, q, order, P):
     1+g(p) vanishes; coeffs then leave those factors out.
     """
     order = check_int("order", order, 0)
-    if spec.tail_bound is None:
-        raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
     if P < log_taylor_floor(spec, order):
         raise RangeError(f"P = {P} is below the floor where the tail bounds hold")
     k = spec.dimension_k
@@ -415,8 +370,6 @@ def truncate_euler(spec, q, order, target, certify, what):
     SERIES_PRIME_CAP a ToleranceError names what and carries the bound.
     """
     check_tol(target)
-    if spec.tail_bound is None:
-        raise ValueError(f"spec {spec.name} has no tail bound; product not certifiable")
     P = 1024
     while P < log_taylor_floor(spec, order):
         P *= 2
@@ -443,18 +396,15 @@ def truncate_euler(spec, q, order, target, certify, what):
             P *= 2
 
 
-def singular_series(spec, q, tol, a_variant=False):
+def singular_series(spec, q, tol):
     """The Euler product G(0) to within tol.
 
     Returns prod_{p not dividing q} (1+g(p))(1-1/p)^k * prod_{p|q} (1-1/p)^k
     as sign * exp(c_0) from euler_log_taylor's order-0 truncation, at the
     first truncation point of truncate_euler where |G(0)| expm1(b_0) bounds
-    the error by tol; 0.0 when a factor 1+g(p) vanishes.  With a_variant
-    the product is prod (1-g(p))(1-1/p)^(-k), the same product for the
-    sign-flipped spec.
+    the error by tol; 0.0 when a factor 1+g(p) vanishes.  The product
+    prod (1-g(p))(1-1/p)^(-k) is the series of spec.negated().
     """
-    if a_variant:
-        spec = _signed(spec)
 
     def certify(coeffs, bounds, sign):
         value = sign * math.exp(coeffs[0])

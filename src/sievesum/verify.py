@@ -116,7 +116,7 @@ def _verdict(residuals):
 
 def _positive_dimension(spec):
     k = spec.dimension_k
-    if not isinstance(k, int) or k < 1:
+    if k < 1:
         raise RangeError(f"{spec.name}: check needs a positive integer dimension, got {k}")
     return k
 

@@ -56,7 +56,7 @@ def tuple_singular_series(offsets, tol=1e-6):
     """Hardy-Littlewood constant of the tuple; 0.0 when inadmissible, as
     some factor 1 - nu(p)/p of the Euler product is then exactly 0.0."""
     spec = multfun.builtin_spec("nu_over_p", offsets=offsets)
-    return multfun.singular_series(spec, 1, tol, a_variant=True)
+    return multfun.singular_series(spec.negated(), 1, tol)
 
 
 def gpy_threshold(k, l):

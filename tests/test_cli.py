@@ -476,6 +476,18 @@ class TestExitCodes:
         assert code == 2
         assert "tol must be a positive finite number" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("k_over_p:2.5", "k must be an integer, got '2.5'"),
+        ("k_over_p:", "k must be an integer, got ''"),
+        ("nu_over_p:0,x", "offsets must be an integer, got 'x'"),
+    ])
+    def test_non_integer_spec_argument_rejected(self, spec, message, capsys):
+        # int() once raised here, with a message naming no parameter
+        code, out, err = run_cli(["sum", "--spec", spec, "--x", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"sievesum: {message}\n"
+
     @pytest.mark.parametrize("check", ["buchstab", "all"])
     def test_zero_cases_rejected(self, check, capsys):
         code, out, err = run_cli(["verify", "--check", check, "--cases", "0"], capsys)

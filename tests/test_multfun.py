@@ -11,18 +11,23 @@ from sievesum.multfun import builtin_spec, m_sum, m_sum_smooth, singular_series
 import oracles
 
 
+def _at(spec, p):
+    """g(p) through values_on."""
+    return float(spec.values_on(np.array([p], dtype=np.int64))[0])
+
+
 class TestBuiltinSpecs:
     def test_one_over_n_at_5(self):
-        assert builtin_spec("one_over_n").prime_value(5) == 1 / 5
+        assert _at(builtin_spec("one_over_n"), 5) == 1 / 5
 
     def test_nu_over_p_pair_at_2(self):
         spec = builtin_spec("nu_over_p", offsets=(0, 2))
-        assert spec.prime_value(2) == 1 / 2
-        assert spec.prime_value_exact(2) == Fraction(1, 2)
+        assert _at(spec, 2) == 1 / 2
+        assert spec.value_exact(2) == Fraction(1, 2)
 
     def test_nu_minus1_over_phi_at_5(self):
         spec = builtin_spec("nu_minus1_over_phi", offsets=(0, 2))
-        assert spec.prime_value(5) == 1 / 4
+        assert _at(spec, 5) == 1 / 4
 
     def test_dimensions(self):
         assert builtin_spec("one_over_n").dimension_k == 1
@@ -34,27 +39,19 @@ class TestBuiltinSpecs:
 
     def test_signed_wrapper(self):
         spec = builtin_spec("signed_mu_times", base="one_over_n")
-        assert spec.prime_value(7) == -1 / 7
+        assert _at(spec, 7) == -1 / 7
         assert spec.dimension_k == -1
-        assert spec.prime_value_exact(7) == Fraction(-1, 7)
+        assert spec.value_exact(7) == Fraction(-1, 7)
 
     def test_signed_of_spec_instance(self):
         base = builtin_spec("k_over_p", k=2)
         spec = builtin_spec("signed_mu_times", base=base)
-        assert spec.prime_value(3) == -2 / 3
+        assert _at(spec, 3) == -2 / 3
         assert spec.dimension_k == -2
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             builtin_spec("mystery")
-
-    def test_bad_tail_bound_rejected(self):
-        bogus = multfun.MultFuncSpec(
-            "bogus", lambda p: 2.0 / p, 1, 1.0, 0.0, 1,
-            prime_values=lambda ps: 2.0 / ps.astype(np.float64),
-        )
-        with pytest.raises(ValueError, match="tail bound"):
-            multfun.builtin_spec_checked(bogus)
 
     def test_vector_matches_scalar(self):
         for spec in (
@@ -64,27 +61,27 @@ class TestBuiltinSpecs:
         ):
             ps = np.array([2, 3, 5, 7, 11, 97], dtype=np.int64)
             vec = spec.values_on(ps)
-            for p, v in zip(ps, vec):
-                assert v == spec.prime_value(int(p))
+            for p, v in zip(ps.tolist(), vec):
+                assert v == float(spec.value_exact(p))
 
 
 class TestBuiltinsUnchanged:
-    """Every builtin but the signed wrapper is g(p) = a(p) / (p - c); its
-    declared constants and its values on the primes up to 1e5 are pinned
-    here against independent per-spec formulas."""
+    """Every builtin is g(p) = a(p) / (p - c); its constants and its values
+    on the primes up to 1e5 are pinned here against independent per-spec
+    formulas."""
 
-    # (name, kwargs): (dimension_k, tail_theta, tail_bound, tail_cutoff),
-    # c, and a(p) as a plain function of p
+    # (name, kwargs): (dimension_k, c, cutoff, tail_bound), c, and a(p) as
+    # a plain function of p
     CASES = {
-        ("one_over_n", ()): ((1, 1.0, 0.0, 1), 0, lambda p: 1),
-        ("one_over_phi", ()): ((1, 1.0, 2.0, 1), 1, lambda p: 1),
-        ("two_omega_over_n", ()): ((2, 1.0, 0.0, 1), 0, lambda p: 2),
-        ("k_over_p", (("k", 3),)): ((3, 1.0, 0.0, 1), 0, lambda p: 3),
+        ("one_over_n", ()): ((1, 0, 1, 0.0), 0, lambda p: 1),
+        ("one_over_phi", ()): ((1, 1, 1, 2.0), 1, lambda p: 1),
+        ("two_omega_over_n", ()): ((2, 0, 1, 0.0), 0, lambda p: 2),
+        ("k_over_p", (("k", 3),)): ((3, 0, 1, 0.0), 0, lambda p: 3),
         ("nu_over_p", (("offsets", (0, 2, 6)),)):
-            ((3, 1.0, 0.0, 6), 0, lambda p: len({0, 2 % p, 6 % p})),
+            ((3, 0, 6, 0.0), 0, lambda p: len({0, 2 % p, 6 % p})),
         ("nu_minus1_over_phi", (("offsets", (0, 4, 6)),)):
-            ((2, 1.0, 4.0, 6), 1, lambda p: len({0, 4 % p, 6 % p}) - 1),
-        ("signed_mu_times", (("base", "k_over_p"), ("k", 3))): ((-3, 1.0, 0.0, 1), 0, lambda p: -3),
+            ((2, 1, 6, 4.0), 1, lambda p: len({0, 4 % p, 6 % p}) - 1),
+        ("signed_mu_times", (("base", "k_over_p"), ("k", 3))): ((-3, 0, 1, 0.0), 0, lambda p: -3),
     }
 
     @pytest.fixture(params=sorted(CASES, key=str), ids=lambda key: key[0])
@@ -94,23 +91,75 @@ class TestBuiltinsUnchanged:
 
     def test_declared_constants(self, case):
         spec, consts, _, _ = case
-        got = (spec.dimension_k, spec.tail_theta, spec.tail_bound, spec.tail_cutoff)
+        got = (spec.dimension_k, spec.c, spec.cutoff, spec.tail_bound)
         assert got == consts
-        assert [type(v) for v in got] == [int, float, float, int]
+        assert [type(v) for v in got] == [int, int, int, float]
 
     def test_values_bit_for_bit(self, case):
         spec, _, c, a = case
         ps = primes.shared_table(100_000).primes
         want = np.array([float(a(int(p))) for p in ps]) / (ps.astype(np.float64) - c)
         assert spec.values_on(ps).tobytes() == want.tobytes()
-        assert np.array([spec.prime_value(int(p)) for p in ps]).tobytes() == want.tobytes()
-        for p in ps[:200].tolist() + ps[-50:].tolist():
-            assert spec.prime_value_exact(p) == Fraction(a(p), p - c)
+        exact = [spec.value_exact(p) for p in ps.tolist()]
+        assert np.array([float(v) for v in exact]).tobytes() == want.tobytes()
+        assert exact == [Fraction(a(p), p - c) for p in ps.tolist()]
 
     def test_duplicate_offsets_rejected(self):
         # nu(p) counts distinct residues, so a repeated offset has no dimension
         with pytest.raises(ValueError, match="distinct"):
             builtin_spec("nu_over_p", offsets=(0, 0, 2))
+
+
+class TestSpecForm:
+    """The guarantees of the one data form (k, c, cutoff, low)."""
+
+    @pytest.fixture(params=sorted(TestBuiltinsUnchanged.CASES, key=str), ids=lambda key: key[0])
+    def spec(self, request):
+        name, kwargs = request.param
+        return builtin_spec(name, **dict(kwargs))
+
+    def test_tail_bound_holds(self, spec):
+        # what every euler_log_taylor tail rests on, for g and its mu twist
+        ps = primes.shared_table(100_000).primes
+        ps = ps[ps > spec.cutoff]
+        pf = ps.astype(np.float64)
+        for s in (spec, spec.negated()):
+            dev = np.abs(s.values_on(ps) - s.dimension_k / pf)
+            assert np.all(dev <= s.tail_bound * pf**-2.0 + 1e-15 / pf)
+
+    def test_double_negation_is_identity(self, spec):
+        ps = primes.shared_table(10_000).primes
+        twice = spec.negated().negated()
+        assert twice.values_on(ps).tobytes() == spec.values_on(ps).tobytes()
+        assert (twice.dimension_k, twice.c, twice.cutoff, twice.low) == (
+            spec.dimension_k, spec.c, spec.cutoff, spec.low)
+
+    @pytest.mark.parametrize("offsets", [(0,), (0, 2, 6), (-7, 0, 4, 30), (0, 2, 6, 8, 12, 18, 20)])
+    def test_low_lists_every_prime_where_nu_differs(self, offsets):
+        for name, c in (("nu_over_p", 0), ("nu_minus1_over_phi", 1)):
+            spec = builtin_spec(name, offsets=offsets)
+            nus = [(p, len({h % p for h in offsets})) for p in primes.shared_table(200).primes.tolist()]
+            assert spec.low == tuple((p, nu - c) for p, nu in nus if nu != len(offsets))
+
+    def test_wide_tuple_needs_no_sieve_to_its_diameter(self):
+        # the low primes are those of the one difference 2e9 = 2^10 5^9
+        spec = builtin_spec("nu_over_p", offsets=(0, 2_000_000_000))
+        assert (spec.cutoff, spec.low) == (2_000_000_000, ((2, 1), (5, 1)))
+        assert m_sum(spec, 100, 0, 1).terms == 61
+
+    def test_permuted_offsets_equal(self):
+        a = builtin_spec("nu_over_p", offsets=(0, 2, 6))
+        b = builtin_spec("nu_over_p", offsets=(6, 0, 2))
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2), "c must be 0 or 1"),
+        ((1, 0, 6, ((7, 2),)), "exceeds the cutoff"),
+        ((2.5, 0), "dimension_k must be an integer"),
+    ])
+    def test_bad_fields_rejected(self, args, message):
+        with pytest.raises(RangeError, match=message):
+            multfun.MultFuncSpec("custom", *args)
 
 
 class TestMSum:
@@ -156,7 +205,7 @@ class TestMSum:
     def test_brute_force_small(self, name, m, q, z):
         spec = builtin_spec(name, k=3) if name == "k_over_p" else builtin_spec(name)
         got = _sum(spec, 317, m, q, z)
-        want = oracles.brute_weighted_sum(spec.prime_value, 317, m, q, z)
+        want = oracles.brute_weighted_sum(lambda p: float(spec.value_exact(p)), 317, m, q, z)
         assert abs(got - want) < 1e-11 * (1 + abs(want))
 
     def test_exact_matches_float_at_1e4(self):
@@ -338,14 +387,14 @@ class TestSingularSeries:
         assert abs(got - 1.0) < 1e-6
 
     def test_twin_constant_a_variant(self):
-        spec = builtin_spec("nu_over_p", offsets=(0, 2))
-        got = singular_series(spec, 1, 1e-6, a_variant=True)
+        spec = builtin_spec("signed_mu_times", base="nu_over_p", offsets=(0, 2))
+        got = singular_series(spec, 1, 1e-6)
         # 2 * C2 with C2 the twin prime constant
         assert abs(got - 1.3203236316937392) < 1e-5
 
     def test_a_variant_zero_factor(self):
         # 1 - g(2) = 0 for g(p) = 1/(p-1)
-        got = singular_series(builtin_spec("one_over_phi"), 1, 1e-6, a_variant=True)
+        got = singular_series(builtin_spec("signed_mu_times", base="one_over_phi"), 1, 1e-6)
         assert got == 0.0
 
     def test_nan_tolerance_rejected(self):
@@ -361,11 +410,6 @@ class TestSingularSeries:
         with pytest.raises(ToleranceError) as err:
             singular_series(builtin_spec("one_over_n"), 1, 1e-13)
         assert err.value.achieved is not None
-
-    def test_missing_tail_bound_rejected(self):
-        spec = multfun.MultFuncSpec("custom", lambda p: 1.0 / p, 1, 1.0, None, 1)
-        with pytest.raises(ValueError):
-            singular_series(spec, 1, 1e-6)
 
     def test_zeta2_to_1e_9(self):
         got = singular_series(builtin_spec("one_over_n"), 1, 1e-9)

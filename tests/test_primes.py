@@ -199,7 +199,8 @@ class TestTableGrowth:
         primes.shared_table(1 << 22)
         spec = multfun.builtin_spec("one_over_n")
         seen = []
-        values = spec.prime_values
-        monkeypatch.setattr(spec, "prime_values", lambda ps: seen.append(len(ps)) or values(ps))
+        values = multfun.MultFuncSpec.values_on
+        monkeypatch.setattr(multfun.MultFuncSpec, "values_on",
+                            lambda self, ps: seen.append(len(ps)) or values(self, ps))
         multfun.m_sum(spec, 1000, 1, 1)
         assert 0 < sum(seen) <= 168  # pi(1000) = 168

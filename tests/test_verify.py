@@ -191,14 +191,8 @@ class TestMainTerm:
 
     def test_vanishing_series_has_no_main_term(self):
         # 1 + g(2) = 0; past p = 2, g(p) = 1/p
-        spec = multfun.MultFuncSpec("custom", lambda p: -1.0 if p == 2 else 1.0 / p, 1, 1.0, 0.0, 2)
-        with pytest.raises(RangeError):
-            verify.main_term(spec, 1, 1, (1e4,), 1e-6)
-
-    def test_missing_tail_bound_rejected(self):
-        # the truncation's floor once added None to the dimension
-        spec = multfun.MultFuncSpec("custom", lambda p: 1.0 / p, 1, 1.0, None, 1)
-        with pytest.raises(ValueError, match="no tail bound"):
+        spec = multfun.MultFuncSpec("custom", 1, 0, 2, ((2, -2),))
+        with pytest.raises(RangeError, match="the singular series vanishes"):
             verify.main_term(spec, 1, 1, (1e4,), 1e-6)
 
     def test_zero_series_tol_rejected(self):
