@@ -39,3 +39,11 @@ def check_tol(tol):
     """Raise RangeError unless tol is a positive finite number."""
     if not (0.0 < tol < math.inf):
         raise RangeError(f"tol must be a positive finite number, got {tol}")
+
+
+def check_bound(what, bound, tol):
+    """Raise ToleranceError, carrying bound, unless the certified bound on
+    what is at most tol."""
+    if not bound <= tol:
+        raise ToleranceError(f"{what}: tolerance {tol} is below the certified bound "
+                             f"(achieved about {bound:.3e})", achieved=bound)

@@ -2,21 +2,23 @@
 
 A spec is a multiplicative function supported on squarefree integers,
 given at primes as g(p) = a(p) / (p - c) with c in {0, 1}: a(p) is the
-dimension k past a cutoff and is listed below it where it differs.  Past
-the cutoff |g(p) - k/p| <= 2 |k| c p^-2, which is what makes the Euler
-products here rigorously truncatable.
+dimension k past a cutoff and is listed below it where it differs.
 
 Every sum and Euler product runs over the primes p <= cap that do not
 divide q: coprime_primes makes that selection from the shared prime table,
 with log p read from the table and g evaluated on the selected primes only.
 
 The Euler product G(s) = prod_p (1+g(p)p^-s)(1-p^(-1-s))^k has one
-path: euler_log_taylor gives the Taylor coefficients of log|G| at 0 with
-certified tail bounds, and truncate_euler owns the schedule of truncation
-points.  The singular series G(0) and the residue main terms of verify
-both come from it.
+path: euler_log_taylor gives the untruncated Taylor coefficients of log|G|
+at 0 with certified bounds.  It sums the primes up to a head limit P0
+derived from the spec; past P0 g(p) = k/(p - c), so the log of each factor
+is a fixed double series in p^-1 and p^-s whose prime sums are prime zeta
+values, computed from log zeta (Cohen 1998; Ettahri, Ramare and Surel,
+Math. Comp. 90, 2021).  The singular series G(0) and the residue main
+terms of verify both come from it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,12 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _dfs, primes
-from .errors import RangeError, ToleranceError, check_int, check_tol
+from .errors import RangeError, check_bound, check_int, check_tol
 
 EXACT_X_MAX = 100_000
-SERIES_PRIME_CAP = 1 << 27
-THETA_RATIO = 1.01624  # theta(t) < 1.01624 t for all t > 0 (Rosser-Schoenfeld 1962)
-_TAYLOR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -229,30 +228,31 @@ def m_sum_smooth_each(spec, x, m, q, ps):
     return _dfs.msum_float_below(*sel, x, ps, m)
 
 
-def log_taylor_floor(spec, order):
-    """Smallest truncation point at which euler_log_taylor's tail bounds hold."""
-    return max(
-        spec.cutoff,
-        2.0 * (abs(spec.dimension_k) + spec.tail_bound),
-        17.0,
-        math.exp(max(order - 1, 0) / 2.0),
-    )
+# Bernoulli numbers B_2, B_4, ..., B_18: the eight Euler-Maclaurin
+# corrections of _rough_log_zeta and the one that bounds their remainder
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798)
+_EM_N = 64  # zeta(sigma) from the terms n < 64 and the corrections at 64
 
 
-def _factor_log_taylor(log_a0, a0, x, lam, order):
-    """Taylor coefficients at 0 of log|a0 + x (e^(-lam s) - 1)|, elementwise.
+def _mul(a, b):
+    """Product of two truncated power series of equal length."""
+    return [math.fsum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
 
-    log_a0 is the s^0 term.  The rest follow from the power-series
-    logarithm recursion n l_n = n f_n - sum_{0<i<n} i l_i f_(n-i), where f_n
-    are the argument's coefficients divided by a0.
-    """
-    f = [None]
-    t = x / a0
-    for n in range(1, order + 1):
-        t = t * (-lam) / n
-        f.append(t)
+
+def _exp(a):
+    """exp of a truncated power series, by n e_n = sum_{i=1}^n i a_i e_(n-i)."""
+    e = [math.exp(a[0])]
+    for n in range(1, len(a)):
+        e.append(math.fsum(i * a[i] * e[n - i] for i in range(1, n + 1)) / n)
+    return e
+
+
+def _log(log_a0, f):
+    """log of the truncated power series a_0 (1 + f_1 s + f_2 s^2 + ...),
+    given log a_0, by n l_n = n f_n - sum_{0<i<n} i l_i f_(n-i).  f_0 is not
+    read; the terms may be arrays, taken elementwise."""
     ell = [log_a0]
-    for n in range(1, order + 1):
+    for n in range(1, len(f)):
         acc = f[n]
         for i in range(1, n):
             acc = acc - (i / n) * ell[i] * f[n - i]
@@ -260,154 +260,177 @@ def _factor_log_taylor(log_a0, a0, x, lam, order):
     return ell
 
 
-def _log_taylor_tail(spec, j, P, theta_P):
-    """Rigorous bound on |sum over p > P of the s^j coefficient of
-    log((1+g(p)p^-s)(1-p^(-1-s))^k)|.
+def _factor_log_taylor(x, lam, order):
+    """Taylor coefficients at s = 0 of log|1 + x e^(-lam s)|, elementwise."""
+    a0 = 1.0 + x
+    log_a0 = np.where(x > -0.5, np.log1p(np.maximum(x, -0.5)), np.log(np.abs(a0)))
+    f = [None]
+    t = x / a0
+    for n in range(1, order + 1):
+        t = t * (-lam) / n
+        f.append(t)
+    return _log(log_a0, f)
 
-    The coefficient is (-log p)^j / j! * sum_r r^(j-1) ((-1)^(r+1) g^r - k p^-r);
-    its r = 1 part is at most c p^-2, c = spec.tail_bound, and, as
-    |g(p)| <= a/p with a = |k| + c/P, the rest at most (a^2 + |k|) p^-2 C_j.
-    The prime sum of (log p)^j p^-2 goes by partial summation against
-    theta(t) < 1.01624 t, with the exact theta(P) closing the boundary
-    term; its integral is an upper incomplete gamma function.  Valid once
-    P >= log_taylor_floor.
+
+def _head_limit(spec):
+    """P0, the last prime of the head: the smallest power of two >= 1024,
+    the cutoff and 1024 |k|.  Past P0 every factor is positive and the tail
+    series in p^-1 shrinks by about |k| / P0 <= 1/1024 a term."""
+    return 1 << (max(1024, spec.cutoff, 1024 * abs(spec.dimension_k)) - 1).bit_length()
+
+
+def _mobius(n):
+    """mu(n), by trial division (n is small)."""
+    ps = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    return 0 if any(n % (p * p) == 0 for p in ps) else (-1) ** len(ps)
+
+
+def _rough_log_zeta(t, P0, order):
+    """Taylor coefficients at s = 0 of log zeta(t + s) prod_{p <= P0} (1 - p^(-t-s)),
+    for an integer t >= 2, and a majorant of the terms they are summed from.
+
+    zeta(t + s) - 1 is the Euler-Maclaurin sum at N = 64: the terms
+    1 < n < N, N^(1-sigma)/(sigma-1), N^-sigma/2 and B_2i/(2i)! (sigma)_(2i-1)
+    N^(1-2i-sigma) for i <= 8, each a series in s; its log is taken through
+    log1p.  The factors of the primes up to P0 are then added elementwise.
     """
-    k = abs(spec.dimension_k)
-    c = spec.tail_bound
-    a = k + c * P ** -1.0
-    lp = math.log(P)
-    edge = lp ** (j - 1) * P ** -2.0 * max(0.0, THETA_RATIO * P - theta_P)
-    if j == 0:
-        gamma_upper = math.exp(-lp) / lp  # E_1(y) < e^-y / y at y = log P
-    else:
-        gamma_upper = math.factorial(j - 1) * math.exp(-lp) * sum(
-            lp**i / math.factorial(i) for i in range(j)
-        )
-    prime_sum = edge + THETA_RATIO * gamma_upper
-
-    # C_j = sum_{r >= 2} r^(j-1) rho^(r-2); past r = 2j+2 consecutive terms
-    # shrink by at most e^(1/2) rho <= 0.83
-    rho = max(a, 1.0) / P
-    cut = 2 * j + 2
-    cj = sum(r ** (j - 1) * rho ** (r - 2) for r in range(2, cut))
-    cj += cut ** (j - 1) * rho ** (cut - 2) / (1.0 - math.exp(0.5) * rho)
-    tail = (a * a + k) * cj * prime_sum + c * prime_sum
-    return tail / math.factorial(j)
-
-
-def _theta(P):
-    """Chebyshev's theta(P) = sum of log p over p <= P, rounded down."""
-    return float(np.sum(primes.shared_table(P).logp)) * (1.0 - 1e-13)
+    lm = np.log(np.arange(2, _EM_N, dtype=np.float64))
+    wm = np.exp(-t * lm)
+    head = [float(np.sum(wm * (-lm) ** j)) / math.factorial(j) for j in range(order + 1)]
+    power = [_EM_N**-t * (-math.log(_EM_N)) ** j / math.factorial(j) for j in range(order + 1)]
+    poly = [_EM_N / (t - 1) * (-1 / (t - 1)) ** j for j in range(order + 1)]
+    poly[0] += 0.5
+    poch = ([float(t), 1.0] + [0.0] * order)[: order + 1]
+    for i, b in enumerate(_BERNOULLI[:-1], 1):
+        w = b / math.factorial(2 * i) * _EM_N ** (1 - 2 * i)
+        poly = [v + w * h for v, h in zip(poly, poch)]
+        for u in (t + 2 * i - 1, t + 2 * i):
+            poch = [u * poch[0]] + [u * poch[j] + poch[j - 1] for j in range(1, order + 1)]
+    zeta1 = [h + v for h, v in zip(head, _mul(power, poly))]
+    f = [0.0] + [z / (1.0 + zeta1[0]) for z in zeta1[1:]]
+    log_zeta = _log(math.log1p(zeta1[0]), f)
+    table = primes.shared_table(P0)
+    lp = _factor_log_taylor(-np.exp(-t * table.logp), table.logp, order)
+    coeffs = [math.fsum([lz, *v]) for lz, v in zip(log_zeta, lp)]
+    scale = [abs(lz) + abs(fj) + math.fsum(np.abs(v)) for lz, fj, v in zip(log_zeta, f, lp)]
+    return coeffs, scale
 
 
-def euler_log_taylor(spec, q, order, P):
-    """Taylor coefficients at s = 0 of log|G(s)| from the primes up to P.
+def _tail_weights(k, c, a, order):
+    """sum_b beta_(a,b) b^j for j = 0..order, each rounded once, and
+    sum_b |beta_(a,b)|, for the coefficients beta_(a,b) of p^(-a-bs) in the
+    log of a factor past the cutoff: -k/b at a = b from (1 - p^(-1-s))^k,
+    and (-1)^(b+1) k^b/b C(a-1, b-1) c^(a-b) from log(1 + k p^-s/(p - c))."""
+    beta = {b: Fraction((-1) ** (b + 1) * k**b * math.comb(a - 1, b - 1) * c ** (a - b)
+                        - k * (a == b), b) for b in range(1, a + 1)}
+    gam = [float(sum(v * b**j for b, v in beta.items())) for j in range(order + 1)]
+    return gam, float(sum(map(abs, beta.values())))
+
+
+def _rough_tail(spec, P0, order, allowance):
+    """The s^j coefficients of the sum over p > P0 of the log of the factor
+    (1 + k p^-s/(p - c))(1 - p^(-1-s))^k, with a rounding scale and a bound
+    on what the series leave out.
+
+    The log of a factor is sum_{a >= 2, b <= a} beta_(a,b) p^(-a-bs), and
+    sum_{p > P0} p^-sigma = sum_n mu(n)/n log zeta_P0(n sigma), with zeta_P0
+    from _rough_log_zeta; coefficient j of a piece (a, b, n) is
+    (nb)^j times that of log zeta_P0(na + s).  The pieces are taken in order
+    of t = na until what is left is at most 1/32 of allowance(j, scale_j)
+    at every order.  Every omitted piece, and the Euler-Maclaurin remainder
+    of every taken one, is analytic on |s| <= rho: its modulus there is
+    bounded through |p^(-a-bs)| <= p^(-t(1-rho)) and sum_{p > P0} p^-x <=
+    P0^(1-x)/(x-1), with sum_b |beta_(a,b)| <= 2|k| W^(a-1), W = max(|k|+c, 1),
+    and divided by rho^j (Cauchy).
+    """
+    k, K, c = spec.dimension_k, abs(spec.dimension_k), spec.c
+    W = max(K + c, 1)
+    coeffs, scale = [0.0] * (order + 1), [0.0] * (order + 1)
+    taken = []  # (t, sum over its pieces of sum_b |beta_(a,b)| / n)
+
+    def left_out(A, j):
+        rho = min(0.25, j / ((A + 1) * math.log(P0)))
+        x = (A + 1) * (1 - rho)
+        omitted = 4 * K * (A + 1) * W**A * P0 ** (1 - x) / (x - 1) / (1 - 2 * W * P0 ** (rho - 1))
+        remainder = 0.0
+        for t, weight in taken:
+            x, y = t * (1 - rho), t * (1 + rho)
+            size = math.prod(y + i for i in range(18)) * _BERNOULLI[-1] / math.factorial(18)
+            remainder += 4 * weight * size * _EM_N ** (-x - 17) / (x + 17)
+        return (omitted + remainder) / rho**j
+
+    for t in itertools.count(2):
+        ell, ell_scale = _rough_log_zeta(t, P0, order)
+        weight = 0.0
+        for n in range(1, t // 2 + 1):
+            mu = _mobius(n)
+            if t % n or not mu:
+                continue
+            gam, size = _tail_weights(k, c, t // n, order)
+            for j in range(order + 1):
+                coeffs[j] += mu * n ** (j - 1) * gam[j] * ell[j]
+                scale[j] += n ** (j - 1) * abs(gam[j]) * ell_scale[j]
+            weight += size / n
+        taken.append((t, weight))
+        bounds = [left_out(t, j) for j in range(order + 1)]
+        if all(b <= allowance(j, s) / 32 for j, (b, s) in enumerate(zip(bounds, scale))):
+            return coeffs, scale, bounds
+
+
+def euler_log_taylor(spec, q, order):
+    """Taylor coefficients at s = 0 of log|G(s)|, untruncated, with bounds.
 
     G(s) = prod_{p not dividing q} (1+g(p)p^-s)(1-p^(-1-s))^k
            * prod_{p|q} (1-p^(-1-s))^k
     is the Euler product whose value at s = 0 is the singular series.
-    Returns (coeffs, bounds, sign).  coeffs and bounds are lists of length
-    order+1: coeffs[j] is the s^j coefficient for the product truncated to
-    p <= P (the p | q factors are always whole), and bounds[j] bounds its
-    distance from the untruncated coefficient: the certified tail over
-    p > P plus an allowance for float rounding in the per-prime terms and
-    their sum.  sign is the sign of G(0), the parity of the factors with
-    1+g(p) < 0 (every factor past P is positive), or 0.0 when a factor
-    1+g(p) vanishes; coeffs then leave those factors out.
+    Returns (coeffs, bounds, sign), coeffs and bounds of length order+1.
+    The head, the primes up to P0 = _head_limit(spec) (the p | q factors
+    always whole), is summed prime by prime; the tail past P0, where
+    g(p) = k/(p - c), comes from prime zeta values (_rough_tail).
+    bounds[j] bounds |coeffs[j] - c_j| for the exact coefficient c_j: an
+    allowance for float rounding in both parts and the tail's certified
+    truncation bound.  sign is the sign of G(0), the parity of the factors
+    with 1+g(p) < 0 (every factor past P0 is positive), or 0.0 when a
+    factor 1+g(p) vanishes; coeffs then leave those factors out.
     """
     order = check_int("order", order, 0)
-    if P < log_taylor_floor(spec, order):
-        raise RangeError(f"P = {P} is below the floor where the tail bounds hold")
     k = spec.dimension_k
-    theta_P = _theta(P)
-    ps, gs, lams = coprime_primes(spec, P, q)
-    support = primes.factor_support(q)
+    P0 = _head_limit(spec)
+    ps, gs, lams = coprime_primes(spec, P0, q)
     vanish = 1.0 + gs == 0.0
     sign = 0.0 if vanish.any() else (-1.0 if np.count_nonzero(gs < -1.0) % 2 else 1.0)
     if sign == 0.0:
-        keep = ~vanish
-        ps, gs, lams = ps[keep], gs[keep], lams[keep]
-    parts = [[] for _ in range(order + 1)]
-    scale = [[] for _ in range(order + 1)]
-    for lo in range(0, len(ps), _TAYLOR_CHUNK):
-        g = gs[lo : lo + _TAYLOR_CHUNK]
-        lam = lams[lo : lo + _TAYLOR_CHUNK]
-        inv_p = 1.0 / ps[lo : lo + _TAYLOR_CHUNK].astype(np.float64)
-        log_a0 = np.where(
-            g > -0.5, np.log1p(np.maximum(g, -0.5)), np.log(np.abs(1.0 + g))
-        )
-        la = _factor_log_taylor(log_a0, 1.0 + g, g, lam, order)
-        lb = _factor_log_taylor(np.log1p(-inv_p), 1.0 - inv_p, -inv_p, lam, order)
-        for j in range(order + 1):
-            parts[j].append(float(np.sum(la[j] + k * lb[j])))
-            scale[j].append(float(np.sum(np.abs(la[j]) + abs(k) * np.abs(lb[j]))))
-    if support:
-        sp = np.asarray(support, dtype=np.float64)
-        lb = _factor_log_taylor(np.log1p(-1.0 / sp), 1.0 - 1.0 / sp, -1.0 / sp, np.log(sp), order)
-        for j in range(order + 1):
-            parts[j].append(float(np.sum(k * lb[j])))
-            scale[j].append(float(np.sum(abs(k) * np.abs(lb[j]))))
-    slack = np.finfo(np.float64).eps * (order + math.log2(len(ps) + 2) + 4)
-    coeffs, bounds = [], []
-    for j in range(order + 1):
-        coeffs.append(math.fsum(parts[j]))
-        tail = _log_taylor_tail(spec, j, P, theta_P)
-        bounds.append(tail + slack * math.fsum(scale[j]))
+        ps, gs, lams = ps[~vanish], gs[~vanish], lams[~vanish]
+    sp = np.asarray(primes.factor_support(q), dtype=np.float64)
+    small, big = sp[sp <= P0], sp[sp > P0]  # the tail series holds all of big's factors
+    factors = [  # (weight, Taylor coefficients) of the logs in the head
+        (1.0, _factor_log_taylor(gs, lams, order)),
+        (k, _factor_log_taylor(-1.0 / ps, lams, order)),
+        (k, _factor_log_taylor(-1.0 / small, np.log(small), order)),
+        (-1.0, _factor_log_taylor(k / (big - spec.c), np.log(big), order)),
+    ]
+    parts = [[w * math.fsum(f[j]) for w, f in factors] for j in range(order + 1)]
+    head_scale = [math.fsum(abs(w) * math.fsum(np.abs(f[j])) for w, f in factors)
+                  for j in range(order + 1)]
+    slack = np.finfo(np.float64).eps * (order + 4)
+    tail, tail_scale, left_out = _rough_tail(spec, P0, order,
+                                             lambda j, s: slack * (head_scale[j] + s))
+    coeffs = [math.fsum(parts[j] + [tail[j]]) for j in range(order + 1)]
+    bounds = [slack * (head_scale[j] + tail_scale[j]) + left_out[j] for j in range(order + 1)]
     return coeffs, bounds, sign
-
-
-def truncate_euler(spec, q, order, target, certify, what):
-    """The first certified result along one schedule of truncation points.
-
-    certify(coeffs, bounds, sign) turns one euler_log_taylor output of the
-    given order into (result, bound); the first (result, bound) whose bound
-    is at most target is returned.  P starts at the first power of two from
-    1024 up that reaches log_taylor_floor.  After a miss P moves to the
-    smallest power of two where certify, given the current coefficients and
-    tails re-taken there (with theta(P) > P (1 - 1/log P) for P >= 41,
-    Rosser-Schoenfeld) plus the current rounding allowances, predicts the
-    target met.  The bound returned is the one certified where it stops; at
-    SERIES_PRIME_CAP a ToleranceError names what and carries the bound.
-    """
-    check_tol(target)
-    P = 1024
-    while P < log_taylor_floor(spec, order):
-        P *= 2
-    P = min(P, SERIES_PRIME_CAP)
-    while True:
-        coeffs, bounds, sign = euler_log_taylor(spec, q, order, P)
-        result, bound = certify(coeffs, bounds, sign)
-        if bound <= target:
-            return result, bound
-        if P >= SERIES_PRIME_CAP:
-            raise ToleranceError(
-                f"{what}: tolerance {target} unreachable within the prime budget "
-                f"(achieved about {bound:.3e})",
-                achieved=bound,
-            )
-        theta_P = _theta(P)
-        rounding = [b - _log_taylor_tail(spec, j, P, theta_P) for j, b in enumerate(bounds)]
-        P *= 2
-        while P < SERIES_PRIME_CAP:
-            theta_low = P * (1.0 - 1.0 / math.log(P))
-            guess = [_log_taylor_tail(spec, j, P, theta_low) + r for j, r in enumerate(rounding)]
-            if certify(coeffs, guess, sign)[1] <= target:
-                break
-            P *= 2
 
 
 def singular_series(spec, q, tol):
     """The Euler product G(0) to within tol.
 
     Returns prod_{p not dividing q} (1+g(p))(1-1/p)^k * prod_{p|q} (1-1/p)^k
-    as sign * exp(c_0) from euler_log_taylor's order-0 truncation, at the
-    first truncation point of truncate_euler where |G(0)| expm1(b_0) bounds
-    the error by tol; 0.0 when a factor 1+g(p) vanishes.  The product
+    as sign * exp(c_0) from euler_log_taylor at order 0, whose error
+    |G(0)| expm1(b_0) must be at most tol (else a ToleranceError carries
+    it); 0.0 when a factor 1+g(p) vanishes.  The product
     prod (1-g(p))(1-1/p)^(-k) is the series of spec.negated().
     """
-
-    def certify(coeffs, bounds, sign):
-        value = sign * math.exp(coeffs[0])
-        return value, abs(value) * math.expm1(bounds[0])
-
-    return truncate_euler(spec, q, 0, tol, certify, f"singular series for {spec.name}")[0]
+    check_tol(tol)
+    coeffs, bounds, sign = euler_log_taylor(spec, q, 0)
+    value = sign * math.exp(coeffs[0])
+    check_bound(f"singular series for {spec.name}", abs(value) * math.expm1(bounds[0]), tol)
+    return value

@@ -10,12 +10,11 @@ the residual sequence decreases with at most one violation.
 The residue m! Res_{s=0} F(s) x^s / s^(m+1), with F(s) = zeta(1+s)^k G(s)
 the Dirichlet series of g, needs the Laurent coefficients of zeta(1+s)
 (the Stieltjes constants, below) and the Taylor coefficients of the Euler
-product G at 0 (multfun.euler_log_taylor).  The series G(0) is the
-exponential of the first of them, so one multfun.truncate_euler
-truncation per check yields every coefficient it needs, certified on the
-bound the check reports.  Every report carries those polynomial
-coefficients and a certified bound on the relative error of its
-predicted values.
+product G at 0 (multfun.euler_log_taylor, untruncated, with certified
+bounds).  The series G(0) is the exponential of the first of them, so one
+call per check yields every coefficient it needs, certified on the bound
+the check reports.  Every report carries those polynomial coefficients
+and a certified bound on the relative error of its predicted values.
 """
 
 import math
@@ -25,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dde, multfun
-from .errors import RangeError, check_int
+from .errors import RangeError, check_bound, check_int, check_tol
+from .multfun import _exp, _mul
 
 DEFAULT_LADDER = (1e4, 1e5, 1e6, 1e7)
 DEEP_LADDER = (1e4, 1e5, 1e6, 1e7, 1e8)
@@ -130,19 +130,6 @@ def _report(label, params, xs, predicted, measured):
     )
 
 
-def _mul(a, b):
-    """Product of two truncated power series of equal length."""
-    return [math.fsum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
-
-
-def _exp(a):
-    """exp of a truncated power series, by n e_n = sum_{i=1}^n i a_i e_(n-i)."""
-    e = [math.exp(a[0])]
-    for n in range(1, len(a)):
-        e.append(math.fsum(i * a[i] * e[n - i] for i in range(1, n + 1)) / n)
-    return e
-
-
 def _residue_coeffs(k, m, sign, log_g, log_g_err):
     """Coefficients c_0..c_(k+m) of m! Res_{s=0} zeta(1+s)^k G(s) x^s / s^(m+1)
     in powers of log x, with bounds on their errors.
@@ -181,42 +168,41 @@ def _residue_coeffs(k, m, sign, log_g, log_g_err):
 
 
 def _main_terms(spec, q, ms, lxs, series_tol, combine):
-    """MainTerms of the orders ms from one certified Euler-product truncation.
+    """MainTerms of the orders ms from one certified Euler product.
 
     combine(mains, lx) is the (value, error bound) of the quantity checked
-    at log x = lx; the truncation (multfun.truncate_euler, at order
-    k + max(ms)) stops at the first P where its relative error bound is at
-    most series_tol at every lx.  Returns (mains, bound).
+    at log x = lx; the Taylor coefficients of log G (multfun.euler_log_taylor,
+    at order k + max(ms)) must certify a relative error bound of at most
+    series_tol at every lx, else a ToleranceError carries the bound.
+    Returns (mains, bound).
     """
     k = _positive_dimension(spec)
     ms = [check_int("m", m, 0) for m in ms]
-
-    def certify(log_g, log_g_err, sign):
-        if sign == 0.0:
-            raise RangeError(f"{spec.name}: the singular series vanishes, so there is no main term")
-        series = sign * math.exp(log_g[0])
-        mains = []
-        for m in ms:
-            coeffs, errors = _residue_coeffs(k, m, sign, log_g, log_g_err)
-            mains.append(MainTerm(series, tuple(coeffs), tuple(errors)))
-        bound = 0.0
-        for lx in lxs:
-            value, err = combine(mains, lx)
-            bound = max(bound, err / abs(value) if value != 0.0 else math.inf)
-        return mains, bound
-
+    check_tol(series_tol)
+    log_g, log_g_err, sign = multfun.euler_log_taylor(spec, q, k + max(ms))
+    if sign == 0.0:
+        raise RangeError(f"{spec.name}: the singular series vanishes, so there is no main term")
+    series = sign * math.exp(log_g[0])
+    mains = []
+    for m in ms:
+        coeffs, errors = _residue_coeffs(k, m, sign, log_g, log_g_err)
+        mains.append(MainTerm(series, tuple(coeffs), tuple(errors)))
+    bound = 0.0
+    for lx in lxs:
+        value, err = combine(mains, lx)
+        bound = max(bound, err / abs(value) if value != 0.0 else math.inf)
     what = f"relative error of the main term for {spec.name}, m = {','.join(map(str, ms))}"
-    return multfun.truncate_euler(spec, q, k + max(ms), series_tol, certify, what)
+    check_bound(what, bound, series_tol)
+    return mains, bound
 
 
 def main_term(spec, q, m, xs, series_tol, weights=None):
     """The residue main term of the weighted sum of order m, certified on xs.
 
     G's Taylor coefficients, and with them the series G(0), come from one
-    multfun.truncate_euler truncation that stops once the relative error
-    bound of sum_j c_j (log x)^j weights[j] is at most series_tol at every
-    x of the ladder (weights default to 1); if the prime budget is not
-    enough, a ToleranceError carries the bound reached there.
+    multfun.euler_log_taylor call; the relative error bound of
+    sum_j c_j (log x)^j weights[j] must be at most series_tol at every x of
+    the ladder (weights default to 1), else a ToleranceError carries it.
     Returns (MainTerm, bound).
     """
     mains, bound = _main_terms(
@@ -321,7 +307,7 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     the power sums, sum_j a_j M_j(x) / (log x)^j, and the predicted side
     the same combination of the theorem-1 polynomials, whose leading
     terms are the Beta factors j!/(j+k)! under the singular series.
-    Every power's main term comes from one Euler-product truncation,
+    Every power's main term comes from one Euler product,
     certified on main_bound, the relative error bound of the combination.
     The power sums are read from and kept in sums, as in check_theorem1.
     """

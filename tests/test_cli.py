@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievesum import cli, iterints, multfun
+from sievesum import cli, iterints, multfun, primes
 
 
 def run_cli(argv, capsys):
@@ -553,10 +553,34 @@ class TestExitCodes:
 
     def test_tolerance_failure(self, capsys):
         code, _, err = run_cli(
-            ["sseries", "--spec", "one_over_phi", "--tol", "1e-12"], capsys
+            ["sseries", "--spec", "one_over_phi", "--tol", "1e-17"], capsys
         )
         assert code == 3
         assert "achieved" in err
+
+
+class TestPrimeZetaTail:
+    """Commands the 2^27 prime cap of the old truncation schedule could not
+    certify (each exited 3) now certify from the prime-zeta tail."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tuple", "--first-k", "10"],
+        ["sseries", "--spec", "k_over_p:3", "--a-variant", "--q", "6"],
+        ["sseries", "--spec", "one_over_n", "--tol", "1e-13"],
+        ["verify", "--check", "theorem1", "--ladder", "1e4", "--series-tol", "1e-13"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_certifies(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_one_over_phi_sums_only_the_head(self, monkeypatch, capsys):
+        monkeypatch.setattr(primes, "_cached_table", None)
+        code, out, _ = run_cli(["sseries", "--spec", "one_over_phi"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "1"
+        head = multfun._head_limit(multfun.builtin_spec("one_over_phi"))
+        assert primes._cached_table.limit == max(1 << 16, head)
 
 
 class TestSubprocess:

@@ -36,7 +36,7 @@ ENTRY_POINTS = [
     ("tuple_singular_series", "offsets", lambda bad: zhang.tuple_singular_series([0, bad])),
     ("builtin_spec", "k", lambda bad: multfun.builtin_spec("k_over_p", k=bad)),
     ("builtin_spec", "offsets", lambda bad: multfun.builtin_spec("nu_over_p", offsets=[0, bad])),
-    ("euler_log_taylor", "order", lambda bad: multfun.euler_log_taylor(ONE_OVER_N, 1, bad, 1024)),
+    ("euler_log_taylor", "order", lambda bad: multfun.euler_log_taylor(ONE_OVER_N, 1, bad)),
     ("singular_series", "q", lambda bad: multfun.singular_series(ONE_OVER_N, bad, 1e-6)),
     ("m_sum", "m", lambda bad: multfun.m_sum(ONE_OVER_N, 100, bad, 1)),
     ("m_sum", "q", lambda bad: multfun.m_sum(ONE_OVER_N, 100, 0, bad)),

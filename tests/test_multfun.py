@@ -119,7 +119,7 @@ class TestSpecForm:
         return builtin_spec(name, **dict(kwargs))
 
     def test_tail_bound_holds(self, spec):
-        # what every euler_log_taylor tail rests on, for g and its mu twist
+        # past the cutoff g(p) = k/(p - c) is within tail_bound p^-2 of k/p, for g and its mu twist
         ps = primes.shared_table(100_000).primes
         ps = ps[ps > spec.cutoff]
         pf = ps.astype(np.float64)
@@ -381,6 +381,12 @@ class TestSingularSeries:
         want = (2 / 3) * (6 / math.pi**2)
         assert abs(got - want) < 1e-6
 
+    def test_modulus_with_a_prime_past_the_head(self):
+        # p | q keeps only (1 - 1/p)^k, also for p = 1000003 past P0 = 1024
+        got = singular_series(builtin_spec("one_over_n"), 2 * 1000003, 1e-12)
+        want = (2 / 3) * (6 / math.pi**2) / (1 + 1 / 1000003)
+        assert abs(got - want) < 1e-12
+
     def test_one_over_phi_is_one(self):
         # (1 + 1/(p-1))(1 - 1/p) = 1 for every p, so any truncation is exact
         got = singular_series(builtin_spec("one_over_phi"), 1, 1e-7)
@@ -407,29 +413,74 @@ class TestSingularSeries:
             singular_series(builtin_spec("one_over_n"), 1, math.inf)
 
     def test_tolerance_unreachable(self):
+        # below the rounding allowance of the untruncated product
         with pytest.raises(ToleranceError) as err:
-            singular_series(builtin_spec("one_over_n"), 1, 1e-13)
-        assert err.value.achieved is not None
+            singular_series(builtin_spec("one_over_n"), 1, 1e-17)
+        assert 1e-17 < err.value.achieved < 1e-13
 
     def test_zeta2_to_1e_9(self):
         got = singular_series(builtin_spec("one_over_n"), 1, 1e-9)
         assert abs(got - 6 / math.pi**2) < 1e-9
 
-    @pytest.mark.parametrize("tol, points", [(1e-9, [1024, 1 << 26]), (1e-8, [1024, 1 << 23])])
-    def test_step_lands_on_the_smallest_sufficient_point(self, monkeypatch, tol, points):
-        # the step after a miss once rounded bound/target up to a power of
-        # two: 1024 then 2^27 at 1e-9 and 2^24 at 1e-8
-        seen = []
+    @pytest.mark.parametrize("name, kwargs, head", [
+        ("one_over_phi", {}, 1024),
+        ("k_over_p", {"k": 3}, 4096),
+        ("nu_over_p", {"offsets": (0, 2, 6, 8, 12, 18, 20, 26, 30, 32)}, 16384),
+        ("nu_over_p", {"offsets": (0, 5000)}, 8192),
+    ])
+    def test_one_product_summed_to_its_head_limit(self, monkeypatch, name, kwargs, head):
+        # one order-0 call; primes are summed only up to P0, the smallest
+        # power of two >= 1024, the cutoff and 1024 |k|
+        spec = builtin_spec(name, **kwargs)
+        assert multfun._head_limit(spec) == head
+        monkeypatch.setattr(primes, "_cached_table", None)
+        orders = []
         taylor = multfun.euler_log_taylor
+        monkeypatch.setattr(multfun, "euler_log_taylor",
+                            lambda *args: orders.append(args[2]) or taylor(*args))
+        singular_series(spec, 1, 1e-8)
+        singular_series(spec.negated(), 1, 1e-8)
+        assert orders == [0, 0]
+        assert primes._cached_table.limit == max(1 << 16, head)
 
-        def recorded(spec, q, order, P):
-            seen.append(P)
-            return taylor(spec, q, order, P)
+    def test_one_over_phi_to_1e_14(self):
+        # every factor (1 + 1/(p-1))(1 - 1/p) is exactly 1
+        assert abs(singular_series(builtin_spec("one_over_phi"), 1, 1e-14) - 1.0) <= 1e-14
 
-        monkeypatch.setattr(multfun, "euler_log_taylor", recorded)
-        got = singular_series(builtin_spec("one_over_n"), 1, tol)
-        assert seen == points
-        assert abs(got - 6 / math.pi**2) < tol
+    def test_one_over_n_matches_log_zeta(self):
+        # log G(s) = -log zeta(2 + 2s) for g(n) = 1/n
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        want = mpmath.taylor(lambda s: -mpmath.log(mpmath.zeta(2 + 2 * s)), 0, 12)
+        coeffs, bounds, sign = multfun.euler_log_taylor(builtin_spec("one_over_n"), 1, 12)
+        assert sign == 1.0
+        for got, bound, exact in zip(coeffs, bounds, want):
+            # c_12 = -341.3, whose ulp is 5.7e-14: the bound is read relative
+            # to the coefficient past 1
+            assert abs(got - float(exact)) <= bound <= 1e-13 * max(1.0, abs(float(exact)))
+
+    def test_ten_tuple_matches_prime_zeta(self):
+        # G(0) = prod_p (1 - nu(p)/p)(1 - 1/p)^-10; past p = 31, nu(p) = 10
+        # and the log of the product is sum_r (10 - 10^r)/r (P(r) - sum_{p <= 31} p^-r);
+        # P(r) - sum_{p <= 31} p^-r is about 37^-r, so it needs 1.6 r digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 80
+        offsets = (0, 2, 6, 8, 12, 18, 20, 26, 30, 32)
+        small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        want = mpmath.mpf(1)
+        for p in small:
+            nu = len({h % p for h in offsets})
+            want *= (1 - mpmath.mpf(nu) / p) * (1 - mpmath.mpf(1) / p) ** -10
+        log_tail = sum(
+            (10 - mpmath.mpf(10) ** r) / r
+            * (mpmath.primezeta(r) - sum(mpmath.mpf(p) ** -r for p in small))
+            for r in range(2, 40)
+        )
+        want = float(want * mpmath.exp(log_tail))
+        spec = builtin_spec("nu_over_p", offsets=offsets).negated()
+        coeffs, bounds, sign = multfun.euler_log_taylor(spec, 1, 0)
+        assert sign == 1.0
+        assert abs(math.exp(coeffs[0]) - want) <= want * math.expm1(bounds[0]) <= 1e-8
 
     def test_negative_series_matches_prime_zeta(self):
         # G(0) = (2/3)^-3 prod_{p != 3} (1 - 3/p)(1 - 1/p)^-3, negative

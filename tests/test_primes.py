@@ -181,8 +181,8 @@ class TestTableGrowth:
         for x, m, z in ((5000.5, 2, 300.0), (20000, 1, math.inf), (1, 0, 2.0)):
             r = multfun.m_sum_smooth(spec, x, m, q, z, exact=False)
             out.append((_bits([r.value]), r.terms))
-        for order, P in ((0, 1024), (3, 4096), (2, 1 << 17)):
-            coeffs, bounds, sign = multfun.euler_log_taylor(spec, q, order, P)
+        for order in (0, 2, 3):
+            coeffs, bounds, sign = multfun.euler_log_taylor(spec, q, order)
             out.append((_bits(coeffs), _bits(bounds), sign))
         out.append(_bits([verify.buchstab_defect(spec, 3000.5, 1, q, 40.0)]))
         return out

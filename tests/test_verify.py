@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sievesum import _dfs, dde, multfun, verify
+from sievesum import _dfs, dde, multfun, primes, verify
 from sievesum.errors import RangeError, ToleranceError
 
 SMALL_LADDER = (1e4, 1e5, 1e6)
@@ -116,27 +116,25 @@ class TestWeightLemma:
         orders = []
         taylor = multfun.euler_log_taylor
 
-        def counted(spec, q, order, P):
+        def counted(spec, q, order):
             orders.append(order)
-            return taylor(spec, q, order, P)
+            return taylor(spec, q, order)
 
         monkeypatch.setattr(multfun, "euler_log_taylor", counted)
         spec = multfun.builtin_spec("one_over_n")
         rep = verify.check_weight_lemma(spec, [1.0, 1.0, 1.0], q=1, xs=(1e4, 1e5))
-        assert set(orders) == {3}
+        assert orders == [3]
         assert rep.params["main_bound"] <= 1e-7
 
-    def test_truncation_points_of_the_bench_checks(self, monkeypatch):
+    def test_one_product_per_bench_check(self, monkeypatch):
         # theorem1, theorem2 and weight at m = 1, u = 2, coefficients 1, 1
-        # on 1e4..1e6: one miss at 1024, then the point that certifies 1e-7
-        seen = []
+        # on 1e4..1e6: one order-2 product each, certified near rounding,
+        # with no prime table grown past what the sums at 1e6 need
+        monkeypatch.setattr(primes, "_cached_table", None)
+        orders = []
         taylor = multfun.euler_log_taylor
-
-        def recorded(spec, q, order, P):
-            seen.append(P)
-            return taylor(spec, q, order, P)
-
-        monkeypatch.setattr(multfun, "euler_log_taylor", recorded)
+        monkeypatch.setattr(multfun, "euler_log_taylor",
+                            lambda *args: orders.append(args[2]) or taylor(*args))
         spec = multfun.builtin_spec("one_over_n")
         xs = (1e4, 1e5, 1e6)
         reports = [
@@ -144,8 +142,10 @@ class TestWeightLemma:
             verify.check_theorem2(spec, 1, 1, u=2.0, xs=xs, series_tol=1e-7),
             verify.check_weight_lemma(spec, [1.0, 1.0], 1, xs=xs, series_tol=1e-7),
         ]
-        assert seen == [1024, 1 << 24, 1024, 1 << 23, 1024, 1 << 23]
-        assert all(rep.params["main_bound"] <= 1e-7 for rep in reports)
+        assert orders == [2, 2, 2]
+        assert all(rep.params["main_bound"] <= 1e-13 for rep in reports)
+        assert all(rep.verdict for rep in reports)
+        assert primes._cached_table.limit <= 1 << 20
 
     def test_needs_coeffs(self):
         spec = multfun.builtin_spec("one_over_n")
@@ -201,12 +201,18 @@ class TestMainTerm:
         with pytest.raises(RangeError, match="tol must be a positive finite number"):
             verify.check_theorem1(spec, m=1, q=1, xs=(1e4,), series_tol=0)
 
-    def test_unreachable_tolerance_reports_bound(self, monkeypatch):
-        monkeypatch.setattr(multfun, "SERIES_PRIME_CAP", 1 << 12)
+    def test_unreachable_tolerance_reports_bound(self):
+        # a target below the rounding allowance of the untruncated product
         spec = multfun.builtin_spec("one_over_n")
         with pytest.raises(ToleranceError) as exc:
-            verify.check_theorem1(spec, m=1, q=1, xs=(10.0,), series_tol=1e-3)
-        assert exc.value.achieved > 1e-3
+            verify.check_theorem1(spec, m=1, q=1, xs=(10.0,), series_tol=1e-17)
+        assert 1e-17 < exc.value.achieved < 1e-12
+
+    def test_series_tol_near_rounding(self):
+        # the prime-cap schedule once stopped at 8.6e-9 here
+        spec = multfun.builtin_spec("one_over_n")
+        rep = verify.check_theorem1(spec, m=1, q=1, xs=(1e4,), series_tol=1e-13)
+        assert rep.params["main_bound"] <= 1e-13
 
 
 def _residue_oracle(mpmath, m, J):

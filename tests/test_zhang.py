@@ -64,6 +64,10 @@ class TestTupleSeries:
         got = zhang.tuple_singular_series([0, 2])
         assert abs(got - 1.3203236316937392) < 1e-6
 
+    def test_twin_constant_to_1e_13(self):
+        got = zhang.tuple_singular_series([0, 2], tol=1e-13)
+        assert abs(got - 1.32032363169373915) <= 1e-13
+
     def test_inadmissible_is_zero(self):
         assert zhang.tuple_singular_series([0, 2, 4]) == 0.0
 
