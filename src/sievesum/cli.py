@@ -273,6 +273,8 @@ def _cmd_i(ns, cfg):
         "u": ns.u,
         "tol": tol,
         "est_error": table.est_error,
+        "x_nodes": table.x_nodes,
+        "x_gap": table.x_gap,
     }
     _emit(cfg, meta, ("t", "v", "value", "sign", "log_abs"), rows)
     return 0

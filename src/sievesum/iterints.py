@@ -11,14 +11,22 @@ with P_s(y) = m!/(m-s)! * y^(m-s).  For v > 1 the values satisfy
 which is marched one unit v-panel at a time: each panel (r, r+1] stores a
 17 x T grid of Chebyshev-Lobatto values, and the inner evaluations read
 the previously built panel through barycentric interpolation.  The x
-integral is composite: a MARCH_NODES-point Gauss-Legendre rule on each
-interval between consecutive v nodes, added to a running sum, so the
-integrand's kinks (where (1-1/x) t crosses a t break) cost one short
-interval each.
+integral is composite: an n-point Gauss-Legendre rule on each interval
+between consecutive v nodes, added to a running sum, so the integrand's
+kinks (where (1-1/x) t crosses a t break) cost one short interval each.
+Each table chooses its n on the first, coarsest rung of the t ladder,
+which marches the rules of 4, 8 and 16 nodes (MARCH_NODES // 4,
+MARCH_NODES // 2 and MARCH_NODES) in one pass: n is the smallest
+candidate whose table agrees with the table of twice its nodes to
+tol / X_SHARE, per entry, and MARCH_NODES where none does.  The
+integrand is smooth between its kinks, so the rule converges
+geometrically and the doubled rule's gap measures the coarser rule's
+error.  Every later rung marches the chosen rule alone.
 
-The reported est_error covers the t direction only.  The v quadrature is
-checked in the tests against a rule with three times the nodes; the
-17-node v interpolation is not checked.
+The reported est_error covers the t direction only; the table records
+the x rule's gap beside it as x_gap.  The tests check the v quadrature
+against a rule with three times the nodes, and the 17-node v
+interpolation against 9 nodes.
 
 The t direction uses a piecewise grid split at t = j/u: f(u t x) has only
 finitely many continuous derivatives at integer arguments, and those kinks
@@ -74,7 +82,8 @@ N_PER_START = 17
 N_PER_MAX = 129
 N_V = 17
 GL_NODES = 64
-MARCH_NODES = 16  # Gauss-Legendre nodes per v-node interval of the march
+MARCH_NODES = 16  # Gauss-Legendre nodes per v-node interval of a march that fails the x check
+X_SHARE = 256  # a cheaper x rule must agree with its double to tol / X_SHARE
 MAX_PANELS = dde.MAX_PANELS
 T_PANEL_CAP = 512
 KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
@@ -249,10 +258,13 @@ class ITable:
     phi(t, v) / phi(t, 1) where the base row spans more than
     e^ENVELOPE_LOG (the table is enveloped).  The t resolution is
     chosen adaptively and est_error compares two t resolutions, so it
-    covers the t direction only.  The v resolution per panel is fixed:
-    17 nodes, with a composite MARCH_NODES-point rule between neighbours
-    for the x integral.  The acceptance tests compare against a direct
-    recursive evaluation.
+    covers the t direction only.  The v resolution per panel is fixed at
+    N_V nodes.  The x integral between neighbouring v nodes uses an
+    x_nodes-point rule, chosen on the first rung: x_gap is that rule's
+    per-entry gap to the rule of twice its nodes (to the rule of half its
+    nodes when no cheaper rule passed and x_nodes is MARCH_NODES; NaN
+    when no candidate was tried).  The acceptance tests compare against a
+    direct recursive evaluation.
     """
 
     kernel: SieveKernel
@@ -262,11 +274,15 @@ class ITable:
     panels: tuple
     est_error: float
     enveloped: bool
+    x_nodes: int
+    x_gap: float
 
 
-def _march(kernels, v_max, grid, log_bases):
+def _march(kernels, v_max, grid, log_bases, rules):
     """March the kernels' tables over one t grid from the logs of their
-    base rows; one (base, panels) each, in the values the table stores.
+    base rows, once under each x rule of rules (Gauss-Legendre node
+    counts); per kernel, one (base, panels) per rule, in the values the
+    table stores.
 
     An enveloped table stores psi = phi(t, v) / b(t), b the base row:
 
@@ -276,42 +292,47 @@ def _march(kernels, v_max, grid, log_bases):
     t^(2s) once u t is large, so psi spans far less than phi and the float
     rounding of its small entries stays below tol.
 
-    At each v-panel and v-node the v rows Bv and the blocks of t rows are
-    built once and applied to every kernel in turn: a query row is
-    contracted with the row g * P + p of D, the kernel's values at x-node
-    g on t panel p, so a kernel's bits do not depend on its batch.
+    At each v-panel and v-node the x nodes of every rule go through one
+    pass of t rows, built once and applied to every kernel in turn: a
+    query row is contracted with the row g * P + p of D, the kernel's
+    values at x-node g on t panel p.  Each rule's march reads only its own
+    previous panel and sums its own nodes, so a rule's bits depend neither
+    on the other rules nor on the batch.
     """
     t_nodes = grid.nodes
     T = grid.total
     bw_v = quadchev.lobatto_bary_weights(N_V)
-    glx, glw = quadchev.gauss_legendre(MARCH_NODES)
-    g_key = np.repeat(np.arange(MARCH_NODES) * (len(grid.breaks) - 1), T)
+    gls = [quadchev.gauss_legendre(n) for n in rules]
+    cuts = np.cumsum([0, *rules])  # rule k owns the x nodes cuts[k]:cuts[k + 1]
+    X = int(cuts[-1])
+    g_key = np.repeat(np.arange(X) * (len(grid.breaks) - 1), T)
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
-    env = {i: np.broadcast_to(lb, (MARCH_NODES, T)).reshape(-1, grid.n_per)
+    env = {i: np.broadcast_to(lb, (X, T)).reshape(-1, grid.n_per)
            for i, lb in enumerate(log_bases) if _enveloped(lb)}
     bases = [np.ones(T) if i in env else np.exp(lb) for i, lb in enumerate(log_bases)]
-    Q = [np.zeros(T) for _ in kernels]
-    data = list(bases)  # what the next v-panel interpolates: the base row, then a panel
-    panels = [[] for _ in kernels]
-    inner = np.empty((len(kernels), MARCH_NODES * T))
-    log_inner = np.empty((len(kernels), MARCH_NODES * T))
+    Q = [[np.zeros(T) for _ in rules] for _ in kernels]
+    data = [[b] * len(rules) for b in bases]  # per rule, the base row and then its last panel
+    panels = [[[] for _ in rules] for _ in kernels]
+    inner = np.empty((len(kernels), X * T))
+    log_inner = np.empty((len(kernels), X * T))
     prev_v_nodes = None
     for r in range(1, max(int(math.ceil(v_max)) - 1, 0) + 1):
         a = float(r)
         v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
-        rows = [[b - si * q] for b, si, q in zip(bases, s, Q)]
+        rows = [[[b - si * q] for q in qs] for b, si, qs in zip(bases, s, Q)]
         for j in range(1, N_V):
             mid = 0.5 * (v_nodes[j - 1] + v_nodes[j])
             half = 0.5 * (v_nodes[j] - v_nodes[j - 1])
-            x = mid + half * glx
-            tp = 1.0 - 1.0 / x
-            tq = (tp[:, None] * t_nodes[None, :]).ravel()
+            xs = [mid + half * gx for gx, _ in gls]
+            tps = [1.0 - 1.0 / x for x in xs]
+            tq = (np.concatenate(tps)[:, None] * t_nodes[None, :]).ravel()
             if r == 1:
-                Ds = [np.broadcast_to(d, (MARCH_NODES, T)).reshape(-1, grid.n_per) for d in data]
+                Ds = [np.broadcast_to(d[0], (X, T)).reshape(-1, grid.n_per) for d in data]
             else:
-                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0)
-                Ds = [(Bv @ d).reshape(-1, grid.n_per) for d in data]
+                Bvs = [quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0) for x in xs]
+                Ds = [np.concatenate([Bv @ dk for Bv, dk in zip(Bvs, d)]).reshape(-1, grid.n_per)
+                      for d in data]
             for blk, owner, B in _t_rows(grid, tq):
                 key = g_key[blk] + owner
                 for i, D in enumerate(Ds):
@@ -319,16 +340,18 @@ def _march(kernels, v_max, grid, log_bases):
                 for i, D in env.items():
                     np.einsum("rc,rc->r", B, D[key], out=log_inner[i, blk])
             for i, e in enumerate(sexp):
-                g = inner[i].reshape(MARCH_NODES, T) * (tp ** e / x)[:, None]
-                if i in env:
-                    g *= np.exp(log_inner[i].reshape(MARCH_NODES, T) - log_bases[i])
-                Q[i] += half * (glw @ g)
-                rows[i].append(bases[i] - s[i] * Q[i])
-        for i, rws in enumerate(rows):
-            data[i] = np.array(rws)
-            panels[i].append(data[i])
+                for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+                    g = inner[i, lo * T : hi * T].reshape(-1, T) * (tps[k] ** e / xs[k])[:, None]
+                    if i in env:
+                        g *= np.exp(log_inner[i, lo * T : hi * T].reshape(-1, T) - log_bases[i])
+                    Q[i][k] += half * (gls[k][1] @ g)
+                    rows[i][k].append(bases[i] - s[i] * Q[i][k])
+        for i, rk in enumerate(rows):
+            data[i] = [np.array(rws) for rws in rk]
+            for pk, d in zip(panels[i], data[i]):
+                pk.append(d)
         prev_v_nodes = v_nodes
-    return list(zip(bases, panels))
+    return [[(b, pk) for pk in p] for b, p in zip(bases, panels)]
 
 
 def _gap(coarse, fine):
@@ -364,35 +387,72 @@ def _refine_base(kernel, grid, coarse):
     return fine.ravel()
 
 
+def _x_candidates():
+    """The cheaper x rules the first rung tries before MARCH_NODES."""
+    return (MARCH_NODES // 4, MARCH_NODES // 2)
+
+
+def _x_rule(levels, tol):
+    """(x_nodes, x_gap) from levels, one first-rung level per rule.
+
+    The smallest candidate n whose panels agree with the 2n-node rule's
+    to tol / X_SHARE under _gap; x_gap is that gap.  A table that passes
+    none keeps MARCH_NODES, and x_gap is the largest candidate's gap (NaN
+    with no candidate)."""
+    gap = math.nan
+    for n in _x_candidates():
+        pairs = zip(levels[n][1], levels[2 * n][1])
+        gap = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
+        if gap <= tol / X_SHARE:
+            return n, gap
+    return MARCH_NODES, gap
+
+
 def _ladder(kernels, breaks, v_max, tol, n):
     """Tables of kernels whose t grids split at breaks.
 
-    Each rung marches the live kernels, kept as (index, level, log base
-    row) of the last rung, until their estimates meet tol.  A level that
-    is not finite raises RangeError at once: no finer rung brings it back.
+    The first rung marches every x rule that _x_rule compares, and fixes
+    each kernel's (x_nodes, x_gap).  Each later rung marches the live
+    kernels, kept as (index, (x_nodes, x_gap), level, log base row) of
+    the last rung, one _march call per x_nodes, until their estimates
+    meet tol.  A level that is not finite raises RangeError at once: no
+    finer rung brings it back.
     """
     grid = _make_tgrid(breaks, (n + 1) // 2)
     logs = [_log_base_row(k, grid.nodes) for k in kernels]
-    live = list(zip(range(len(kernels)), _march(kernels, v_max, grid, logs), logs))
+    cands = _x_candidates()
+    rules = sorted({MARCH_NODES, *cands, *(2 * c for c in cands)})
+    live = []
+    for i, (lb, levels) in enumerate(zip(logs, _march(kernels, v_max, grid, logs, rules))):
+        by_rule = dict(zip(rules, levels))
+        x = _x_rule(by_rule, tol)
+        live.append((i, x, by_rule[x[0]], lb))
     tables = [None] * len(kernels)
     while live:
         prev_grid, grid = grid, _make_tgrid(breaks, n)
         R = quadchev.bary_matrix(prev_grid.ref, prev_grid.bw, grid.ref)
-        logs = [_refine_base(kernels[i], grid, lb) for i, _, lb in live]
-        cur = _march([kernels[i] for i, _, _ in live], v_max, grid, logs)
-        for (i, prev, _), c, lb in zip(live, cur, logs):
+        logs = [_refine_base(kernels[i], grid, lb) for i, _, _, lb in live]
+        cur = [None] * len(live)
+        for nodes in sorted({x[0] for _, x, _, _ in live}):
+            pos = [j for j, (_, x, _, _) in enumerate(live) if x[0] == nodes]
+            group = [kernels[live[j][0]] for j in pos]
+            marched = _march(group, v_max, grid, [logs[j] for j in pos], [nodes])
+            for j, (level,) in zip(pos, marched):
+                cur[j] = level
+        for (i, x, prev, _), c, lb in zip(live, cur, logs):
             est = _compare_levels(R, prev, c)
             if not math.isfinite(est):
                 k = kernels[i]
                 raise RangeError(f"I table of (s, m, u) = ({k.s}, {k.m}, {k.u:g}) is not finite")
             if est <= tol:
-                tables[i] = ITable(kernels[i], v_max, grid, lb, tuple(c[1]), est, _enveloped(lb))
+                tables[i] = ITable(kernels[i], v_max, grid, lb, tuple(c[1]), est,
+                                   _enveloped(lb), *x)
             elif n >= N_PER_MAX:
                 raise ToleranceError(
                     f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
                     achieved=est,
                 )
-        live = [(i, c, lb) for (i, _, _), c, lb in zip(live, cur, logs) if tables[i] is None]
+        live = [(i, x, c, lb) for (i, x, _, _), c, lb in zip(live, cur, logs) if tables[i] is None]
         n = 2 * n - 1
     return tables
 

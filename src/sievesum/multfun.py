@@ -37,7 +37,7 @@ class MultFuncSpec:
 
     a(p) = dimension_k at every prime p > cutoff; low lists the pairs
     (p, a(p)) for the primes p <= cutoff where a(p) != dimension_k.  Past
-    the cutoff |g(p) - k/p| = |k| c / (p (p - c)) <= tail_bound p^-2.  The
+    the cutoff |g(p) - k/p| = |k| c / (p (p - c)) <= 2 |k| c p^-2.  The
     fields are plain data, so equal specs compare and hash equal, and
     verify's per-run dict of sums shares them.  Every field is checked
     here: RangeError unless c is 0 or 1, dimension_k, cutoff and each low
@@ -59,11 +59,6 @@ class MultFuncSpec:
             raise RangeError(f"c must be 0 or 1, got {self.c}")
         if self.low and self.low[-1][0] > self.cutoff:
             raise RangeError(f"low prime {self.low[-1][0]} exceeds the cutoff {self.cutoff}")
-
-    @property
-    def tail_bound(self):
-        """The constant of |g(p) - k/p| <= tail_bound p^-2 past the cutoff."""
-        return 2.0 * abs(self.dimension_k) * self.c
 
     def values_on(self, ps):
         """g at every prime of the sorted int64 array ps, as float64."""

@@ -190,6 +190,18 @@ class TestI:
         assert len(rows) == 4
         assert all(float(r[3]) == 1.0 for r in rows)
 
+    @pytest.mark.parametrize("argv, nodes", [
+        (["--s", "1", "--m", "10", "--u", "9.5"], 4),  # m - s > 8: 4 nodes agree with 8
+        (["--s", "1", "--m", "2", "--u", "2.5"], 16),  # the roughest integrand passes no candidate
+    ])
+    def test_x_rule_metadata(self, argv, nodes, capsys):
+        code, out, _ = run_cli(["I", *argv, "--v", argv[-1]], capsys)
+        assert code == 0
+        meta, _, _ = parse_csv(out)
+        assert int(meta["x_nodes"]) == nodes
+        gap = float(meta["x_gap"])
+        assert 0.0 <= gap and (gap <= 1e-9 / iterints.X_SHARE) == (nodes < iterints.MARCH_NODES)
+
 
 class TestTuple:
     def test_first_k_footnote_construction(self, capsys):

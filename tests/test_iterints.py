@@ -273,6 +273,84 @@ class TestVQuadrature:
             assert abs(la - lb) < 5e-12, (t, v)
 
 
+
+class TestXRule:
+    """Each table takes its x-rule node count from a nested check on the first rung."""
+
+    @staticmethod
+    def forced(monkeypatch):
+        monkeypatch.setattr(iterints, "_x_candidates", lambda: ())
+
+    def test_failing_kernel_matches_the_forced_rule(self, monkeypatch):
+        # (1, 2) at u = 9.5 is the roughest integrand: 8 nodes miss the
+        # 16-node table by more than tol / X_SHARE, so it keeps MARCH_NODES
+        kern = iterints.make_kernel(1, 2, 9.5)
+        table = iterints.build_table(kern, 9.5, tol=1e-8)
+        assert table.x_nodes == iterints.MARCH_NODES == 16
+        assert table.x_gap > 1e-8 / iterints.X_SHARE
+        self.forced(monkeypatch)
+        want = iterints.build_table(kern, 9.5, tol=1e-8)
+        assert want.x_nodes == 16 and math.isnan(want.x_gap)
+        assert table.grid.n_per == want.grid.n_per
+        assert table.est_error == want.est_error
+        assert table.log_base.tobytes() == want.log_base.tobytes()
+        assert [p.tobytes() for p in table.panels] == [p.tobytes() for p in want.panels]
+
+    def test_smooth_kernel_takes_four_nodes(self, monkeypatch):
+        tol = 1e-6
+        kern = iterints.make_kernel(2, 3, 9.5)
+        table = iterints.build_table(kern, 9.5, tol=tol)
+        assert table.x_nodes == 4
+        assert table.x_gap <= tol / iterints.X_SHARE
+        self.forced(monkeypatch)
+        want = iterints.build_table(kern, 9.5, tol=tol)
+        assert want.x_nodes == 16 and want.grid.n_per == table.grid.n_per
+        sa, la = iterints.i_eval_signed_log(table, 1.0, 9.5)
+        sb, lb = iterints.i_eval_signed_log(want, 1.0, 9.5)
+        assert sa == sb == 1.0
+        assert abs(la - lb) <= tol / iterints.X_SHARE
+
+    def test_mixed_counts_in_one_batch(self):
+        # at tol 1e-8 the kernels sharing the j/u breaks take 8, 4 and 16
+        # nodes; (1, 10) has one t panel and its own batch
+        u, tol = 9.5, 1e-8
+        kerns = [iterints.make_kernel(s, m, u) for s, m in [(1, 3), (1, 4), (2, 3), (1, 10)]]
+        done = dict(iterints.build_tables(kerns, u, tol=tol))
+        assert [done[i].x_nodes for i in range(4)] == [8, 4, 16, 4]
+        for i, kern in enumerate(kerns):
+            want = iterints.build_table(kern, u, tol=tol)
+            assert (done[i].x_nodes, done[i].x_gap) == (want.x_nodes, want.x_gap)
+            assert done[i].est_error == want.est_error
+            assert done[i].log_base.tobytes() == want.log_base.tobytes()
+            assert [p.tobytes() for p in done[i].panels] == [p.tobytes() for p in want.panels]
+
+    def test_one_march_per_rung_for_one_count(self, monkeypatch):
+        # the first rung marches 4, 8 and 16 nodes in one call; later rungs
+        # march the chosen count alone
+        calls = []
+        march = iterints._march
+        monkeypatch.setattr(iterints, "_march",
+                            lambda *a: calls.append(list(a[-1])) or march(*a))
+        table = iterints.build_table(iterints.make_kernel(2, 3, 9.5), 9.5, tol=1e-6)
+        assert calls[0] == [4, 8, 16]
+        assert calls[1:] == [[4]] * (len(calls) - 1) and len(calls) == 3
+        assert table.grid.n_per == 33
+
+
+class TestVInterpolation:
+    def test_nine_v_nodes_stay_near_seventeen(self, monkeypatch):
+        # ROADMAP item 5 measured 2.5e-10 between 9 and 17 Lobatto v nodes
+        # per panel at (2, 3, 9.5); the x rule of each build is its own
+        kern = iterints.make_kernel(2, 3, 9.5)
+        table = iterints.build_table(kern, 9.5, tol=1e-6)
+        sa, la = iterints.i_eval_signed_log(table, 1.0, 9.5)
+        monkeypatch.setattr(iterints, "N_V", 9)  # i_eval reads N_V too
+        coarse = iterints.build_table(kern, 9.5, tol=1e-6)
+        assert coarse.panels[0].shape[0] == 9 and coarse.grid.n_per == table.grid.n_per
+        sb, lb = iterints.i_eval_signed_log(coarse, 1.0, 9.5)
+        assert sa == sb == 1.0
+        assert abs(lb - la) <= 1e-9
+
 class TestLogMode:
     """What the removed log-scale tables covered: f taken from its log, and
     I beyond the float range, with the level comparison they brought."""

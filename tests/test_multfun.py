@@ -70,8 +70,8 @@ class TestBuiltinsUnchanged:
     on the primes up to 1e5 are pinned here against independent per-spec
     formulas."""
 
-    # (name, kwargs): (dimension_k, c, cutoff, tail_bound), c, and a(p) as
-    # a plain function of p
+    # (name, kwargs): (dimension_k, c, cutoff, 2|k|c), c, and a(p) as a
+    # plain function of p
     CASES = {
         ("one_over_n", ()): ((1, 0, 1, 0.0), 0, lambda p: 1),
         ("one_over_phi", ()): ((1, 1, 1, 2.0), 1, lambda p: 1),
@@ -91,7 +91,7 @@ class TestBuiltinsUnchanged:
 
     def test_declared_constants(self, case):
         spec, consts, _, _ = case
-        got = (spec.dimension_k, spec.c, spec.cutoff, spec.tail_bound)
+        got = (spec.dimension_k, spec.c, spec.cutoff, 2.0 * abs(spec.dimension_k) * spec.c)
         assert got == consts
         assert [type(v) for v in got] == [int, int, int, float]
 
@@ -119,13 +119,13 @@ class TestSpecForm:
         return builtin_spec(name, **dict(kwargs))
 
     def test_tail_bound_holds(self, spec):
-        # past the cutoff g(p) = k/(p - c) is within tail_bound p^-2 of k/p, for g and its mu twist
+        # past the cutoff g(p) = k/(p - c) is within 2|k|c p^-2 of k/p, for g and its mu twist
         ps = primes.shared_table(100_000).primes
         ps = ps[ps > spec.cutoff]
         pf = ps.astype(np.float64)
         for s in (spec, spec.negated()):
             dev = np.abs(s.values_on(ps) - s.dimension_k / pf)
-            assert np.all(dev <= s.tail_bound * pf**-2.0 + 1e-15 / pf)
+            assert np.all(dev <= 2.0 * abs(s.dimension_k) * s.c * pf**-2.0 + 1e-15 / pf)
 
     def test_double_negation_is_identity(self, spec):
         ps = primes.shared_table(10_000).primes
