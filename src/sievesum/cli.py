@@ -273,6 +273,7 @@ def _cmd_i(ns, cfg):
         "u": ns.u,
         "tol": tol,
         "est_error": table.est_error,
+        "n_per": table.grid.n_per,
         "x_nodes": table.x_nodes,
         "x_gap": table.x_gap,
     }

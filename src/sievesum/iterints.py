@@ -14,14 +14,15 @@ the previously built panel through barycentric interpolation.  The x
 integral is composite: an n-point Gauss-Legendre rule on each interval
 between consecutive v nodes, added to a running sum, so the integrand's
 kinks (where (1-1/x) t crosses a t break) cost one short interval each.
-Each table chooses its n on the first, coarsest rung of the t ladder,
-which marches the rules of 4, 8 and 16 nodes (MARCH_NODES // 4,
-MARCH_NODES // 2 and MARCH_NODES) in one pass: n is the smallest
-candidate whose table agrees with the table of twice its nodes to
-tol / X_SHARE, per entry, and MARCH_NODES where none does.  The
-integrand is smooth between its kinks, so the rule converges
-geometrically and the doubled rule's gap measures the coarser rule's
-error.  Every later rung marches the chosen rule alone.
+Each table chooses its n on the first, coarsest rung of the t ladder:
+n is the smallest candidate (MARCH_NODES // 4 = 4, then
+MARCH_NODES // 2 = 8) whose table agrees with the table of twice its
+nodes to tol / X_SHARE, per entry, and MARCH_NODES = 16 where none does.
+The first rung marches 4 and 8 nodes in one pass, and 16 in a second
+pass only for the tables that 4 nodes fail.  The integrand is smooth
+between its kinks, so the rule converges geometrically and the doubled
+rule's gap measures the coarser rule's error.  Every later rung marches
+the chosen rule alone.
 
 The reported est_error covers the t direction only; the table records
 the x rule's gap beside it as x_gap.  The tests check the v quadrature
@@ -41,9 +42,12 @@ panel on [-1, 1] at its local coordinate in the panel that owns it (the
 barycentric formula is invariant under the affine map), one bary_matrix
 call per block of CHUNK_ROWS queries.  The rows do not depend on the
 values, so build_tables marches the kernels that share a t grid in
-batches and builds the rows once per rung, v-panel and v-node; each
-kernel contracts them with its own values, one einsum per block, so a
-table's bits do not depend on its batch.  Nothing here runs concurrently.
+batches, and the march takes each v-panel in a few steps of consecutive
+v-node intervals (as many as fit in STEP_ROWS queries, and at least
+one): the rows are built once per rung and step for the whole batch.
+Each kernel contracts them with its own values, one einsum per block, so
+a table's bits depend neither on its batch nor on the step size.
+Nothing here runs concurrently.
 The level comparison goes through the same reference panel: two rungs
 share their breaks, so one n_per x n_prev matrix takes every coarse
 panel to the fine panel's nodes.
@@ -89,6 +93,7 @@ T_PANEL_CAP = 512
 KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
 DEGREE_BUDGET = 100  # GL_NODES integrates polynomials up to degree 2*GL_NODES-1
 CHUNK_ROWS = 2048  # t-interpolation rows built and applied per block
+STEP_ROWS = 8192  # t queries per step of the v march, which spans one or more v-node intervals
 BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
 BATCH_KERNELS = 16  # kernels marched together on one t grid
 F_TOL = 1e-10  # residual gate of the tables' f solution
@@ -160,7 +165,7 @@ def _make_tgrid(breaks, n_per):
     return TGrid(breaks, n_per, nodes, ref, quadchev.lobatto_bary_weights(n_per))
 
 
-def _t_rows(grid, q):
+def _t_rows(grid, q, work=None):
     """Yield (rows, owner, B) per block of at most CHUNK_ROWS queries:
     B[i] interpolates the n_per values of t panel owner[i] at q[rows][i].
 
@@ -168,6 +173,8 @@ def _t_rows(grid, q):
     coordinate; panel ends map to exactly -1 or 1 and get one-hot rows.
     The blocks are of nearly equal size: numpy sums a lone column in
     another order, which would make a row's bits depend on the blocking.
+    Given work, a flat float array of n_per * CHUNK_ROWS entries, every
+    block's B is built in it and holds only until the next block.
     """
     n_q = q.shape[0]
     n_blocks = -(-n_q // CHUNK_ROWS)
@@ -177,7 +184,7 @@ def _t_rows(grid, q):
         owner = np.searchsorted(grid.breaks[1:-1], qb, side="left")  # panel ends go left
         lo, hi = grid.breaks[owner], grid.breaks[owner + 1]
         x = ((qb - lo) - (hi - qb)) / (hi - lo)
-        yield rows, owner, quadchev.bary_matrix(grid.ref, grid.bw, x)
+        yield rows, owner, quadchev.bary_matrix(grid.ref, grid.bw, x, out=work)
 
 
 def _merge_close(pts, eps=1e-13):
@@ -263,8 +270,8 @@ class ITable:
     x_nodes-point rule, chosen on the first rung: x_gap is that rule's
     per-entry gap to the rule of twice its nodes (to the rule of half its
     nodes when no cheaper rule passed and x_nodes is MARCH_NODES; NaN
-    when no candidate was tried).  The acceptance tests compare against a
-    direct recursive evaluation.
+    when no candidate was tried, as for a table with no v-panel).  The
+    acceptance tests compare against a direct recursive evaluation.
     """
 
     kernel: SieveKernel
@@ -276,6 +283,11 @@ class ITable:
     enveloped: bool
     x_nodes: int
     x_gap: float
+
+
+def _panel_count(v_max):
+    """The unit v-panels (r, r+1] a table out to v_max marches."""
+    return max(int(math.ceil(v_max)) - 1, 0)
 
 
 def _march(kernels, v_max, grid, log_bases, rules):
@@ -292,64 +304,94 @@ def _march(kernels, v_max, grid, log_bases, rules):
     t^(2s) once u t is large, so psi spans far less than phi and the float
     rounding of its small entries stays below tol.
 
-    At each v-panel and v-node the x nodes of every rule go through one
-    pass of t rows, built once and applied to every kernel in turn: a
-    query row is contracted with the row g * P + p of D, the kernel's
-    values at x-node g on t panel p.  Each rule's march reads only its own
-    previous panel and sums its own nodes, so a rule's bits depend neither
-    on the other rules nor on the batch.
+    Every v-node interval of panel r reads only panel r - 1, so each panel
+    is marched in steps of consecutive intervals, as many as keep a step's
+    t queries (its x nodes of every rule times the t nodes) within
+    STEP_ROWS, and at least one.  A step's queries go through one pass of
+    t rows, built once and applied to every kernel in turn: a query row is
+    contracted with the row g * P + p of D, the kernel's values at x-node
+    g on t panel p (on the first panel, the base row's row p).  Its
+    per-interval sums join the running sum in their order of v.  Each
+    rule's march reads only its own previous panel and sums its own
+    nodes, so a rule's bits depend neither on the other rules, nor on the
+    batch, nor on the step size.
+
+    The work arrays of the largest step and block are allocated once: a
+    block's rows and values run to megabytes on fine t grids, and
+    allocating them anew had the C allocator return them to the system
+    and fault them back in, block after block.
     """
-    t_nodes = grid.nodes
-    T = grid.total
+    t_nodes, T, n_per = grid.nodes, grid.total, grid.n_per
+    P, X = len(grid.breaks) - 1, sum(rules)
     bw_v = quadchev.lobatto_bary_weights(N_V)
     gls = [quadchev.gauss_legendre(n) for n in rules]
-    cuts = np.cumsum([0, *rules])  # rule k owns the x nodes cuts[k]:cuts[k + 1]
-    X = int(cuts[-1])
-    g_key = np.repeat(np.arange(X) * (len(grid.breaks) - 1), T)
+    span = max(1, min(N_V - 1, STEP_ROWS // (X * T)))  # v-node intervals per step
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
-    env = {i: np.broadcast_to(lb, (X, T)).reshape(-1, grid.n_per)
-           for i, lb in enumerate(log_bases) if _enveloped(lb)}
+    env = {i: e for e, i in enumerate(i for i, lb in enumerate(log_bases) if _enveloped(lb))}
+    log_rows = [log_bases[i].reshape(P, n_per) for i in env]
     bases = [np.ones(T) if i in env else np.exp(lb) for i, lb in enumerate(log_bases)]
     Q = [[np.zeros(T) for _ in rules] for _ in kernels]
-    data = [[b] * len(rules) for b in bases]  # per rule, the base row and then its last panel
     panels = [[[] for _ in rules] for _ in kernels]
-    inner = np.empty((len(kernels), X * T))
-    log_inner = np.empty((len(kernels), X * T))
+    g_key = np.repeat(np.arange(span * X) * P, T)
+    tq = np.empty(span * X * T)
+    D = np.empty((len(kernels), span * X * T))
+    inner = np.empty((len(kernels), span * X * T))
+    log_inner = np.empty((len(env), span * X * T))
+    g = np.empty(span * max(rules) * T)
+    B_work = np.empty(n_per * CHUNK_ROWS)  # a block's t rows
+    picked = np.empty((CHUNK_ROWS, n_per))  # the values each of a block's t rows is applied to
     prev_v_nodes = None
-    for r in range(1, max(int(math.ceil(v_max)) - 1, 0) + 1):
-        a = float(r)
-        v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
-        rows = [[[b - si * q] for q in qs] for b, si, qs in zip(bases, s, Q)]
-        for j in range(1, N_V):
-            mid = 0.5 * (v_nodes[j - 1] + v_nodes[j])
-            half = 0.5 * (v_nodes[j] - v_nodes[j - 1])
-            xs = [mid + half * gx for gx, _ in gls]
+    for r in range(1, _panel_count(v_max) + 1):
+        v_nodes = quadchev.cheb_lobatto(float(r), r + 1.0, N_V)
+        cur = [[np.empty((N_V, T)) for _ in rules] for _ in kernels]
+        for b, si, qs, ck in zip(bases, s, Q, cur):
+            for q, c in zip(qs, ck):
+                np.subtract(b, si * q, out=c[0])
+        for j0 in range(1, N_V, span):
+            j1 = min(j0 + span, N_V)
+            mid = 0.5 * (v_nodes[j0 - 1 : j1 - 1] + v_nodes[j0:j1])
+            half = 0.5 * (v_nodes[j0:j1] - v_nodes[j0 - 1 : j1 - 1])
+            xs = [mid[:, None] + half[:, None] * gx for gx, _ in gls]  # (interval, node) per rule
             tps = [1.0 - 1.0 / x for x in xs]
-            tq = (np.concatenate(tps)[:, None] * t_nodes[None, :]).ravel()
-            if r == 1:
-                Ds = [np.broadcast_to(d[0], (X, T)).reshape(-1, grid.n_per) for d in data]
+            cuts = (j1 - j0) * np.cumsum([0, *rules])  # rule k owns x nodes cuts[k]:cuts[k + 1]
+            n_q = int(cuts[-1]) * T
+            np.multiply(np.concatenate(tps, axis=None)[:, None], t_nodes,
+                        out=tq[:n_q].reshape(-1, T))
+            if r == 1:  # every x node reads the base row
+                values = [b.reshape(P, n_per) for b in bases]
             else:
-                Bvs = [quadchev.bary_matrix(prev_v_nodes, bw_v, x - 1.0) for x in xs]
-                Ds = [np.concatenate([Bv @ dk for Bv, dk in zip(Bvs, d)]).reshape(-1, grid.n_per)
-                      for d in data]
-            for blk, owner, B in _t_rows(grid, tq):
-                key = g_key[blk] + owner
-                for i, D in enumerate(Ds):
-                    np.einsum("rc,rc->r", B, D[key], out=inner[i, blk])
-                for i, D in env.items():
-                    np.einsum("rc,rc->r", B, D[key], out=log_inner[i, blk])
-            for i, e in enumerate(sexp):
-                for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-                    g = inner[i, lo * T : hi * T].reshape(-1, T) * (tps[k] ** e / xs[k])[:, None]
+                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, np.concatenate(xs, axis=None) - 1.0)
+                for Di, pk in zip(D, panels):
+                    for lo, hi, p in zip(cuts[:-1], cuts[1:], pk):
+                        np.matmul(Bv[lo:hi], p[-1], out=Di[lo * T : hi * T].reshape(-1, T))
+                values = D[:, :n_q].reshape(len(kernels), -1, n_per)
+            for blk, owner, B in _t_rows(grid, tq[:n_q], B_work):
+                key = owner if r == 1 else g_key[blk] + owner
+                rows = picked[: len(key)]  # "clip" fills it in place; every key is in range
+                for i, V in enumerate(values):
+                    np.take(V, key, axis=0, out=rows, mode="clip")
+                    np.einsum("rc,rc->r", B, rows, out=inner[i, blk])
+                for e, L in enumerate(log_rows):
+                    np.take(L, owner, axis=0, out=rows, mode="clip")
+                    np.einsum("rc,rc->r", B, rows, out=log_inner[e, blk])
+            for i, ex in enumerate(sexp):
+                for k, (lo, hi) in enumerate(zip(cuts[:-1] * T, cuts[1:] * T)):
+                    gk = g[: hi - lo].reshape(*xs[k].shape, T)
+                    weight = (tps[k] ** ex / xs[k])[..., None]
+                    np.multiply(inner[i, lo:hi].reshape(gk.shape), weight, out=gk)
                     if i in env:
-                        g *= np.exp(log_inner[i, lo * T : hi * T].reshape(-1, T) - log_bases[i])
-                    Q[i][k] += half * (gls[k][1] @ g)
-                    rows[i][k].append(bases[i] - s[i] * Q[i][k])
-        for i, rk in enumerate(rows):
-            data[i] = [np.array(rws) for rws in rk]
-            for pk, d in zip(panels[i], data[i]):
-                pk.append(d)
+                        lg = log_inner[env[i], lo:hi].reshape(gk.shape)
+                        lg -= log_bases[i]
+                        gk *= np.exp(lg, out=lg)
+                    q = half[:, None] * (gls[k][1] @ gk)  # each interval's sum, in order of v
+                    q[0] += Q[i][k]
+                    np.cumsum(q, axis=0, out=q)
+                    Q[i][k] = q[-1]
+                    np.subtract(bases[i], s[i] * q, out=cur[i][k][j0:j1])
+        for pk, ck in zip(panels, cur):
+            for p, c in zip(pk, ck):
+                p.append(c)
         prev_v_nodes = v_nodes
     return [[(b, pk) for pk in p] for b, p in zip(bases, panels)]
 
@@ -388,45 +430,65 @@ def _refine_base(kernel, grid, coarse):
 
 
 def _x_candidates():
-    """The cheaper x rules the first rung tries before MARCH_NODES."""
+    """The cheaper x rules the first rung tries before MARCH_NODES, each
+    twice the one before and half the next (MARCH_NODES after the last)."""
     return (MARCH_NODES // 4, MARCH_NODES // 2)
 
 
-def _x_rule(levels, tol):
-    """(x_nodes, x_gap) from levels, one first-rung level per rule.
+def _x_rule(kernels, v_max, grid, logs, tol):
+    """Per kernel, ((x_nodes, x_gap), level): its x rule and its first-rung
+    level under that rule.
 
-    The smallest candidate n whose panels agree with the 2n-node rule's
-    to tol / X_SHARE under _gap; x_gap is that gap.  A table that passes
-    none keeps MARCH_NODES, and x_gap is the largest candidate's gap (NaN
-    with no candidate)."""
-    gap = math.nan
+    The check is nested and lazy.  Every kernel marches the first
+    candidate n and its double 2n; a kernel whose n-node panels miss the
+    2n-node panels by more than tol / X_SHARE under _gap marches the next
+    candidate's double in a further call, and so on.  So the first rung
+    marches 4 and 8 nodes, and 16 only for the kernels that 4 fail.  A
+    kernel takes the smallest candidate that passes, with that gap as
+    x_gap, or MARCH_NODES with the last candidate's gap.  A table with no
+    v-panel tries no candidate: MARCH_NODES and NaN.  A kernel's level of
+    each rule it no longer needs is dropped as soon as it is compared.
+    """
+    if not (_panel_count(v_max) and _x_candidates()):
+        marched = _march(kernels, v_max, grid, logs, [MARCH_NODES])
+        return [((MARCH_NODES, math.nan), level) for (level,) in marched]
+    levels = [{} for _ in kernels]  # per kernel, a first-rung level per rule still needed
+    gaps = [math.nan] * len(kernels)
+    out = [None] * len(kernels)
+    todo, marched_rules = list(range(len(kernels))), set()
     for n in _x_candidates():
-        pairs = zip(levels[n][1], levels[2 * n][1])
-        gap = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
-        if gap <= tol / X_SHARE:
-            return n, gap
-    return MARCH_NODES, gap
+        rules = sorted({n, 2 * n} - marched_rules)
+        marched_rules.update(rules)
+        marched = _march([kernels[i] for i in todo], v_max, grid, [logs[i] for i in todo], rules)
+        for i in todo:
+            levels[i].update(zip(rules, marched.pop(0)))
+            coarse = levels[i].pop(n)
+            pairs = zip(coarse[1], levels[i][2 * n][1])
+            gaps[i] = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
+            if gaps[i] <= tol / X_SHARE:
+                out[i], levels[i] = ((n, gaps[i]), coarse), None
+        todo = [i for i in todo if out[i] is None]
+        if not todo:
+            break
+    for i in todo:  # the last candidate's double is MARCH_NODES
+        out[i] = ((MARCH_NODES, gaps[i]), levels[i][MARCH_NODES])
+    return out
 
 
 def _ladder(kernels, breaks, v_max, tol, n):
     """Tables of kernels whose t grids split at breaks.
 
-    The first rung marches every x rule that _x_rule compares, and fixes
-    each kernel's (x_nodes, x_gap).  Each later rung marches the live
-    kernels, kept as (index, (x_nodes, x_gap), level, log base row) of
-    the last rung, one _march call per x_nodes, until their estimates
-    meet tol.  A level that is not finite raises RangeError at once: no
-    finer rung brings it back.
+    The first rung fixes each kernel's (x_nodes, x_gap) through _x_rule:
+    it marches 4 and 8 nodes, plus 16 where 4 fail.  Each later rung
+    marches the live kernels, kept as (index, (x_nodes, x_gap), level, log
+    base row) of the last rung, one _march call per x_nodes, until their
+    estimates meet tol.  A level that is not finite raises RangeError at
+    once: no finer rung brings it back.
     """
     grid = _make_tgrid(breaks, (n + 1) // 2)
     logs = [_log_base_row(k, grid.nodes) for k in kernels]
-    cands = _x_candidates()
-    rules = sorted({MARCH_NODES, *cands, *(2 * c for c in cands)})
-    live = []
-    for i, (lb, levels) in enumerate(zip(logs, _march(kernels, v_max, grid, logs, rules))):
-        by_rule = dict(zip(rules, levels))
-        x = _x_rule(by_rule, tol)
-        live.append((i, x, by_rule[x[0]], lb))
+    first = _x_rule(kernels, v_max, grid, logs, tol)
+    live = [(i, x, level, lb) for i, ((x, level), lb) in enumerate(zip(first, logs))]
     tables = [None] * len(kernels)
     while live:
         prev_grid, grid = grid, _make_tgrid(breaks, n)
@@ -462,7 +524,7 @@ def build_tables(kernels, v_max, tol=1e-9):
 
     Kernels that share a t grid (the same breaks) are marched
     together, at most BATCH_KERNELS at a time: the interpolation rows of
-    each rung, v-panel and v-node are built once for the whole batch.
+    each rung and march step are built once for the whole batch.
     Each kernel keeps its own resolution ladder, starting at N_PER_START
     nodes per t panel, so every table, its n_per and its est_error are
     bit-identical to a batch of one.  A caller that drops each table once

@@ -38,14 +38,18 @@ def lobatto_bary_weights(n):
     return w
 
 
-def bary_matrix(nodes, weights, q):
+def bary_matrix(nodes, weights, q, out=None):
     """Row matrix B with B @ values = interpolant of (nodes, values) at q.
 
     q is 1-D; rows hitting a node exactly become one-hot rows.  B is built
-    column-major and returned as its transposed (len(q), len(nodes)) view.
+    column-major and returned as its transposed (len(q), len(nodes)) view,
+    in the first len(nodes) * len(q) entries of the flat float array out
+    when one is given: a caller that builds many B reuses its memory.
     """
     q = np.asarray(q, dtype=float)
-    Bt = nodes[:, None] - q[None, :]
+    shape = (len(nodes), len(q))
+    Bt = np.subtract(nodes[:, None], q[None, :],
+                     out=None if out is None else out[: shape[0] * shape[1]].reshape(shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(weights[:, None], Bt, out=Bt)
         total = Bt.sum(axis=0)

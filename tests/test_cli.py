@@ -202,6 +202,24 @@ class TestI:
         gap = float(meta["x_gap"])
         assert 0.0 <= gap and (gap <= 1e-9 / iterints.X_SHARE) == (nodes < iterints.MARCH_NODES)
 
+    def test_no_v_panel_tries_no_x_rule(self, capsys):
+        # v <= 1 marches no v-panel, so no x rule is compared
+        code, out, _ = run_cli(["I", "--s", "2", "--m", "3", "--u", "9.5", "--v", "0.5,1"], capsys)
+        assert code == 0
+        meta, _, _ = parse_csv(out)
+        assert int(meta["x_nodes"]) == iterints.MARCH_NODES
+        assert math.isnan(float(meta["x_gap"]))
+
+    def test_prints_the_last_t_rung(self, capsys):
+        code, out, _ = run_cli(
+            ["I", "--s", "2", "--m", "3", "--u", "9.5", "--v", "9.5", "--tol", "1e-6"], capsys
+        )
+        assert code == 0
+        meta, _, _ = parse_csv(out)
+        keys = list(meta)
+        assert keys.index("n_per") == keys.index("est_error") + 1
+        assert int(meta["n_per"]) == 33
+
 
 class TestTuple:
     def test_first_k_footnote_construction(self, capsys):

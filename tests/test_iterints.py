@@ -21,6 +21,17 @@ class TestBaryMatrix:
         got = B @ nodes ** 3
         assert np.max(np.abs(got - q ** 3)) < 1e-14
 
+    def test_out_buffer_gives_the_same_rows(self):
+        # the march builds every block of t rows in one buffer, larger
+        # than the block and holding the last block's rows
+        nodes = quadchev.cheb_lobatto(-1.0, 1.0, 9)
+        w = quadchev.lobatto_bary_weights(9)
+        q = np.append(np.linspace(-1.0, 1.0, 13), nodes[3])
+        work = np.full(9 * 20, np.nan)
+        B = quadchev.bary_matrix(nodes, w, q, out=work)
+        assert np.shares_memory(B, work)
+        assert B.tobytes() == quadchev.bary_matrix(nodes, w, q).tobytes()
+
     def test_one_hot_at_node(self):
         nodes = quadchev.cheb_lobatto(0.0, 1.0, 7)
         w = quadchev.lobatto_bary_weights(7)
@@ -325,16 +336,40 @@ class TestXRule:
             assert [p.tobytes() for p in done[i].panels] == [p.tobytes() for p in want.panels]
 
     def test_one_march_per_rung_for_one_count(self, monkeypatch):
-        # the first rung marches 4, 8 and 16 nodes in one call; later rungs
-        # march the chosen count alone
+        # the first rung marches 4 and 8 nodes in one call, and 16 in a
+        # second call only for a kernel that 4 nodes fail; later rungs march
+        # the chosen count alone.  (2, 3) at 1e-6 takes 4 nodes; (1, 2) at
+        # 1e-8 misses with 4 and with 8, and keeps 16
         calls = []
         march = iterints._march
         monkeypatch.setattr(iterints, "_march",
                             lambda *a: calls.append(list(a[-1])) or march(*a))
-        table = iterints.build_table(iterints.make_kernel(2, 3, 9.5), 9.5, tol=1e-6)
-        assert calls[0] == [4, 8, 16]
-        assert calls[1:] == [[4]] * (len(calls) - 1) and len(calls) == 3
-        assert table.grid.n_per == 33
+        for s, m, tol, want, n_per in [(2, 3, 1e-6, [[4, 8], [4], [4]], 33),
+                                       (1, 2, 1e-8, [[4, 8], *[[16]] * 5], 129)]:
+            calls.clear()
+            table = iterints.build_table(iterints.make_kernel(s, m, 9.5), 9.5, tol=tol)
+            assert calls == want
+            assert table.grid.n_per == n_per
+
+    def test_step_size_leaves_tables_bit_identical(self, monkeypatch):
+        # one v-node interval per step, and a whole panel per step, give the
+        # bits of the default steps.  (1, 3), (1, 4) and (2, 3) take 8, 4 and
+        # 16 nodes; at this threshold (6, 8), whose base row spans e^3.8,
+        # is enveloped and the other three (e^3.0 at most) are not
+        monkeypatch.setattr(iterints, "ENVELOPE_LOG", 3.5)
+        u, tol = 9.5, 1e-8
+        kerns = [iterints.make_kernel(s, m, u) for s, m in [(1, 3), (1, 4), (2, 3), (6, 8)]]
+        want = dict(iterints.build_tables(kerns, u, tol=tol))
+        assert [want[i].x_nodes for i in range(3)] == [8, 4, 16]
+        assert [want[i].enveloped for i in range(4)] == [False, False, False, True]
+        for rows in (1, 16 * iterints.MARCH_NODES * max(t.grid.total for t in want.values())):
+            monkeypatch.setattr(iterints, "STEP_ROWS", rows)
+            got = dict(iterints.build_tables(kerns, u, tol=tol))
+            for i in range(len(kerns)):
+                assert (got[i].x_nodes, got[i].x_gap) == (want[i].x_nodes, want[i].x_gap)
+                assert got[i].est_error == want[i].est_error
+                assert got[i].log_base.tobytes() == want[i].log_base.tobytes()
+                assert [p.tobytes() for p in got[i].panels] == [p.tobytes() for p in want[i].panels]
 
 
 class TestVInterpolation:
