@@ -260,7 +260,9 @@ def _cmd_i(ns, cfg):
     ts = _float_list(ns.t)
     vs = _float_list(ns.v)
     kernel = iterints.make_kernel(ns.s, ns.m, ns.u)
-    table = iterints.build_table(kernel, max(1.0, max(vs)), tol=tol)
+    # the table is marched only on the cone t >= slope * v that holds every query
+    slope = min((t / v for t in ts for v in vs if t > 0.0 and v > 1.0), default=0.0)
+    table = iterints.build_table(kernel, max(1.0, max(vs)), tol=tol, slope=slope)
     rows = []
     for t in ts:
         for v in vs:

@@ -24,9 +24,15 @@ between its kinks, so the rule converges geometrically and the doubled
 rule's gap measures the coarser rule's error.  Every later rung marches
 the chosen rule alone.
 
-The reported est_error covers the t direction only; the table records
-the x rule's gap beside it as x_gap.  The tests check the v quadrature
-against a rule with three times the nodes, and the 17-node v
+A table is marched only on the region its reader needs.  A node (t, v)
+reads (t (x-1)/x, x-1), so I(t, v) needs only the cone below it, and
+I(1, u) only t >= v/u: build_tables takes a slope, and each v-panel is
+marched on the t panels that hold the cone t >= slope * v and the reads
+of the next panel (_first_tpanels; slope 0 is the whole table).  Other
+entries are NaN.  The reported est_error and the x rule's gap, recorded
+beside it as x_gap, are taken over the whole base row and that region,
+and est_error covers the t direction only.  The tests check the v
+quadrature against a rule with three times the nodes, and the 17-node v
 interpolation against 9 nodes.
 
 The t direction uses a piecewise grid split at t = j/u: f(u t x) has only
@@ -98,6 +104,7 @@ BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
 BATCH_KERNELS = 16  # kernels marched together on one t grid
 F_TOL = 1e-10  # residual gate of the tables' f solution
 ENVELOPE_LOG = 8.0  # tables whose base row spans more store phi over it
+READ_SLACK = 1e-14  # relative; the march's reads sit over 1e-11 above _first_tpanels' bound
 
 
 @dataclass(frozen=True)
@@ -258,18 +265,21 @@ def _enveloped(log_base):
 
 @dataclass(frozen=True)
 class ITable:
-    """Marched table of phi over [0,1] x (1, v_max].
+    """Marched table of phi over a region of [0,1] x (1, v_max].
 
-    log_base holds log phi on the v <= 1 row of the t grid; panels[r-1]
-    holds the 17 x grid.total values on the v-panel (r, r+1]: phi, or
-    phi(t, v) / phi(t, 1) where the base row spans more than
-    e^ENVELOPE_LOG (the table is enveloped).  The t resolution is
-    chosen adaptively and est_error compares two t resolutions, so it
-    covers the t direction only.  The v resolution per panel is fixed at
-    N_V nodes.  The x integral between neighbouring v nodes uses an
-    x_nodes-point rule, chosen on the first rung: x_gap is that rule's
-    per-entry gap to the rule of twice its nodes (to the rule of half its
-    nodes when no cheaper rule passed and x_nodes is MARCH_NODES; NaN
+    log_base holds log phi on the whole v <= 1 row of the t grid;
+    panels[r-1] holds the 17 x grid.total values on the v-panel (r, r+1]:
+    phi, or phi(t, v) / phi(t, 1) where the base row spans more than
+    e^ENVELOPE_LOG (the table is enveloped).  The region is lo: v-panel
+    r is marched on the t panels from lo[r-1] on, and its columns on
+    earlier t panels are NaN (lo is all zeros for the whole table).  The
+    t resolution is chosen adaptively and est_error compares two t
+    resolutions over the base row and the region, so it covers the t
+    direction only.  The v resolution per panel is fixed at N_V nodes.
+    The x integral between neighbouring v nodes uses an x_nodes-point
+    rule, chosen on the first rung: x_gap is that rule's per-entry gap
+    to the rule of twice its nodes over the region (to the rule of half
+    its nodes when no cheaper rule passed and x_nodes is MARCH_NODES; NaN
     when no candidate was tried, as for a table with no v-panel).  The
     acceptance tests compare against a direct recursive evaluation.
     """
@@ -283,6 +293,7 @@ class ITable:
     enveloped: bool
     x_nodes: int
     x_gap: float
+    lo: tuple  # lo[r-1]: the first t panel marched on v-panel r
 
 
 def _panel_count(v_max):
@@ -290,11 +301,34 @@ def _panel_count(v_max):
     return max(int(math.ceil(v_max)) - 1, 0)
 
 
-def _march(kernels, v_max, grid, log_bases, rules):
-    """March the kernels' tables over one t grid from the logs of their
-    base rows, once under each x rule of rules (Gauss-Legendre node
-    counts); per kernel, one (base, panels) per rule, in the values the
-    table stores.
+def _first_tpanels(breaks, v_max, slope):
+    """lo[r-1], the first t panel that v-panel r marches, r = 1 .. the
+    panel count, in one backward pass over r.
+
+    The region covers the cone t >= slope * v: on v-panel r, t panel p
+    is kept when breaks[p+1] > slope * r, and the last t panel (t = 1)
+    always is.  It also holds every read of the march: the nodes of
+    v-panel r + 1 read v-panel r at t above breaks[lo[r]] * r / (r + 1),
+    so lo[r-1] is at most the t panel holding t just above that bound
+    (READ_SLACK above it: the reads sit further above, while a bound on
+    a break j/u rounds to either side of it).  So lo never decreases
+    with r; slope 0, or a single t panel, gives all zeros.
+    """
+    lo = np.zeros(_panel_count(v_max), dtype=int)
+    for r in range(len(lo), 0, -1):
+        first = int(np.searchsorted(breaks[1:-1], slope * r, side="right"))
+        if r < len(lo):
+            bound = breaks[lo[r]] * r / (r + 1) * (1.0 + READ_SLACK)
+            first = min(first, int(np.searchsorted(breaks, bound, side="right")) - 1)
+        lo[r - 1] = first
+    return lo
+
+
+def _march(kernels, lo, grid, log_bases, rules):
+    """March the kernels' tables over one t grid and the region lo (see
+    _first_tpanels) from the logs of their base rows, once under each x
+    rule of rules (Gauss-Legendre node counts); per kernel, one (base,
+    panels) per rule, in the values the table stores, NaN outside lo.
 
     An enveloped table stores psi = phi(t, v) / b(t), b the base row:
 
@@ -306,15 +340,18 @@ def _march(kernels, v_max, grid, log_bases, rules):
 
     Every v-node interval of panel r reads only panel r - 1, so each panel
     is marched in steps of consecutive intervals, as many as keep a step's
-    t queries (its x nodes of every rule times the t nodes) within
-    STEP_ROWS, and at least one.  A step's queries go through one pass of
-    t rows, built once and applied to every kernel in turn: a query row is
-    contracted with the row g * P + p of D, the kernel's values at x-node
-    g on t panel p (on the first panel, the base row's row p).  Its
-    per-interval sums join the running sum in their order of v.  Each
-    rule's march reads only its own previous panel and sums its own
-    nodes, so a rule's bits depend neither on the other rules, nor on the
-    batch, nor on the step size.
+    t queries (its x nodes of every rule times the panel's marched t
+    nodes) within STEP_ROWS, and at least one.  A step's queries go
+    through one pass of t rows, built once and applied to every kernel in
+    turn: a query row is contracted with the row g * (P - a) + p - a of D,
+    the kernel's values at x-node g on t panel p, where panel r - 1 was
+    marched on the t panels from a = lo[r-2] on (on the first panel, the
+    base row's row p).  A query on a t panel before a raises
+    RangeError: the region does not hold the march's reads.  Its
+    per-interval sums join the running sum, kept on the marched columns,
+    in their order of v.  Each rule's march reads only its own previous
+    panel and sums its own nodes, so a rule's bits depend neither on the
+    other rules, nor on the batch, nor on the step size.
 
     The work arrays of the largest step and block are allocated once: a
     block's rows and values run to megabytes on fine t grids, and
@@ -325,7 +362,10 @@ def _march(kernels, v_max, grid, log_bases, rules):
     P, X = len(grid.breaks) - 1, sum(rules)
     bw_v = quadchev.lobatto_bary_weights(N_V)
     gls = [quadchev.gauss_legendre(n) for n in rules]
-    span = max(1, min(N_V - 1, STEP_ROWS // (X * T)))  # v-node intervals per step
+    widths = [T - a * n_per for a in lo]  # marched columns per panel
+    spans = [max(1, min(N_V - 1, STEP_ROWS // (X * w))) for w in widths]  # intervals per step
+    size = max((sp * X * w for sp, w in zip(spans, widths)), default=0)
+    d_size = max((sp * X * w for sp, w in zip(spans[1:], widths)), default=0)  # D: panel r - 1
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
     env = {i: e for e, i in enumerate(i for i, lb in enumerate(log_bases) if _enveloped(lb))}
@@ -333,21 +373,24 @@ def _march(kernels, v_max, grid, log_bases, rules):
     bases = [np.ones(T) if i in env else np.exp(lb) for i, lb in enumerate(log_bases)]
     Q = [[np.zeros(T) for _ in rules] for _ in kernels]
     panels = [[[] for _ in rules] for _ in kernels]
-    g_key = np.repeat(np.arange(span * X) * P, T)
-    tq = np.empty(span * X * T)
-    D = np.empty((len(kernels), span * X * T))
-    inner = np.empty((len(kernels), span * X * T))
-    log_inner = np.empty((len(env), span * X * T))
-    g = np.empty(span * max(rules) * T)
+    tq = np.empty(size)
+    D = np.empty((len(kernels), d_size))
+    inner = np.empty((len(kernels), size))
+    log_inner = np.empty((len(env), size))
+    g = np.empty(size)
     B_work = np.empty(n_per * CHUNK_ROWS)  # a block's t rows
     picked = np.empty((CHUNK_ROWS, n_per))  # the values each of a block's t rows is applied to
-    prev_v_nodes = None
-    for r in range(1, _panel_count(v_max) + 1):
+    prev_v_nodes, a, c0 = None, 0, 0  # the previous panel's first t panel and column
+    for r, (first, W, span) in enumerate(zip(lo, widths, spans), 1):
+        col = first * n_per
+        W_prev = T - c0
+        g_key = np.repeat(np.arange(span * X) * (P - a) - a, W)
         v_nodes = quadchev.cheb_lobatto(float(r), r + 1.0, N_V)
-        cur = [[np.empty((N_V, T)) for _ in rules] for _ in kernels]
+        cur = [[np.full((N_V, T), np.nan) for _ in rules] for _ in kernels]
         for b, si, qs, ck in zip(bases, s, Q, cur):
-            for q, c in zip(qs, ck):
-                np.subtract(b, si * q, out=c[0])
+            for k, c in enumerate(ck):
+                qs[k] = qs[k][col - c0 :]
+                np.subtract(b[col:], si * qs[k], out=c[0, col:])
         for j0 in range(1, N_V, span):
             j1 = min(j0 + span, N_V)
             mid = 0.5 * (v_nodes[j0 - 1 : j1 - 1] + v_nodes[j0:j1])
@@ -355,18 +398,22 @@ def _march(kernels, v_max, grid, log_bases, rules):
             xs = [mid[:, None] + half[:, None] * gx for gx, _ in gls]  # (interval, node) per rule
             tps = [1.0 - 1.0 / x for x in xs]
             cuts = (j1 - j0) * np.cumsum([0, *rules])  # rule k owns x nodes cuts[k]:cuts[k + 1]
-            n_q = int(cuts[-1]) * T
-            np.multiply(np.concatenate(tps, axis=None)[:, None], t_nodes,
-                        out=tq[:n_q].reshape(-1, T))
+            n_q = int(cuts[-1]) * W
+            np.multiply(np.concatenate(tps, axis=None)[:, None], t_nodes[col:],
+                        out=tq[:n_q].reshape(-1, W))
             if r == 1:  # every x node reads the base row
                 values = [b.reshape(P, n_per) for b in bases]
             else:
                 Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, np.concatenate(xs, axis=None) - 1.0)
                 for Di, pk in zip(D, panels):
-                    for lo, hi, p in zip(cuts[:-1], cuts[1:], pk):
-                        np.matmul(Bv[lo:hi], p[-1], out=Di[lo * T : hi * T].reshape(-1, T))
-                values = D[:, :n_q].reshape(len(kernels), -1, n_per)
+                    for x0, x1, p in zip(cuts[:-1], cuts[1:], pk):
+                        np.matmul(Bv[x0:x1], p[-1][:, c0:],
+                                  out=Di[x0 * W_prev : x1 * W_prev].reshape(-1, W_prev))
+                values = D[:, : int(cuts[-1]) * W_prev].reshape(len(kernels), -1, n_per)
             for blk, owner, B in _t_rows(grid, tq[:n_q], B_work):
+                if owner.min() < a:
+                    raise RangeError(f"v-panel {r} reads t panel {owner.min()} of v-panel "
+                                     f"{r - 1}, which is marched from t panel {a} on")
                 key = owner if r == 1 else g_key[blk] + owner
                 rows = picked[: len(key)]  # "clip" fills it in place; every key is in range
                 for i, V in enumerate(values):
@@ -376,23 +423,23 @@ def _march(kernels, v_max, grid, log_bases, rules):
                     np.take(L, owner, axis=0, out=rows, mode="clip")
                     np.einsum("rc,rc->r", B, rows, out=log_inner[e, blk])
             for i, ex in enumerate(sexp):
-                for k, (lo, hi) in enumerate(zip(cuts[:-1] * T, cuts[1:] * T)):
-                    gk = g[: hi - lo].reshape(*xs[k].shape, T)
+                for k, (q0, q1) in enumerate(zip(cuts[:-1] * W, cuts[1:] * W)):
+                    gk = g[: q1 - q0].reshape(*xs[k].shape, W)
                     weight = (tps[k] ** ex / xs[k])[..., None]
-                    np.multiply(inner[i, lo:hi].reshape(gk.shape), weight, out=gk)
+                    np.multiply(inner[i, q0:q1].reshape(gk.shape), weight, out=gk)
                     if i in env:
-                        lg = log_inner[env[i], lo:hi].reshape(gk.shape)
-                        lg -= log_bases[i]
+                        lg = log_inner[env[i], q0:q1].reshape(gk.shape)
+                        lg -= log_bases[i][col:]
                         gk *= np.exp(lg, out=lg)
                     q = half[:, None] * (gls[k][1] @ gk)  # each interval's sum, in order of v
                     q[0] += Q[i][k]
                     np.cumsum(q, axis=0, out=q)
                     Q[i][k] = q[-1]
-                    np.subtract(bases[i], s[i] * q, out=cur[i][k][j0:j1])
+                    np.subtract(bases[i][col:], s[i] * q, out=cur[i][k][j0:j1, col:])
         for pk, ck in zip(panels, cur):
             for p, c in zip(pk, ck):
                 p.append(c)
-        prev_v_nodes = v_nodes
+        prev_v_nodes, a, c0 = v_nodes, first, col
     return [[(b, pk) for pk in p] for b, p in zip(bases, panels)]
 
 
@@ -404,6 +451,12 @@ def _gap(coarse, fine):
         return math.nan
     keep = size >= np.max(size) * math.exp(-40.0)
     return float(np.max(np.abs(coarse - fine)[keep] / size[keep]))
+
+
+def _marched(level, lo, n_per):
+    """level's whole base row and its panels' columns in the region lo."""
+    base, panels = level
+    return base, [p[:, a * n_per :] for p, a in zip(panels, lo)]
 
 
 def _compare_levels(R, coarse, fine):
@@ -435,22 +488,23 @@ def _x_candidates():
     return (MARCH_NODES // 4, MARCH_NODES // 2)
 
 
-def _x_rule(kernels, v_max, grid, logs, tol):
+def _x_rule(kernels, lo, grid, logs, tol):
     """Per kernel, ((x_nodes, x_gap), level): its x rule and its first-rung
-    level under that rule.
+    level under that rule, marched over the region lo.
 
     The check is nested and lazy.  Every kernel marches the first
     candidate n and its double 2n; a kernel whose n-node panels miss the
-    2n-node panels by more than tol / X_SHARE under _gap marches the next
-    candidate's double in a further call, and so on.  So the first rung
-    marches 4 and 8 nodes, and 16 only for the kernels that 4 fail.  A
-    kernel takes the smallest candidate that passes, with that gap as
-    x_gap, or MARCH_NODES with the last candidate's gap.  A table with no
-    v-panel tries no candidate: MARCH_NODES and NaN.  A kernel's level of
-    each rule it no longer needs is dropped as soon as it is compared.
+    2n-node panels in the region by more than tol / X_SHARE under _gap
+    marches the next candidate's double in a further call, and so on.
+    So the first rung marches 4 and 8 nodes, and 16 only for the kernels
+    that 4 fail.  A kernel takes the smallest candidate that passes, with
+    that gap as x_gap, or MARCH_NODES with the last candidate's gap.  A
+    table with no v-panel tries no candidate: MARCH_NODES and NaN.  A
+    kernel's level of each rule it no longer needs is dropped as soon as
+    it is compared.
     """
-    if not (_panel_count(v_max) and _x_candidates()):
-        marched = _march(kernels, v_max, grid, logs, [MARCH_NODES])
+    if not (len(lo) and _x_candidates()):
+        marched = _march(kernels, lo, grid, logs, [MARCH_NODES])
         return [((MARCH_NODES, math.nan), level) for (level,) in marched]
     levels = [{} for _ in kernels]  # per kernel, a first-rung level per rule still needed
     gaps = [math.nan] * len(kernels)
@@ -459,11 +513,12 @@ def _x_rule(kernels, v_max, grid, logs, tol):
     for n in _x_candidates():
         rules = sorted({n, 2 * n} - marched_rules)
         marched_rules.update(rules)
-        marched = _march([kernels[i] for i in todo], v_max, grid, [logs[i] for i in todo], rules)
+        marched = _march([kernels[i] for i in todo], lo, grid, [logs[i] for i in todo], rules)
         for i in todo:
             levels[i].update(zip(rules, marched.pop(0)))
             coarse = levels[i].pop(n)
-            pairs = zip(coarse[1], levels[i][2 * n][1])
+            pairs = zip(_marched(coarse, lo, grid.n_per)[1],
+                        _marched(levels[i][2 * n], lo, grid.n_per)[1])
             gaps[i] = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
             if gaps[i] <= tol / X_SHARE:
                 out[i], levels[i] = ((n, gaps[i]), coarse), None
@@ -475,19 +530,22 @@ def _x_rule(kernels, v_max, grid, logs, tol):
     return out
 
 
-def _ladder(kernels, breaks, v_max, tol, n):
-    """Tables of kernels whose t grids split at breaks.
+def _ladder(kernels, breaks, v_max, slope, tol, n):
+    """Tables of kernels whose t grids split at breaks, marched over the
+    region that _first_tpanels gives for slope.
 
     The first rung fixes each kernel's (x_nodes, x_gap) through _x_rule:
     it marches 4 and 8 nodes, plus 16 where 4 fail.  Each later rung
     marches the live kernels, kept as (index, (x_nodes, x_gap), level, log
     base row) of the last rung, one _march call per x_nodes, until their
-    estimates meet tol.  A level that is not finite raises RangeError at
-    once: no finer rung brings it back.
+    estimates, taken over the base row and the region, meet tol.  A level
+    that is not finite raises RangeError at once: no finer rung brings it
+    back.
     """
+    lo = _first_tpanels(breaks, v_max, slope)
     grid = _make_tgrid(breaks, (n + 1) // 2)
     logs = [_log_base_row(k, grid.nodes) for k in kernels]
-    first = _x_rule(kernels, v_max, grid, logs, tol)
+    first = _x_rule(kernels, lo, grid, logs, tol)
     live = [(i, x, level, lb) for i, ((x, level), lb) in enumerate(zip(first, logs))]
     tables = [None] * len(kernels)
     while live:
@@ -498,17 +556,18 @@ def _ladder(kernels, breaks, v_max, tol, n):
         for nodes in sorted({x[0] for _, x, _, _ in live}):
             pos = [j for j, (_, x, _, _) in enumerate(live) if x[0] == nodes]
             group = [kernels[live[j][0]] for j in pos]
-            marched = _march(group, v_max, grid, [logs[j] for j in pos], [nodes])
+            marched = _march(group, lo, grid, [logs[j] for j in pos], [nodes])
             for j, (level,) in zip(pos, marched):
                 cur[j] = level
         for (i, x, prev, _), c, lb in zip(live, cur, logs):
-            est = _compare_levels(R, prev, c)
+            est = _compare_levels(R, _marched(prev, lo, prev_grid.n_per),
+                                  _marched(c, lo, grid.n_per))
             if not math.isfinite(est):
                 k = kernels[i]
                 raise RangeError(f"I table of (s, m, u) = ({k.s}, {k.m}, {k.u:g}) is not finite")
             if est <= tol:
                 tables[i] = ITable(kernels[i], v_max, grid, lb, tuple(c[1]), est,
-                                   _enveloped(lb), *x)
+                                   _enveloped(lb), *x, tuple(lo.tolist()))
             elif n >= N_PER_MAX:
                 raise ToleranceError(
                     f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
@@ -519,8 +578,13 @@ def _ladder(kernels, breaks, v_max, tol, n):
     return tables
 
 
-def build_tables(kernels, v_max, tol=1e-9):
+def build_tables(kernels, v_max, tol=1e-9, slope=0.0):
     """Yield (index, table) for every kernel, one batch of tables at a time.
+
+    Each table is marched over the region that holds the cone
+    t >= slope * v (see _first_tpanels; slope 0 marches the whole
+    table), and its est_error and x_gap are taken over the base row and
+    that region.  A reader of I(1, u) alone passes slope 1/u.
 
     Kernels that share a t grid (the same breaks) are marched
     together, at most BATCH_KERNELS at a time: the interpolation rows of
@@ -533,6 +597,8 @@ def build_tables(kernels, v_max, tol=1e-9):
     v_max = float(v_max)
     if not (0 < v_max <= MAX_PANELS + 1):
         raise RangeError(f"v_max must lie in (0, {MAX_PANELS + 1}], got {v_max}")
+    if not (0.0 <= slope < math.inf):
+        raise RangeError(f"slope must be finite and >= 0, got {slope}")
     check_tol(tol)
     groups = {}
     for i, kern in enumerate(kernels):
@@ -540,18 +606,21 @@ def build_tables(kernels, v_max, tol=1e-9):
     for breaks, idx in groups.items():
         for lo in range(0, len(idx), BATCH_KERNELS):
             batch = idx[lo : lo + BATCH_KERNELS]
-            tables = _ladder([kernels[i] for i in batch], np.array(breaks), v_max, tol, N_PER_START)
+            tables = _ladder([kernels[i] for i in batch], np.array(breaks), v_max, slope, tol,
+                             N_PER_START)
             yield from zip(batch, tables)
 
 
-def build_table(kernel, v_max, tol=1e-9):
-    """March the table out to v_max, doubling the t resolution until tol.
+def build_table(kernel, v_max, tol=1e-9, slope=0.0):
+    """March the table out to v_max over the region of the cone
+    t >= slope * v, doubling the t resolution until tol.
 
     tol is a relative target; the achieved estimate comes from comparing
-    each resolution with the nested half-size grid.  Raises ToleranceError
-    with the achieved estimate if the resolution ladder tops out.
+    each resolution with the nested half-size grid over the base row and
+    the region.  Raises ToleranceError with the achieved estimate if the
+    resolution ladder tops out.
     """
-    return next(build_tables([kernel], v_max, tol))[1]
+    return next(build_tables([kernel], v_max, tol, slope))[1]
 
 
 def _check_t(t):
@@ -588,7 +657,11 @@ def i_base(kernel, t):
 
 
 def i_eval_signed_log(table, t, v):
-    """(sign, log|I_s(t, v)|) from the table; recomputes the base for v <= 1."""
+    """(sign, log|I_s(t, v)|) from the table; recomputes the base for v <= 1.
+
+    Raises RangeError for a (t, v) outside the table's region: its t
+    panel lies before the first t panel marched on v's v-panel.
+    """
     _check_t(t)
     kernel = table.kernel
     if not (0.0 < v <= table.v_max * (1.0 + 1e-12)):
@@ -602,6 +675,9 @@ def i_eval_signed_log(table, t, v):
     v_nodes = quadchev.cheb_lobatto(a, a + 1.0, N_V)
     bv = quadchev.bary_matrix(v_nodes, quadchev.lobatto_bary_weights(N_V), np.array([v]))[0]
     ((_, (p,), bt),) = _t_rows(table.grid, np.array([t]))
+    if p < table.lo[idx]:
+        raise RangeError(f"(t, v) = ({t}, {v}) lies outside the table's region: v-panel "
+                         f"{idx + 1} is marched from t = {table.grid.breaks[table.lo[idx]]:.6g} on")
     n = table.grid.n_per
     value = float(bv @ table.panels[idx][:, p * n : (p + 1) * n] @ bt[0])
     return _signed_log(kernel, t, value, _log_base(kernel, t) if table.enveloped else 0.0)

@@ -138,8 +138,8 @@ def zhang_coefficient(k, m, theta, delta, tol=1e-9):
     u = theta / (2.0 * delta)
     kern1 = iterints.make_kernel(k - 1, m, u)
     kern2 = iterints.make_kernel(k, m, u)
-    tab1 = iterints.build_table(kern1, u, tol=tol)
-    tab2 = iterints.build_table(kern2, u, tol=tol)
+    tab1 = iterints.build_table(kern1, u, tol=tol, slope=1.0 / u)
+    tab2 = iterints.build_table(kern2, u, tol=tol, slope=1.0 / u)
     pair1 = iterints.i_eval_signed_log(tab1, 1.0, u)
     pair2 = iterints.i_eval_signed_log(tab2, 1.0, u)
     sign, log_abs, canc = _combine(k, theta, pair1, pair2)
@@ -189,7 +189,7 @@ def scan(k_max, m_max, theta, delta, tol=1e-6, threads=1):
     needed = sorted({(k - 1, m) for k, m in valid} | {(k, m) for k, m in valid})
     kerns = [iterints.make_kernel(s, m, u) for s, m in needed]
     pairs = {}
-    for i, table in iterints.build_tables(kerns, u, tol=tol):
+    for i, table in iterints.build_tables(kerns, u, tol=tol, slope=1.0 / u):
         pairs[needed[i]] = iterints.i_eval_signed_log(table, 1.0, u)
 
     cells = []

@@ -571,12 +571,20 @@ class TestExitCodes:
     def test_per_entry_estimate_misses_tol_at_s1_m2(self, capsys):
         # The per-entry estimate stops at 5.02e-9 at n_per 129. The worst
         # entries sit inside t panel (1/u, 2/u], where the t breaks at j/u
-        # miss the kinks that (1 - 1/x) t carries into later v-panels.
+        # miss the kinks that (1 - 1/x) t carries into later v-panels; the
+        # query at t = 0.12 puts that panel in the table's region.
         code, out, err = run_cli(["I", "--s", "1", "--m", "2", "--u", "9.5",
-                                  "--v", "9.5"], capsys)
+                                  "--t", "0.12", "--v", "9.5"], capsys)
         assert code == 3
         assert out == ""
         assert "estimate 5.02" in err and "n_per=129" in err
+
+    def test_cone_of_t_one_meets_tol_at_s1_m2(self, capsys):
+        # the query (1, 9.5) reads only t >= v/u, where n_per 33 meets tol
+        code, out, _ = run_cli(["I", "--s", "1", "--m", "2", "--u", "9.5",
+                                "--v", "9.5"], capsys)
+        assert code == 0
+        assert "# n_per=33" in out.splitlines()
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0

@@ -264,6 +264,96 @@ class TestBatch:
         assert sorted(done) == list(range(16))
 
 
+class TestRegion:
+    """Tables marched only on the cone t >= slope * v that their reader needs."""
+
+    BREAKS = np.asarray(sorted({0.0, 1.0, *(j / 9.5 for j in range(1, 10))}))
+
+    @staticmethod
+    def cone_points(slope, v_max):
+        for v in np.linspace(1.05, v_max, 9):
+            if slope * v < 1.0:
+                for t in slope * v + (1.0 - slope * v) * np.linspace(0.0, 1.0, 6):
+                    yield float(t), float(v)
+
+    def test_first_tpanels(self):
+        # on the breaks j/u with slope 1/u, v-panel r starts at t panel r;
+        # at v_max 2.5 the cone t >= 0.4 v starts at t panels 3 and 7
+        assert iterints._first_tpanels(self.BREAKS, 9.5, 1 / 9.5).tolist() == list(range(1, 10))
+        assert iterints._first_tpanels(self.BREAKS, 2.5, 0.4).tolist() == [3, 7]
+        assert iterints._first_tpanels(self.BREAKS, 9.5, 0.0).tolist() == [0] * 9
+        assert iterints._first_tpanels(np.array([0.0, 1.0]), 9.5, 1 / 9.5).tolist() == [0] * 9
+
+    @pytest.mark.parametrize("v_max,slopes", [(9.5, [1 / 9.5, 0.0316, 0.0526, 0.2]),
+                                              (2.5, [0.4, 0.1])])
+    def test_cone_agrees_with_the_whole_table(self, v_max, slopes):
+        tol = 1e-8
+        kern = iterints.make_kernel(2, 3, 9.5)
+        whole = iterints.build_table(kern, v_max, tol=tol)
+        assert whole.lo == (0,) * len(whole.panels)
+        for slope in slopes:
+            cone = iterints.build_table(kern, v_max, tol=tol, slope=slope)
+            lo = iterints._first_tpanels(whole.grid.breaks, v_max, slope)
+            assert cone.lo == tuple(lo.tolist()) and max(lo) > 0
+            n = cone.grid.n_per
+            for p, a in zip(cone.panels, lo):
+                assert np.isnan(p[:, : a * n]).all() and np.isfinite(p[:, a * n :]).all()
+            for t, v in self.cone_points(slope, v_max):
+                sa, la = iterints.i_eval_signed_log(cone, t, v)
+                sb, lb = iterints.i_eval_signed_log(whole, t, v)
+                assert sa == sb == 1.0
+                assert abs(la - lb) <= tol, (slope, t, v)
+
+    def test_enveloped_cone_agrees_with_the_whole_table(self, monkeypatch):
+        monkeypatch.setattr(iterints, "ENVELOPE_LOG", 0.1)
+        u, tol = 9.5, 1e-8
+        kern = iterints.make_kernel(2, 4, u)
+        whole = iterints.build_table(kern, u, tol=tol)
+        cone = iterints.build_table(kern, u, tol=tol, slope=1 / u)
+        assert whole.enveloped and cone.enveloped
+        assert cone.lo == tuple(range(1, 10))
+        for t, v in self.cone_points(1 / u, u):
+            sa, la = iterints.i_eval_signed_log(cone, t, v)
+            sb, lb = iterints.i_eval_signed_log(whole, t, v)
+            assert sa == sb == 1.0
+            assert abs(la - lb) <= tol, (t, v)
+
+    def test_mixed_batch_matches_separate_builds(self):
+        u = 9.5
+        kerns = [iterints.make_kernel(s, m, u) for s, m in [(1, 11), (1, 2), (2, 12), (2, 4)]]
+        done = dict(iterints.build_tables(kerns, u, tol=1e-9, slope=1 / u))
+        assert [done[i].lo[-1] for i in range(4)] == [0, 9, 0, 9]
+        for i, kern in enumerate(kerns):
+            want = iterints.build_table(kern, u, tol=1e-9, slope=1 / u)
+            assert (done[i].x_nodes, done[i].x_gap) == (want.x_nodes, want.x_gap)
+            assert done[i].grid.n_per == want.grid.n_per
+            assert done[i].est_error == want.est_error
+            assert done[i].log_base.tobytes() == want.log_base.tobytes()
+            assert [p.tobytes() for p in done[i].panels] == [p.tobytes() for p in want.panels]
+
+    def test_march_raises_on_a_read_outside_the_region(self, monkeypatch):
+        # v-panel 2, marched from t panel 3, reads v-panel 1 near t = 1.5/u,
+        # on t panel 1, which a region starting at t panel 3 has not marched
+        monkeypatch.setattr(iterints, "_first_tpanels",
+                            lambda breaks, v_max, slope: np.full(iterints._panel_count(v_max), 3))
+        with pytest.raises(RangeError, match="reads t panel"):
+            iterints.build_table(iterints.make_kernel(1, 2, 9.5), 9.5, tol=1e-6)
+
+    def test_eval_raises_outside_the_region(self):
+        u = 9.5
+        table = iterints.build_table(iterints.make_kernel(1, 2, u), u, tol=1e-9, slope=1 / u)
+        assert table.grid.n_per == 33 and table.est_error <= 1e-9
+        assert iterints.i_eval_signed_log(table, 1.0, u)[0] == 1.0
+        assert iterints.i_eval_signed_log(table, 0.12, 1.0)[0] == 1.0  # the whole base row
+        with pytest.raises(RangeError, match="outside the table's region"):
+            iterints.i_eval_signed_log(table, 0.12, u)
+
+    @pytest.mark.parametrize("slope", [-0.1, math.nan, math.inf])
+    def test_bad_slope(self, slope):
+        with pytest.raises(RangeError, match="slope"):
+            iterints.build_table(iterints.make_kernel(1, 2, 1.5), 1.5, slope=slope)
+
+
 class TestVQuadrature:
     @pytest.mark.parametrize("large", [False, True])
     def test_march_rule_matches_triple_rule(self, monkeypatch, large):
