@@ -13,6 +13,12 @@ d = f / f(r) - 1, which lies in [0, f(r+1)/f(r) - 1], beside log f(r), so
 f may overflow any float while log f = log f(r) + log1p(d) keeps the
 relative accuracy of float f, down to increments far below an ulp of f.
 Both solutions pass one residual gate on the differential form.
+
+Points that sit at the same local coordinates of every panel are read
+through one Chebyshev-Vandermonde matrix (_panel_rows) times each panel's
+coefficients: the march's reads of the previous panel, and the base
+quadrature points of iterints (log_f_panels).  Scattered points go
+through _eval_panels, one Clenshaw pass.
 """
 
 import math
@@ -56,10 +62,14 @@ def _march(k, km, U, log):
     The DEGREE+1 Lobatto values of a panel come from its left end and one
     QUAD_NODES-point Gauss-Legendre rule on [r, v] per node v, which adds
     -k times the integral; in d the integrand's f(v-1) is divided by f(r).
+    Panel r reads panel r - 1 at v - 1, at the same local coordinates for
+    every r, so the reads are one product of _read_rows() with the
+    previous panel's coefficients.
     """
     if not (1.0 <= U <= MAX_PANELS + 1):
         raise RangeError(f"U must lie in [1, {MAX_PANELS + 1}], got {U}")
     glx, glw = quadchev.gauss_legendre(QUAD_NODES)
+    reads = _read_rows()
     coeffs = []
     logs = []
     left = 0.0 if log else 1.0  # f(r), or in d the previous panel's d(r); f = 1 on (0, 1]
@@ -71,18 +81,38 @@ def _march(k, km, U, log):
         v = (0.5 * (a + nodes))[:, None] + half[:, None] * glx[None, :]
         w = half[:, None] * glw[None, :]
         vals = np.empty(DEGREE + 1)
+        # f(v-1), or d(v-1); panel 1 reads (0, 1], where f = 1 and d = 0
+        read = (reads @ coeffs[-1]).reshape(v.shape) if coeffs else (0.0 if log else 1.0)
         if log:  # d(r) = 0; the previous panel gives f(v-1) / f(r-1) = 1 + d
             logs.append((logs[-1] if logs else 0.0) + math.log1p(left))
-            prev = (1.0 + _eval_panels(coeffs, v - 1.0, 0.0)) / (1.0 + left)
+            prev = (1.0 + read) / (1.0 + left)
             vals[0] = left = 0.0
         else:
-            prev = _eval_panels(coeffs, v - 1.0, 1.0)
+            prev = read
             vals[0] = left
         g = prev * np.exp(km * np.log(v - 1.0) - (km + 1) * np.log(v))
         vals[1:] = left - k * np.sum(w * g, axis=1)
         coeffs.append(quadchev.lobatto_to_cheb_coeffs(vals))
         left = float(vals[-1])
     return tuple(coeffs), tuple(logs)
+
+
+def _panel_rows(x):
+    """The (len(x), DEGREE + 1) Chebyshev-Vandermonde matrix at local
+    coordinates x of [-1, 1]: its product with a panel's coefficients is
+    that panel's values at x, to a few ulps of _eval_panels there."""
+    return np.polynomial.chebyshev.chebvander(np.asarray(x, dtype=float), DEGREE)
+
+
+def _read_rows():
+    """_panel_rows of the march's reads, row i * QUAD_NODES + g for Lobatto
+    node i + 1 and Gauss-Legendre node g: panel r's node v reads panel
+    r - 1 at v - 1, whose local coordinate does not depend on r.  Built
+    per march, not kept: held for the process, its half megabyte would
+    add to the peak of every later step."""
+    glx, _ = quadchev.gauss_legendre(QUAD_NODES)
+    lengths = quadchev.cheb_lobatto(0.0, 1.0, DEGREE + 1)[1:]  # node - r, as in _march
+    return _panel_rows((lengths[:, None] * (1.0 + glx) - 1.0).ravel())
 
 
 def _residual(coeffs, k, km, logs):
@@ -237,3 +267,16 @@ def _log_f(coeffs, logs, u):
 def eval_log_f_many(sol, u):
     """Vectorized log f(u; -s, m) of a solve_f_log solution; zero on (0, 1]."""
     return _log_f(sol.coeffs, sol.logs, _covered(sol, u, log=True))
+
+
+def log_f_panels(sol, x, n):
+    """log f of a solve_f_log solution at the local coordinates x of [-1, 1]
+    on the unit panels (j, j+1], j = 0 .. n - 1: row j, zero on j = 0
+    where f = 1.  One _panel_rows(x) product per panel."""
+    if n > sol.U:
+        raise RangeError(f"{n} unit panels go beyond coverage bound {sol.U}")
+    rows = _panel_rows(x)
+    out = np.zeros((n, rows.shape[0]))
+    for j in range(1, n):
+        out[j] = sol.logs[j - 1] + np.log1p(rows @ sol.coeffs[j - 1])
+    return out

@@ -66,7 +66,11 @@ Three reductions keep the numbers representable:
     keeps its form (the power of (1-1/x) becomes s + 2(m-s) for phi);
   * the base row is kept as its log, summed from the log of its integrand
     (log f from dde.solve_f_log, and log B), so neither f nor B has to fit
-    a float;
+    a float.  It is summed in y = u t x on the unit y-panels, where f has
+    its kinks: the whole panels below u t hold the same quadrature points
+    for every t node, so make_kernel evaluates 2 log f there once, and
+    each node evaluates f only on its last, partial panel.  Where u t <= 1,
+    f = 1 and the row is exactly 0;
   * f grows like u^s, so for large s and u the base row b(t) grows by many
     powers of e from t = 0 to 1 (e^22 at s = 1000, m = 1100, u = 200; past
     the float range there from u = 1200).  A table whose base row spans
@@ -100,7 +104,7 @@ KINK_SPLIT_ORDER = 8  # skip t splits once m - s exceeds this
 DEGREE_BUDGET = 100  # GL_NODES integrates polynomials up to degree 2*GL_NODES-1
 CHUNK_ROWS = 2048  # t-interpolation rows built and applied per block
 STEP_ROWS = 8192  # t queries per step of the v march, which spans one or more v-node intervals
-BASE_POINTS = 1 << 14  # base quadrature points per f evaluation
+BASE_POINTS = 1 << 14  # base quadrature points per block of t nodes
 BATCH_KERNELS = 16  # kernels marched together on one t grid
 F_TOL = 1e-10  # residual gate of the tables' f solution
 ENVELOPE_LOG = 8.0  # tables whose base row spans more store phi over it
@@ -116,10 +120,15 @@ class SieveKernel:
     u: float
     L: float  # log of the pulled-out constant (m!/(m-s)!)^2/(s-1)! * B(s, 2(m-s)+1)
     f_sol: object  # a dde.PanelSolution from solve_f_log
+    # (points, weights, 2 log f): the base rule on [0, 1] (_base_rule) and
+    # 2 log f at its points shifted to each whole unit y-panel [j, j+1]
+    # below u, row j
+    base: tuple
 
 
 def make_kernel(s, m, u):
-    """Prepare the f solution and scaling constants for (s, m, u).
+    """Prepare the f solution, scaling constants and base quadrature for
+    (s, m, u).
 
     u is the largest v a table reaches, so it is held to build_tables'
     bound before f is solved out to it.
@@ -130,7 +139,9 @@ def make_kernel(s, m, u):
         raise RangeError(f"u must lie in (0, {MAX_PANELS + 1}], got {u}")
     L = 2.0 * (math.lgamma(m + 1) - math.lgamma(m - s + 1)) - math.lgamma(s) + _log_beta(s, m)
     f_sol = dde.solve_f_log(s, m, max(1.0, float(u)), tol=F_TOL)
-    return SieveKernel(s, m, float(u), L, f_sol)
+    y, wts = _base_rule(s, m)
+    log_f2 = 2.0 * dde.log_f_panels(f_sol, 2.0 * y - 1.0, math.ceil(u) - 1)
+    return SieveKernel(s, m, float(u), L, f_sol, (y, wts, log_f2))
 
 
 def _log_beta(s, m):
@@ -194,64 +205,81 @@ def _t_rows(grid, q, work=None):
         yield rows, owner, quadchev.bary_matrix(grid.ref, grid.bw, x, out=work)
 
 
-def _merge_close(pts, eps=1e-13):
-    """Drop points that would create segments narrower than eps."""
-    out = [pts[0]]
-    for p in pts[1:-1]:
-        if p - out[-1] > eps and pts[-1] - p > eps:
-            out.append(p)
-    out.append(pts[-1])
-    return out
-
-
-def _base_grid(kernel, t):
-    """Quadrature segments on [0, 1] split at the kinks of f(u t x), halved
-    while the integrand's degree exceeds what GL_NODES points integrate."""
-    ut = kernel.u * t
-    pts = _merge_close(sorted({0.0, 1.0, *(j / ut for j in range(1, math.ceil(ut)))}))
-    degree = kernel.s - 1 + 2 * (kernel.m - kernel.s)
+def _base_rule(s, m):
+    """Points and weights of the base quadrature on one unit y-panel [0, 1]:
+    GL_NODES Gauss-Legendre points on each of 2^splits equal pieces, halved
+    (at most four times) while the integrand's degree exceeds what GL_NODES
+    points integrate."""
+    degree = s - 1 + 2 * (m - s)
+    splits = 0
     if degree + 1 > DEGREE_BUDGET:
         splits = min(int(math.ceil(math.log2((degree + 1) / DEGREE_BUDGET))), 4)
-        for _ in range(splits):
-            mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
-            pts = sorted(set(pts) | set(mids))
-    return np.asarray(pts)
+    pieces = 1 << splits
+    glx, glw = quadchev.gauss_legendre(GL_NODES)
+    half = 0.5 / pieces
+    y = ((np.arange(pieces) + 0.5) / pieces)[:, None] + half * glx
+    return y.ravel(), np.tile(half * glw, pieces)
 
 
 def _log_base_row(kernel, t_nodes):
-    """log phi(t, v<=1) at each t node by composite Gauss-Legendre.
+    """log phi(t, v<=1) at each t node by composite Gauss-Legendre in y = u t x.
 
-    The integrand (1-x)^(s-1) (f(u t x) x^w)^2 / B is formed from its log
-    and exponentiated less its largest value at the node, so the row is
-    finite where phi overflows.  The quadrature points of consecutive t
-    nodes, at most BASE_POINTS at a time, go through one f evaluation;
-    each node keeps its own sum.
+    With tau = u t and w = m - s,
+
+        phi(t, 1) = integral_0^tau (1 - y/tau)^(s-1) f(y)^2 (y/tau)^(2w) dy / (tau B),
+
+    split at the integers, where f has its kinks, with kernel.base's rule on
+    each unit piece.  The whole unit panels [j, j+1] below tau hold the
+    same points for every node, so 2 log f there comes from the kernel;
+    f is evaluated only on each node's last panel [ceil(tau) - 1, tau],
+    with the rule scaled to its width.  Where tau <= 1, f = 1 and the
+    integrand is the beta weight over B: log phi is exactly 0.
+
+    Each node adds its own (s-1) log1p(-x) and 2w log x, x = y/tau, and
+    exponentiates less its largest value, so the row is finite where phi
+    overflows.  The nodes go in blocks of at most BASE_POINTS points (and
+    at least one node); each panel's row, and each node's panels, are
+    summed on their own, so a node's bits do not depend on the block.
     """
-    s, w, u, sol = kernel.s, kernel.m - kernel.s, kernel.u, kernel.f_sol
+    s, w, u = kernel.s, kernel.m - kernel.s, kernel.u
+    y_ref, w_ref, log_f2 = kernel.base
+    n = len(y_ref)
     log_b = _log_beta(s, kernel.m)
-    glx, glw = quadchev.gauss_legendre(GL_NODES)
-    grids = [_base_grid(kernel, t) for t in t_nodes]
-    sizes = np.array([(len(p) - 1) * GL_NODES for p in grids])
-    ends = np.cumsum(sizes)
-    out = np.empty(len(t_nodes))
+    tau = u * np.asarray(t_nodes, dtype=float)
+    if np.any(tau > u):  # past the whole panels of kernel.base
+        raise RangeError("t nodes must lie in [0, 1]")
+    out = np.zeros(len(tau))
+    todo = np.flatnonzero(tau > 1.0)
+    rows = np.ceil(tau[todo]).astype(int)  # per node: its whole unit panels, then its last
+    ends = np.cumsum(rows)
     lo = 0
-    while lo < len(t_nodes):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + BASE_POINTS, "right")))
-        mid = np.concatenate([0.5 * (p[:-1] + p[1:]) for p in grids[lo:hi]])
-        half = np.concatenate([0.5 * (p[1:] - p[:-1]) for p in grids[lo:hi]])
-        x = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-        wts = (half[:, None] * glw[None, :]).ravel()
-        y = np.minimum(np.repeat(u * t_nodes[lo:hi], sizes[lo:hi]) * x, sol.U)
-        g = 2.0 * (dde.eval_log_f_many(sol, y) + w * np.log(x)) - log_b
+    while lo < len(todo):
+        cap = ends[lo] - rows[lo] + BASE_POINTS // n  # rows before node lo, plus a block
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, "right")))
+        tb, J = tau[todo[lo:hi]], rows[lo:hi] - 1
+        last = np.cumsum(J + 1) - 1  # each node's last row
+        first = last - J
+        j = np.arange(last[-1] + 1) - np.repeat(first, J + 1)  # the row's unit panel
+        y = j[:, None] + y_ref
+        g = log_f2[np.minimum(j, len(log_f2) - 1)]  # the last rows are overwritten
+        width = tb - J
+        y[last] = J[:, None] + width[:, None] * y_ref
+        g[last] = 2.0 * dde.eval_log_f_many(kernel.f_sol, y[last])
+        # in place, with one more array: a node near t = 1 at u = 293 has 300k points
+        x = np.divide(y, np.repeat(tb, J + 1)[:, None], out=y)
+        term = np.log(x)
+        term *= 2 * w
+        g += term
         if s > 1:
-            g += (s - 1) * np.log1p(-x)
-        top = np.maximum.reduceat(g, np.cumsum(sizes[lo:hi]) - sizes[lo:hi])
-        g = np.exp(g - np.repeat(top, sizes[lo:hi]))
-        a = 0
-        for i, b in enumerate(sizes[lo:hi], lo):
-            out[i] = wts[a : a + b] @ g[a : a + b]
-            a += b
-        out[lo:hi] = top + np.log(out[lo:hi])
+            with np.errstate(divide="ignore"):  # x rounds to 1 at a tau just above an integer
+                np.log1p(np.negative(x, out=term), out=term)
+            term *= s - 1
+            g += term
+        top = np.maximum.reduceat(g.max(axis=1), first)
+        g -= np.repeat(top, J + 1)[:, None]
+        sums = np.einsum("rc,c->r", np.exp(g, out=g), w_ref)
+        sums[last] *= width
+        out[todo[lo:hi]] = top + np.log(np.add.reduceat(sums, first)) - np.log(tb) - log_b
         lo = hi
     return out
 

@@ -1,12 +1,14 @@
 """Gauss-Legendre and Chebyshev building blocks used by the solvers.
 
-Everything here works on plain numpy arrays.  Nodes and weights are cached
-per size so repeated panel integrations reuse the same arrays.
+Everything here works on plain numpy arrays.  Nodes and weights, and the
+DCT-I matrix of the Lobatto-to-Chebyshev transform, are cached per size so
+repeated panel integrations reuse the same arrays.
 """
 
 import numpy as np
 
 _GL_CACHE = {}
+_DCT_CACHE = {}
 
 
 def gauss_legendre(n):
@@ -72,8 +74,10 @@ def lobatto_to_cheb_coeffs(values):
     N = n - 1
     # ascending nodes correspond to angles pi..0; flip to standard order
     vd = v[::-1]
-    j = np.arange(n)
-    cosmat = np.cos(np.pi * np.outer(j, j) / N)
+    cosmat = _DCT_CACHE.get(n)
+    if cosmat is None:  # the DCT-I matrix, cached by n
+        j = np.arange(n)
+        cosmat = _DCT_CACHE[n] = np.cos(np.pi * np.outer(j, j) / N)
     scale = np.ones(n)
     scale[0] = 0.5
     scale[-1] = 0.5

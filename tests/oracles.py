@@ -216,3 +216,41 @@ def phi_base_trapz(kernel, t, points=1 << 21, f_sol=None):
     g = (1.0 - x) ** (s - 1) * (fv * x ** w) ** 2
     log_b = math.lgamma(s) + math.lgamma(2 * w + 1) - math.lgamma(2 * w + s + 1)
     return float(np.trapezoid(g, x)) / math.exp(log_b)
+
+
+def log_phi_base_x(kernel, t, nodes=64, budget=100):
+    """log phi(t, v<=1) by composite Gauss-Legendre in x on [0, 1].
+
+    The segments split at the kinks x = j/(u t) of f(u t x), dropping a
+    split point that leaves a segment narrower than 1e-13, and every
+    segment is halved while the integrand's degree s - 1 + 2(m-s) exceeds
+    what nodes points integrate (budget, at most four halvings).  The
+    integrand is formed from its log, with f from the kernel's log
+    solution, and exponentiated less its largest value.
+    """
+    import numpy as np
+
+    from sievesum import dde
+
+    s, w, u = kernel.s, kernel.m - kernel.s, kernel.u
+    ut = u * t
+    cuts = sorted({0.0, 1.0, *(j / ut for j in range(1, math.ceil(ut)))})
+    pts = [cuts[0]]
+    for p in cuts[1:-1]:
+        if p - pts[-1] > 1e-13 and cuts[-1] - p > 1e-13:
+            pts.append(p)
+    pts.append(cuts[-1])
+    degree = s - 1 + 2 * w
+    if degree + 1 > budget:
+        for _ in range(min(math.ceil(math.log2((degree + 1) / budget)), 4)):
+            pts = sorted(set(pts) | {0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])})
+    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    a, b = np.array(pts[:-1]), np.array(pts[1:])
+    x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * glx
+    wts = (0.5 * (b - a))[:, None] * glw
+    y = np.minimum(ut * x, kernel.f_sol.U)
+    log_b = math.lgamma(s) + math.lgamma(2 * w + 1) - math.lgamma(2 * w + s + 1)
+    g = 2.0 * (dde.eval_log_f_many(kernel.f_sol, y.ravel()).reshape(x.shape) + w * np.log(x))
+    g += (s - 1) * np.log1p(-x) - log_b
+    top = float(np.max(g))
+    return top + math.log(float(np.sum(wts * np.exp(g - top))))

@@ -264,7 +264,8 @@ class TestEvalPanels:
         assert got.shape == (0,)
 
     def test_two_dimensional_march_points(self, sol_fill):
-        # dde._march evaluates the previous panels at v - 1.0, one row per node
+        # the points v - 1.0 that dde._march reads, one row per node; the
+        # march itself reads them through dde._read_rows (TestMarchReads)
         sol, fill = sol_fill
         glx, _ = quadchev.gauss_legendre(dde.QUAD_NODES)
         a = 4.0
@@ -274,3 +275,61 @@ class TestEvalPanels:
         got = dde._eval_panels(sol.coeffs, v - 1.0, fill)
         assert got.shape == v.shape
         assert got.tobytes() == per_panel_eval(sol.coeffs, v - 1.0, fill).tobytes()
+
+
+class TestMarchReads:
+    """dde._march reads the previous panel through one Chebyshev-Vandermonde
+    matrix, in place of _eval_panels at the points v - 1."""
+
+    @pytest.mark.parametrize("make", [lambda: dde.solve_f(3, 4, 6.5),
+                                      lambda: dde.solve_f_log(200, 230, 6.5)])
+    def test_every_panel_agrees_with_eval_panels(self, make):
+        sol = make()
+        fill = 0.0 if sol.logs else 1.0
+        glx, _ = quadchev.gauss_legendre(dde.QUAD_NODES)
+        rows = dde._read_rows()
+        x = rows[:, 1]  # T_1(x) = x: the local coordinates of the reads
+        eps = np.finfo(float).eps
+        for r in range(2, len(sol.coeffs) + 2):  # panel r reads coeffs[r - 2]
+            a = float(r)
+            nodes = quadchev.cheb_lobatto(a, a + 1.0, dde.DEGREE + 1)[1:]
+            half = 0.5 * (nodes - a)
+            v = (0.5 * (a + nodes))[:, None] + half[:, None] * glx[None, :]
+            got = rows @ sol.coeffs[r - 2]
+            want = dde._eval_panels(sol.coeffs, v - 1.0, fill).ravel()
+            scale = np.max(np.abs(want))
+            # at the same local coordinates the two sums agree to a few ulps;
+            # the points v - 1 carry the rounding of v at r, which the steep
+            # d = f / f(r) - 1 of f(.; -200, 230) turns into up to 21 ulps
+            same = quadchev.cheb_eval(sol.coeffs[r - 2], -1.0, 1.0, x)
+            assert np.max(np.abs(got - same)) <= 4 * eps * scale, r
+            assert np.max(np.abs(got - want)) <= 32 * eps * scale, r
+
+    def test_log_f_panels_agree_with_eval_log_f_many(self):
+        # the base row's shared points: fixed local coordinates on each unit panel
+        sol = dde.solve_f_log(200, 230, 6.5)
+        x = np.linspace(-0.99, 0.99, 7)
+        got = dde.log_f_panels(sol, x, 6)
+        assert got.shape == (6, 7) and np.all(got[0] == 0.0)
+        want = dde.eval_log_f_many(sol, (np.arange(6.0)[:, None] + 0.5 * (1.0 + x)).ravel())
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(RangeError):  # (6, 7] reaches past U = 6.5
+            dde.log_f_panels(sol, x, 7)
+
+
+class TestLobattoCoeffs:
+    def test_cached_matrix_gives_the_uncached_bits(self):
+        # the DCT-I matrix is cached per n; each call must give the bits of
+        # the formula that builds it anew
+        rng = np.random.default_rng(4)
+        for n in (9, 17, dde.DEGREE + 1):
+            N = n - 1
+            for _ in range(3):
+                v = rng.standard_normal(n)
+                j = np.arange(n)
+                scale = np.ones(n)
+                scale[0] = scale[-1] = 0.5
+                want = (2.0 / N) * (np.cos(np.pi * np.outer(j, j) / N) @ (v[::-1] * scale))
+                want[0] *= 0.5
+                want[-1] *= 0.5
+                assert quadchev.lobatto_to_cheb_coeffs(v).tobytes() == want.tobytes()

@@ -152,6 +152,64 @@ class TestRefineBase:
             assert row.tobytes() == iterints._log_base_row(kern, grid.nodes).tobytes()
 
 
+def t_at_product(u, target):
+    """A t with u * t == target in floats."""
+    t = target / u
+    for _ in range(16):
+        if u * t == target:
+            return t
+        t = np.nextafter(t, math.inf if u * t < target else -math.inf)
+    raise AssertionError(f"no t gives u t = {target} at u = {u}")
+
+
+class TestBaseRowInY:
+    """_log_base_row sums in y = u t x on unit y-panels; oracles.log_phi_base_x
+    is the x-space rule split at j/(u t), with the same halving."""
+
+    KERNELS = [(1, 2, 9.5), (2, 10, 9.5), (61, 70, 9.5), (1000, 1100, 9.5), (1000, 1100, 200.0)]
+
+    @pytest.mark.parametrize("s,m", [(1, 2), (6, 8), (1000, 1100)])
+    def test_exactly_zero_where_f_is_one(self, s, m):
+        # u t <= 1: the integrand is the beta weight over B, so phi is 1
+        u = 9.5
+        row = iterints._log_base_row(iterints.make_kernel(s, m, u), np.linspace(0.0, 1.0 / u, 9))
+        assert row.tolist() == [0.0] * 9
+
+    @pytest.mark.parametrize("s,m,u", KERNELS)
+    def test_against_the_x_space_rule(self, s, m, u):
+        kern = iterints.make_kernel(s, m, u)
+        ts = [0.0, t_at_product(u, 1.0), t_at_product(u, 2.0), t_at_product(u, 5.0),
+              3.0 * (1.0 + 1e-14) / u, 1.0]
+        assert u * ts[4] > 3.0
+        got = iterints._log_base_row(kern, np.array(ts))
+        # both rules sum logs of the size of log B, so each rounds to its ulps
+        tol = max(1e-13, 2.0 * np.spacing(abs(iterints._log_beta(s, m))))
+        for t, g in zip(ts, got):
+            assert abs(g - oracles.log_phi_base_x(kern, t)) <= tol, (t, g)
+
+    def test_t_past_one_is_rejected(self):
+        # the kernel holds log f on the whole y-panels below u only
+        kern = iterints.make_kernel(2, 4, 3.0)
+        with pytest.raises(RangeError):
+            iterints._log_base_row(kern, np.array([0.5, np.nextafter(1.0, 2.0)]))
+
+    def test_split_and_enveloped_kernel(self):
+        # 16 pieces per unit y-panel, and a row past the envelope
+        kern = iterints.make_kernel(1000, 1100, 200.0)
+        assert len(kern.base[0]) == 16 * iterints.GL_NODES
+        assert iterints._enveloped(iterints._log_base_row(kern, np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("s,m,u", [(2, 4, 3.5), (1000, 1100, 200.0)])
+    def test_node_alone_matches_its_row(self, s, m, u):
+        # a split t grid whose row goes in one block, and the 16-way split,
+        # whose nodes share blocks near t = 0 and go alone near t = 1
+        kern = iterints.make_kernel(s, m, u)
+        nodes = iterints._make_tgrid(iterints._t_breaks(kern), 17).nodes
+        row = iterints._log_base_row(kern, nodes)
+        for i, t in enumerate(nodes):
+            assert iterints._log_base_row(kern, np.array([t])).tobytes() == row[i:i + 1].tobytes()
+
+
 class TestTable:
     @pytest.mark.parametrize("s,m,u", [(2, 4, 2.5), (3, 5, 3.0)])
     def test_matches_direct_recursion(self, s, m, u):
