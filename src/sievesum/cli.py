@@ -481,7 +481,7 @@ def build_parser():
                        help="singular series (compensated Euler product)")
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None, help="certified bound (default 1e-8)")
+    p.add_argument("--tol", type=float, default=None, help="certified relative bound (default 1e-8)")
     p.add_argument("--a-variant", action="store_true",
                    help="product of (1-g(p))(1-1/p)^-k instead")
     p.set_defaults(func=_cmd_sseries)
@@ -512,7 +512,7 @@ def build_parser():
     grp.add_argument("--first-k", type=int, default=None,
                      help="use the first k primes past k, shifted to start at 0")
     grp.add_argument("--offsets", default=None, help="comma list, e.g. 0,2,6")
-    p.add_argument("--tol", type=float, default=None, help="series bound (default 1e-6)")
+    p.add_argument("--tol", type=float, default=None, help="relative series bound (default 1e-6)")
     p.set_defaults(func=_cmd_tuple)
 
     p = sub.add_parser("zhang", parents=[common],

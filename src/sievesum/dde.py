@@ -16,9 +16,9 @@ Both solutions pass one residual gate on the differential form.
 
 Points that sit at the same local coordinates of every panel are read
 through one Chebyshev-Vandermonde matrix (_panel_rows) times each panel's
-coefficients: the march's reads of the previous panel, and the base
-quadrature points of iterints (log_f_panels).  Scattered points go
-through _eval_panels, one Clenshaw pass.
+coefficients: the march's reads of the previous panel, the residual's
+samples, and the base quadrature points of iterints (log_f_panels).
+Scattered points go through _eval_panels, one Clenshaw pass.
 """
 
 import math
@@ -115,25 +115,38 @@ def _read_rows():
     return _panel_rows((lengths[:, None] * (1.0 + glx) - 1.0).ravel())
 
 
+def _residual_samples(coeffs, log):
+    """(u, y, y', y(u-1)) at RESIDUAL_SAMPLES interior points of each panel,
+    row r - 1 on (r, r+1], y = f (or d, given log): one _panel_rows product
+    each, as the points sit at the same local coordinates of every panel,
+    and y(u-1) is the previous row (f = 1 and d = 0 on (0, 1])."""
+    x = quadchev.cheb_lobatto(0.0, 1.0, RESIDUAL_SAMPLES + 2)[1:-1]
+    rows = _panel_rows(2.0 * x - 1.0)
+    C = np.array(coeffs).reshape(-1, DEGREE + 1)
+    y = C @ rows.T
+    dy = np.polynomial.chebyshev.chebder(C, scl=2.0, axis=1) @ rows[:, :-1].T
+    u = np.arange(1.0, len(coeffs) + 1.0)[:, None] + x
+    return u, y, dy, np.insert(y, 0, 0.0 if log else 1.0, axis=0)[:-1]
+
+
 def _residual(coeffs, k, km, logs):
     """Largest scaled defect of u^(km+1) f'(u) = -k (u-1)^km f(u-1) at
-    RESIDUAL_SAMPLES interior points of every panel; NaN if any defect is.
+    the _residual_samples of every panel; NaN if any defect is.
 
     Both sides are divided by u^(km+1), so the right one is c f(u-1) with
     c = -k ((u-1)/u)^km / u, and the defect is normalized by
     1 + |f'| + |c| (1 + |f(u-1)|).  Given logs, coeffs hold d = f / f(r) - 1
     and the same measure is divided through by f(u).
     """
-    x = quadchev.cheb_lobatto(0.0, 1.0, RESIDUAL_SAMPLES + 2)[1:-1]
-    u = (np.arange(1.0, len(coeffs) + 1.0)[:, None] + x[None, :]).ravel()
-    fp = _eval_panels([np.polynomial.chebyshev.chebder(c, scl=2.0) for c in coeffs], u, 0.0)
+    u, y, dy, y_prev = _residual_samples(coeffs, bool(logs))
     c = -k * ((u - 1.0) / u) ** km / u
     if not logs:
-        a, b, g = fp, c * _eval_panels(coeffs, u - 1.0, 1.0), 1.0
+        a, b, g = dy, c * y_prev, 1.0
     else:
-        lf = _log_f(coeffs, logs, u)
-        a = fp / (1.0 + _eval_panels(coeffs, u, 0.0))
-        b = c * np.exp(_log_f(coeffs, logs, u - 1.0) - lf)
+        ends = np.insert(np.asarray(logs), 0, 0.0)[:, None]  # 0 on (0, 1], then log f(r)
+        lf = ends[1:] + np.log1p(y)
+        a = dy / (1.0 + y)
+        b = c * np.exp(ends[:-1] + np.log1p(y_prev) - lf)
         g = np.exp(-lf)
     defect = np.abs(a - b) / (g * (1.0 + np.abs(c)) + np.abs(a) + np.abs(b))
     return float(np.max(defect, initial=0.0))
@@ -257,16 +270,13 @@ def solve_f_log(s, m, U, tol=1e-8):
     return PanelSolution(-s, m, float(U), tol, DEGREE, coeffs, worst, logs)
 
 
-def _log_f(coeffs, logs, u):
-    """log f(r) + log1p(d) at every u (0 on u <= 1), the last panel extended."""
-    ends = np.asarray((0.0, *logs))
-    d = _eval_panels(coeffs, u, 0.0)
-    return ends[np.clip(np.ceil(u).astype(int) - 1, 0, len(logs))] + np.log1p(d)
-
-
 def eval_log_f_many(sol, u):
-    """Vectorized log f(u; -s, m) of a solve_f_log solution; zero on (0, 1]."""
-    return _log_f(sol.coeffs, sol.logs, _covered(sol, u, log=True))
+    """Vectorized log f(u; -s, m) = log f(r) + log1p(d) of a solve_f_log
+    solution; zero on (0, 1]."""
+    u = _covered(sol, u, log=True)
+    ends = np.asarray((0.0, *sol.logs))
+    d = _eval_panels(sol.coeffs, u, 0.0)
+    return ends[np.clip(np.ceil(u).astype(int) - 1, 0, len(sol.logs))] + np.log1p(d)
 
 
 def log_f_panels(sol, x, n):

@@ -18,11 +18,11 @@ Each table chooses its n on the first, coarsest rung of the t ladder:
 n is the smallest candidate (MARCH_NODES // 4 = 4, then
 MARCH_NODES // 2 = 8) whose table agrees with the table of twice its
 nodes to tol / X_SHARE, per entry, and MARCH_NODES = 16 where none does.
-The first rung marches 4 and 8 nodes in one pass, and 16 in a second
-pass only for the tables that 4 nodes fail.  The integrand is smooth
-between its kinks, so the rule converges geometrically and the doubled
-rule's gap measures the coarser rule's error.  Every later rung marches
-the chosen rule alone.
+A march takes one rule (no two rules share a t row: each x node reads
+its own t' = (1 - 1/x) t), so the first rung marches 4 nodes, then 8,
+and 16 only for the tables that 4 fail.  The integrand is smooth between
+its kinks, so the rule converges geometrically and the doubled rule's
+gap measures the coarser rule's error.  Later rungs march the chosen rule.
 
 A table is marched only on the region its reader needs.  A node (t, v)
 reads (t (x-1)/x, x-1), so I(t, v) needs only the cone below it, and
@@ -352,11 +352,11 @@ def _first_tpanels(breaks, v_max, slope):
     return lo
 
 
-def _march(kernels, lo, grid, log_bases, rules):
+def _march(kernels, lo, grid, log_bases, nodes):
     """March the kernels' tables over one t grid and the region lo (see
-    _first_tpanels) from the logs of their base rows, once under each x
-    rule of rules (Gauss-Legendre node counts); per kernel, one (base,
-    panels) per rule, in the values the table stores, NaN outside lo.
+    _first_tpanels) from the logs of their base rows, under the x rule of
+    nodes Gauss-Legendre nodes per v-node interval; per kernel, its (base,
+    panels) in the values the table stores, NaN outside lo.
 
     An enveloped table stores psi = phi(t, v) / b(t), b the base row:
 
@@ -368,18 +368,17 @@ def _march(kernels, lo, grid, log_bases, rules):
 
     Every v-node interval of panel r reads only panel r - 1, so each panel
     is marched in steps of consecutive intervals, as many as keep a step's
-    t queries (its x nodes of every rule times the panel's marched t
-    nodes) within STEP_ROWS, and at least one.  A step's queries go
-    through one pass of t rows, built once and applied to every kernel in
-    turn: a query row is contracted with the row g * (P - a) + p - a of D,
-    the kernel's values at x-node g on t panel p, where panel r - 1 was
-    marched on the t panels from a = lo[r-2] on (on the first panel, the
-    base row's row p).  A query on a t panel before a raises
-    RangeError: the region does not hold the march's reads.  Its
-    per-interval sums join the running sum, kept on the marched columns,
-    in their order of v.  Each rule's march reads only its own previous
-    panel and sums its own nodes, so a rule's bits depend neither on the
-    other rules, nor on the batch, nor on the step size.
+    t queries (its x nodes times the panel's marched t nodes) within
+    STEP_ROWS, and at least one.  A step's queries go through one pass of
+    t rows, built once and applied to every kernel in turn: a query row is
+    contracted with the row g * (P - a) + p - a of D, the kernel's values
+    at x-node g on t panel p, where panel r - 1 was marched on the t
+    panels from a = lo[r-2] on (on the first panel, the base row's row p).
+    A query on a t panel before a raises RangeError: the region does not
+    hold the march's reads.  Its per-interval sums join the running sum,
+    kept on the marched columns, in their order of v.  A kernel's march
+    reads only its own previous panel, so its bits depend neither on the
+    batch nor on the step size.
 
     The work arrays of the largest step and block are allocated once: a
     block's rows and values run to megabytes on fine t grids, and
@@ -387,20 +386,20 @@ def _march(kernels, lo, grid, log_bases, rules):
     and fault them back in, block after block.
     """
     t_nodes, T, n_per = grid.nodes, grid.total, grid.n_per
-    P, X = len(grid.breaks) - 1, sum(rules)
+    P = len(grid.breaks) - 1
     bw_v = quadchev.lobatto_bary_weights(N_V)
-    gls = [quadchev.gauss_legendre(n) for n in rules]
+    gx, gw = quadchev.gauss_legendre(nodes)
     widths = [T - a * n_per for a in lo]  # marched columns per panel
-    spans = [max(1, min(N_V - 1, STEP_ROWS // (X * w))) for w in widths]  # intervals per step
-    size = max((sp * X * w for sp, w in zip(spans, widths)), default=0)
-    d_size = max((sp * X * w for sp, w in zip(spans[1:], widths)), default=0)  # D: panel r - 1
+    spans = [max(1, min(N_V - 1, STEP_ROWS // (nodes * w))) for w in widths]  # intervals per step
+    size = max((sp * nodes * w for sp, w in zip(spans, widths)), default=0)
+    d_size = max((sp * nodes * w for sp, w in zip(spans[1:], widths)), default=0)  # D: panel r - 1
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
     env = {i: e for e, i in enumerate(i for i, lb in enumerate(log_bases) if _enveloped(lb))}
     log_rows = [log_bases[i].reshape(P, n_per) for i in env]
     bases = [np.ones(T) if i in env else np.exp(lb) for i, lb in enumerate(log_bases)]
-    Q = [[np.zeros(T) for _ in rules] for _ in kernels]
-    panels = [[[] for _ in rules] for _ in kernels]
+    Q = [np.zeros(T) for _ in kernels]
+    panels = [[] for _ in kernels]
     tq = np.empty(size)
     D = np.empty((len(kernels), d_size))
     inner = np.empty((len(kernels), size))
@@ -412,32 +411,27 @@ def _march(kernels, lo, grid, log_bases, rules):
     for r, (first, W, span) in enumerate(zip(lo, widths, spans), 1):
         col = first * n_per
         W_prev = T - c0
-        g_key = np.repeat(np.arange(span * X) * (P - a) - a, W)
+        g_key = np.repeat(np.arange(span * nodes) * (P - a) - a, W)
         v_nodes = quadchev.cheb_lobatto(float(r), r + 1.0, N_V)
-        cur = [[np.full((N_V, T), np.nan) for _ in rules] for _ in kernels]
-        for b, si, qs, ck in zip(bases, s, Q, cur):
-            for k, c in enumerate(ck):
-                qs[k] = qs[k][col - c0 :]
-                np.subtract(b[col:], si * qs[k], out=c[0, col:])
+        cur = [np.full((N_V, T), np.nan) for _ in kernels]
+        for i, c in enumerate(cur):
+            Q[i] = Q[i][col - c0 :]
+            np.subtract(bases[i][col:], s[i] * Q[i], out=c[0, col:])
         for j0 in range(1, N_V, span):
             j1 = min(j0 + span, N_V)
             mid = 0.5 * (v_nodes[j0 - 1 : j1 - 1] + v_nodes[j0:j1])
             half = 0.5 * (v_nodes[j0:j1] - v_nodes[j0 - 1 : j1 - 1])
-            xs = [mid[:, None] + half[:, None] * gx for gx, _ in gls]  # (interval, node) per rule
-            tps = [1.0 - 1.0 / x for x in xs]
-            cuts = (j1 - j0) * np.cumsum([0, *rules])  # rule k owns x nodes cuts[k]:cuts[k + 1]
-            n_q = int(cuts[-1]) * W
-            np.multiply(np.concatenate(tps, axis=None)[:, None], t_nodes[col:],
-                        out=tq[:n_q].reshape(-1, W))
+            x = mid[:, None] + half[:, None] * gx  # (interval, node)
+            tp = 1.0 - 1.0 / x
+            n_x, n_q = x.size, x.size * W
+            np.multiply(tp.reshape(-1, 1), t_nodes[col:], out=tq[:n_q].reshape(-1, W))
             if r == 1:  # every x node reads the base row
                 values = [b.reshape(P, n_per) for b in bases]
             else:
-                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, np.concatenate(xs, axis=None) - 1.0)
-                for Di, pk in zip(D, panels):
-                    for x0, x1, p in zip(cuts[:-1], cuts[1:], pk):
-                        np.matmul(Bv[x0:x1], p[-1][:, c0:],
-                                  out=Di[x0 * W_prev : x1 * W_prev].reshape(-1, W_prev))
-                values = D[:, : int(cuts[-1]) * W_prev].reshape(len(kernels), -1, n_per)
+                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x.ravel() - 1.0)
+                for Di, p in zip(D, panels):
+                    np.matmul(Bv, p[-1][:, c0:], out=Di[: n_x * W_prev].reshape(-1, W_prev))
+                values = D[:, : n_x * W_prev].reshape(len(kernels), -1, n_per)
             for blk, owner, B in _t_rows(grid, tq[:n_q], B_work):
                 if owner.min() < a:
                     raise RangeError(f"v-panel {r} reads t panel {owner.min()} of v-panel "
@@ -450,25 +444,22 @@ def _march(kernels, lo, grid, log_bases, rules):
                 for e, L in enumerate(log_rows):
                     np.take(L, owner, axis=0, out=rows, mode="clip")
                     np.einsum("rc,rc->r", B, rows, out=log_inner[e, blk])
+            gi = g[:n_q].reshape(*x.shape, W)
             for i, ex in enumerate(sexp):
-                for k, (q0, q1) in enumerate(zip(cuts[:-1] * W, cuts[1:] * W)):
-                    gk = g[: q1 - q0].reshape(*xs[k].shape, W)
-                    weight = (tps[k] ** ex / xs[k])[..., None]
-                    np.multiply(inner[i, q0:q1].reshape(gk.shape), weight, out=gk)
-                    if i in env:
-                        lg = log_inner[env[i], q0:q1].reshape(gk.shape)
-                        lg -= log_bases[i][col:]
-                        gk *= np.exp(lg, out=lg)
-                    q = half[:, None] * (gls[k][1] @ gk)  # each interval's sum, in order of v
-                    q[0] += Q[i][k]
-                    np.cumsum(q, axis=0, out=q)
-                    Q[i][k] = q[-1]
-                    np.subtract(bases[i][col:], s[i] * q, out=cur[i][k][j0:j1, col:])
-        for pk, ck in zip(panels, cur):
-            for p, c in zip(pk, ck):
-                p.append(c)
+                np.multiply(inner[i, :n_q].reshape(gi.shape), (tp ** ex / x)[..., None], out=gi)
+                if i in env:
+                    lg = log_inner[env[i], :n_q].reshape(gi.shape)
+                    lg -= log_bases[i][col:]
+                    gi *= np.exp(lg, out=lg)
+                q = half[:, None] * (gw @ gi)  # each interval's sum, in order of v
+                q[0] += Q[i]
+                np.cumsum(q, axis=0, out=q)
+                Q[i] = q[-1]
+                np.subtract(bases[i][col:], s[i] * q, out=cur[i][j0:j1, col:])
+        for p, c in zip(panels, cur):
+            p.append(c)
         prev_v_nodes, a, c0 = v_nodes, first, col
-    return [[(b, pk) for pk in p] for b, p in zip(bases, panels)]
+    return list(zip(bases, panels))
 
 
 def _gap(coarse, fine):
@@ -520,41 +511,35 @@ def _x_rule(kernels, lo, grid, logs, tol):
     """Per kernel, ((x_nodes, x_gap), level): its x rule and its first-rung
     level under that rule, marched over the region lo.
 
-    The check is nested and lazy.  Every kernel marches the first
-    candidate n and its double 2n; a kernel whose n-node panels miss the
-    2n-node panels in the region by more than tol / X_SHARE under _gap
-    marches the next candidate's double in a further call, and so on.
-    So the first rung marches 4 and 8 nodes, and 16 only for the kernels
-    that 4 fail.  A kernel takes the smallest candidate that passes, with
-    that gap as x_gap, or MARCH_NODES with the last candidate's gap.  A
-    table with no v-panel tries no candidate: MARCH_NODES and NaN.  A
-    kernel's level of each rule it no longer needs is dropped as soon as
-    it is compared.
+    The check is nested and lazy, one _march call per rule.  Every kernel
+    marches the first candidate; each candidate n's double 2n is marched
+    for the kernels still undecided, and a kernel whose n-node panels meet
+    the 2n-node panels in the region to tol / X_SHARE under _gap takes n,
+    with that gap as x_gap.  A kernel that no candidate passes takes
+    MARCH_NODES, the last double, with the last candidate's gap; a table
+    with no v-panel tries no candidate: MARCH_NODES and NaN.
     """
-    if not (len(lo) and _x_candidates()):
-        marched = _march(kernels, lo, grid, logs, [MARCH_NODES])
-        return [((MARCH_NODES, math.nan), level) for (level,) in marched]
-    levels = [{} for _ in kernels]  # per kernel, a first-rung level per rule still needed
+    candidates = _x_candidates()
+    if not (len(lo) and candidates):
+        return [((MARCH_NODES, math.nan), level)
+                for level in _march(kernels, lo, grid, logs, MARCH_NODES)]
+    levels = _march(kernels, lo, grid, logs, candidates[0])
     gaps = [math.nan] * len(kernels)
     out = [None] * len(kernels)
-    todo, marched_rules = list(range(len(kernels))), set()
-    for n in _x_candidates():
-        rules = sorted({n, 2 * n} - marched_rules)
-        marched_rules.update(rules)
-        marched = _march([kernels[i] for i in todo], lo, grid, [logs[i] for i in todo], rules)
-        for i in todo:
-            levels[i].update(zip(rules, marched.pop(0)))
-            coarse = levels[i].pop(n)
-            pairs = zip(_marched(coarse, lo, grid.n_per)[1],
-                        _marched(levels[i][2 * n], lo, grid.n_per)[1])
+    todo = list(range(len(kernels)))
+    for n in candidates:
+        finer = _march([kernels[i] for i in todo], lo, grid, [logs[i] for i in todo], 2 * n)
+        for i, fine in zip(todo, finer):
+            pairs = zip(_marched(levels[i], lo, grid.n_per)[1], _marched(fine, lo, grid.n_per)[1])
             gaps[i] = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
             if gaps[i] <= tol / X_SHARE:
-                out[i], levels[i] = ((n, gaps[i]), coarse), None
+                out[i], fine = ((n, gaps[i]), levels[i]), None  # the finer level is not kept
+            levels[i] = fine
         todo = [i for i in todo if out[i] is None]
         if not todo:
             break
     for i in todo:  # the last candidate's double is MARCH_NODES
-        out[i] = ((MARCH_NODES, gaps[i]), levels[i][MARCH_NODES])
+        out[i] = ((MARCH_NODES, gaps[i]), levels[i])
     return out
 
 
@@ -563,7 +548,7 @@ def _ladder(kernels, breaks, v_max, slope, tol, n):
     region that _first_tpanels gives for slope.
 
     The first rung fixes each kernel's (x_nodes, x_gap) through _x_rule:
-    it marches 4 and 8 nodes, plus 16 where 4 fail.  Each later rung
+    it marches 4 nodes, then 8, then 16 where 4 fail.  Each later rung
     marches the live kernels, kept as (index, (x_nodes, x_gap), level, log
     base row) of the last rung, one _march call per x_nodes, until their
     estimates, taken over the base row and the region, meet tol.  A level
@@ -584,8 +569,7 @@ def _ladder(kernels, breaks, v_max, slope, tol, n):
         for nodes in sorted({x[0] for _, x, _, _ in live}):
             pos = [j for j, (_, x, _, _) in enumerate(live) if x[0] == nodes]
             group = [kernels[live[j][0]] for j in pos]
-            marched = _march(group, lo, grid, [logs[j] for j in pos], [nodes])
-            for j, (level,) in zip(pos, marched):
+            for j, level in zip(pos, _march(group, lo, grid, [logs[j] for j in pos], nodes)):
                 cur[j] = level
         for (i, x, prev, _), c, lb in zip(live, cur, logs):
             est = _compare_levels(R, _marched(prev, lo, prev_grid.n_per),

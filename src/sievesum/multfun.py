@@ -416,16 +416,15 @@ def euler_log_taylor(spec, q, order):
 
 
 def singular_series(spec, q, tol):
-    """The Euler product G(0) to within tol.
+    """The Euler product G(0) to within tol, relative.
 
     Returns prod_{p not dividing q} (1+g(p))(1-1/p)^k * prod_{p|q} (1-1/p)^k
-    as sign * exp(c_0) from euler_log_taylor at order 0, whose error
-    |G(0)| expm1(b_0) must be at most tol (else a ToleranceError carries
-    it); 0.0 when a factor 1+g(p) vanishes.  The product
+    as sign * exp(c_0) from euler_log_taylor at order 0, whose relative
+    error expm1(b_0) must be at most tol (else a ToleranceError carries
+    it); 0.0, which is exact, when a factor 1+g(p) vanishes.  The product
     prod (1-g(p))(1-1/p)^(-k) is the series of spec.negated().
     """
     check_tol(tol)
     coeffs, bounds, sign = euler_log_taylor(spec, q, 0)
-    value = sign * math.exp(coeffs[0])
-    check_bound(f"singular series for {spec.name}", abs(value) * math.expm1(bounds[0]), tol)
-    return value
+    check_bound(f"singular series for {spec.name}", abs(sign) * math.expm1(bounds[0]), tol)
+    return sign * math.exp(coeffs[0])

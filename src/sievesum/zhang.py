@@ -53,8 +53,9 @@ def first_k_tuple(k):
 
 
 def tuple_singular_series(offsets, tol=1e-6):
-    """Hardy-Littlewood constant of the tuple; 0.0 when inadmissible, as
-    some factor 1 - nu(p)/p of the Euler product is then exactly 0.0."""
+    """Hardy-Littlewood constant of the tuple to within tol, relative; 0.0
+    when inadmissible, as some factor 1 - nu(p)/p of the Euler product is
+    then exactly 0.0."""
     spec = multfun.builtin_spec("nu_over_p", offsets=offsets)
     return multfun.singular_series(spec.negated(), 1, tol)
 

@@ -63,6 +63,51 @@ class TestResidual:
         sol = dde.solve_f(2, 3, 5.0, tol=1e-8)
         assert sol.residual < 1e-10
 
+    def test_no_panel_reports_zero(self):
+        assert dde.solve_f(3, 4, 1.0).residual == 0.0
+        assert dde.solve_f_log(2, 5, 1.0).residual == 0.0
+
+
+class TestResidualSamples:
+    """The residual reads its samples through _panel_rows products; they
+    agree with the Clenshaw evaluations to a few ulps."""
+
+    ULPS = 8 * np.finfo(float).eps
+
+    @staticmethod
+    def _deriv(sol, u):
+        """eval_f_deriv at the samples inside [0, U], NaN past it."""
+        d = np.array([dde.eval_f_deriv(sol, x) if x <= sol.U else np.nan for x in u.ravel()])
+        return d.reshape(u.shape)
+
+    def test_float_solution(self):
+        sol = dde.solve_f(3, 4, 6.5)
+        u, y, dy, y_prev = dde._residual_samples(sol.coeffs, False)
+        assert u.shape == (6, dde.RESIDUAL_SAMPLES)  # the last panel runs past U to 7
+        inside = u <= sol.U
+        f = dde.eval_f_many(sol, u[inside])
+        assert np.max(np.abs(y[inside] - f) / f) <= self.ULPS
+        f_prev = dde.eval_f_many(sol, u - 1.0)
+        assert np.max(np.abs(y_prev - f_prev) / f_prev) <= self.ULPS
+        top = np.max(np.abs(dy), axis=1, keepdims=True)  # f' nears 0 inside a panel
+        assert np.nanmax(np.abs(dy - self._deriv(sol, u)) / top) <= self.ULPS
+
+    def test_log_solution(self):
+        sol = dde.solve_f_log(200, 230, 6.5)
+        u, d, dd, d_prev = dde._residual_samples(sol.coeffs, True)
+        ends = np.insert(np.asarray(sol.logs), 0, 0.0)[:, None]  # log f(r), as _residual reads
+        inside = u <= sol.U
+        lf = (ends[1:] + np.log1p(d))[inside]
+        got = dde.eval_log_f_many(sol, u[inside])
+        assert np.max(np.abs(lf - got) / np.maximum(1.0, np.abs(got))) <= self.ULPS
+        lf_prev = ends[:-1] + np.log1p(d_prev)
+        got = dde.eval_log_f_many(sol, u - 1.0)
+        assert np.max(np.abs(lf_prev - got) / np.maximum(1.0, np.abs(got))) <= self.ULPS
+        # d' from eval_f_deriv on the same coefficients read as a plain solution
+        plain = dde.PanelSolution(sol.k, sol.m, sol.U, sol.tol, sol.degree, sol.coeffs, 0.0)
+        top = np.max(np.abs(dd), axis=1, keepdims=True)
+        assert np.nanmax(np.abs(dd - self._deriv(plain, u)) / top) <= self.ULPS
+
 
 class TestShape:
     def test_continuity_at_knots(self):

@@ -484,20 +484,32 @@ class TestXRule:
             assert [p.tobytes() for p in done[i].panels] == [p.tobytes() for p in want.panels]
 
     def test_one_march_per_rung_for_one_count(self, monkeypatch):
-        # the first rung marches 4 and 8 nodes in one call, and 16 in a
-        # second call only for a kernel that 4 nodes fail; later rungs march
-        # the chosen count alone.  (2, 3) at 1e-6 takes 4 nodes; (1, 2) at
-        # 1e-8 misses with 4 and with 8, and keeps 16
+        # each march takes one rule: the first rung marches 4 nodes, then 8,
+        # and 16 only for a kernel that 4 nodes fail; later rungs march the
+        # chosen count alone.  (2, 3) at 1e-6 takes 4 nodes; (1, 2) at 1e-8
+        # misses with 4 and with 8, and keeps 16
         calls = []
         march = iterints._march
-        monkeypatch.setattr(iterints, "_march",
-                            lambda *a: calls.append(list(a[-1])) or march(*a))
-        for s, m, tol, want, n_per in [(2, 3, 1e-6, [[4, 8], [4], [4]], 33),
-                                       (1, 2, 1e-8, [[4, 8], *[[16]] * 5], 129)]:
+        monkeypatch.setattr(iterints, "_march", lambda *a: calls.append(a[-1]) or march(*a))
+        for s, m, tol, want, n_per in [(2, 3, 1e-6, [4, 8, 4, 4], 33),
+                                       (1, 2, 1e-8, [4, 8, *[16] * 5], 129)]:
             calls.clear()
             table = iterints.build_table(iterints.make_kernel(s, m, 9.5), 9.5, tol=tol)
             assert calls == want
             assert table.grid.n_per == n_per
+
+    def test_candidates_tried_first_leave_the_table_alone(self, monkeypatch):
+        # (1, 3) at 1e-8 takes 8 nodes after 4 fail; with 8 the first
+        # candidate, the table it takes is the same, bit for bit
+        kern = iterints.make_kernel(1, 3, 9.5)
+        want = iterints.build_table(kern, 9.5, tol=1e-8)
+        monkeypatch.setattr(iterints, "_x_candidates", lambda: (8,))
+        got = iterints.build_table(kern, 9.5, tol=1e-8)
+        assert want.x_nodes == got.x_nodes == 8
+        assert got.x_gap == want.x_gap and got.est_error == want.est_error
+        assert got.grid.n_per == want.grid.n_per
+        assert got.log_base.tobytes() == want.log_base.tobytes()
+        assert [p.tobytes() for p in got.panels] == [p.tobytes() for p in want.panels]
 
     def test_step_size_leaves_tables_bit_identical(self, monkeypatch):
         # one v-node interval per step, and a whole panel per step, give the
@@ -665,7 +677,7 @@ class TestLevelComparison:
         monkeypatch.setattr(iterints, "_compare_levels", lambda *a: math.nan)
         with pytest.raises(RangeError, match="not finite"):
             iterints.build_table(iterints.make_kernel(1, 2, 1.5), 1.5)
-        assert len(marches) == 2
+        assert len(marches) == 3  # 4 and 8 nodes on the first rung, then the second rung
 
     def test_f_gate_uses_the_table_tolerance(self, monkeypatch):
         monkeypatch.setattr(iterints, "F_TOL", 1e-16)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievesum import cli, zhang
-from sievesum.errors import RangeError
+from sievesum import cli, multfun, zhang
+from sievesum.errors import RangeError, ToleranceError
 
 import oracles
 
@@ -70,6 +70,23 @@ class TestTupleSeries:
 
     def test_inadmissible_is_zero(self):
         assert zhang.tuple_singular_series([0, 2, 4]) == 0.0
+
+    def test_exact_zero_meets_any_tol(self):
+        # the product of the other factors carries a bound near 3e-14
+        assert zhang.tuple_singular_series([0, 2, 4], tol=1e-15) == 0.0
+
+    def test_tol_is_relative(self):
+        # G(0) of the first 50-tuple is about 3.2e26: no absolute target
+        # below 1e11 is reachable, while its relative bound is 4.3e-9
+        offsets = zhang.first_k_tuple(50)
+        spec = multfun.builtin_spec("nu_over_p", offsets=offsets).negated()
+        _, bounds, _ = multfun.euler_log_taylor(spec, 1, 0)
+        bound = math.expm1(bounds[0])
+        assert 1e-9 < bound < 1e-8
+        assert 3e26 < zhang.tuple_singular_series(offsets, tol=1e-6) < 4e26
+        with pytest.raises(ToleranceError) as err:
+            zhang.tuple_singular_series(offsets, tol=1e-10)
+        assert err.value.achieved == bound
 
     def test_single_offset_is_one(self):
         assert abs(zhang.tuple_singular_series([0], tol=1e-7) - 1.0) < 1e-6
