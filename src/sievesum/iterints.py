@@ -8,8 +8,8 @@ with P_s(y) = m!/(m-s)! * y^(m-s).  For v > 1 the values satisfy
 
     I_s(t, v) = I_s(t, 1) - s * integral_1^v I_s((1-1/x) t, x-1) (1-1/x)^s dx/x,
 
-which is marched one unit v-panel at a time: each panel (r, r+1] stores a
-17 x T grid of Chebyshev-Lobatto values, and the inner evaluations read
+which is marched one unit v-panel at a time: each panel (r, r+1] stores
+17 rows of Chebyshev-Lobatto values, and the inner evaluations read
 the previously built panel through barycentric interpolation.  The x
 integral is composite: an n-point Gauss-Legendre rule on each interval
 between consecutive v nodes, added to a running sum, so the integrand's
@@ -28,12 +28,12 @@ A table is marched only on the region its reader needs.  A node (t, v)
 reads (t (x-1)/x, x-1), so I(t, v) needs only the cone below it, and
 I(1, u) only t >= v/u: build_tables takes a slope, and each v-panel is
 marched on the t panels that hold the cone t >= slope * v and the reads
-of the next panel (_first_tpanels; slope 0 is the whole table).  Other
-entries are NaN.  The reported est_error and the x rule's gap, recorded
-beside it as x_gap, are taken over the whole base row and that region,
-and est_error covers the t direction only.  The tests check the v
-quadrature against a rule with three times the nodes, and the 17-node v
-interpolation against 9 nodes.
+of the next panel (_first_tpanels; slope 0 is the whole table), and
+each panel holds only those columns.  The reported est_error and the x
+rule's gap, recorded beside it as x_gap, are taken over the whole base
+row and that region, and est_error covers the t direction only.  The
+tests check the v quadrature against a rule with three times the nodes,
+and the 17-node v interpolation against 9 nodes.
 
 The t direction uses a piecewise grid split at t = j/u: f(u t x) has only
 finitely many continuous derivatives at integer arguments, and those kinks
@@ -295,21 +295,21 @@ def _enveloped(log_base):
 class ITable:
     """Marched table of phi over a region of [0,1] x (1, v_max].
 
-    log_base holds log phi on the whole v <= 1 row of the t grid;
-    panels[r-1] holds the 17 x grid.total values on the v-panel (r, r+1]:
+    log_base holds log phi on the whole v <= 1 row of the t grid.  The
+    region is lo: v-panel r (r, r+1] is marched on the t panels from
+    lo[r-1] on (lo is all zeros for the whole table), and panels[r-1]
+    holds its 17 x (grid.total - lo[r-1] * grid.n_per) values there:
     phi, or phi(t, v) / phi(t, 1) where the base row spans more than
-    e^ENVELOPE_LOG (the table is enveloped).  The region is lo: v-panel
-    r is marched on the t panels from lo[r-1] on, and its columns on
-    earlier t panels are NaN (lo is all zeros for the whole table).  The
-    t resolution is chosen adaptively and est_error compares two t
-    resolutions over the base row and the region, so it covers the t
-    direction only.  The v resolution per panel is fixed at N_V nodes.
-    The x integral between neighbouring v nodes uses an x_nodes-point
-    rule, chosen on the first rung: x_gap is that rule's per-entry gap
-    to the rule of twice its nodes over the region (to the rule of half
-    its nodes when no cheaper rule passed and x_nodes is MARCH_NODES; NaN
-    when no candidate was tried, as for a table with no v-panel).  The
-    acceptance tests compare against a direct recursive evaluation.
+    e^ENVELOPE_LOG (the table is enveloped).  The t resolution is chosen
+    adaptively and est_error compares two t resolutions over the base row
+    and the region, so it covers the t direction only.  The v resolution
+    per panel is fixed at N_V nodes.  The x integral between neighbouring
+    v nodes uses an x_nodes-point rule, chosen on the first rung: x_gap is
+    that rule's per-entry gap to the rule of twice its nodes over the
+    region (to the rule of half its nodes when no cheaper rule passed and
+    x_nodes is MARCH_NODES; NaN when no candidate was tried, as for a
+    table with no v-panel).  The acceptance tests compare against a direct
+    recursive evaluation.
     """
 
     kernel: SieveKernel
@@ -356,7 +356,7 @@ def _march(kernels, lo, grid, log_bases, nodes):
     """March the kernels' tables over one t grid and the region lo (see
     _first_tpanels) from the logs of their base rows, under the x rule of
     nodes Gauss-Legendre nodes per v-node interval; per kernel, its (base,
-    panels) in the values the table stores, NaN outside lo.
+    panels) in the values the table stores, on the marched columns alone.
 
     An enveloped table stores psi = phi(t, v) / b(t), b the base row:
 
@@ -372,13 +372,13 @@ def _march(kernels, lo, grid, log_bases, nodes):
     STEP_ROWS, and at least one.  A step's queries go through one pass of
     t rows, built once and applied to every kernel in turn: a query row is
     contracted with the row g * (P - a) + p - a of D, the kernel's values
-    at x-node g on t panel p, where panel r - 1 was marched on the t
-    panels from a = lo[r-2] on (on the first panel, the base row's row p).
-    A query on a t panel before a raises RangeError: the region does not
-    hold the march's reads.  Its per-interval sums join the running sum,
-    kept on the marched columns, in their order of v.  A kernel's march
-    reads only its own previous panel, so its bits depend neither on the
-    batch nor on the step size.
+    at x-node g on t panel p of panel r - 1, which holds the t panels from
+    a = lo[r-2] on (on the first panel, the base row's row p).  A query on
+    a t panel before a raises RangeError, where the clipped take would
+    read another panel: the region does not hold the march's reads.  Its
+    per-interval sums join the running sum, kept on the marched columns,
+    in their order of v.  A kernel's march reads only its own previous
+    panel, so its bits depend neither on the batch nor on the step size.
 
     The work arrays of the largest step and block are allocated once: a
     block's rows and values run to megabytes on fine t grids, and
@@ -407,16 +407,15 @@ def _march(kernels, lo, grid, log_bases, nodes):
     g = np.empty(size)
     B_work = np.empty(n_per * CHUNK_ROWS)  # a block's t rows
     picked = np.empty((CHUNK_ROWS, n_per))  # the values each of a block's t rows is applied to
-    prev_v_nodes, a, c0 = None, 0, 0  # the previous panel's first t panel and column
+    prev_v_nodes, a, W_prev = None, 0, T  # the previous panel's first t panel and width
     for r, (first, W, span) in enumerate(zip(lo, widths, spans), 1):
         col = first * n_per
-        W_prev = T - c0
         g_key = np.repeat(np.arange(span * nodes) * (P - a) - a, W)
         v_nodes = quadchev.cheb_lobatto(float(r), r + 1.0, N_V)
-        cur = [np.full((N_V, T), np.nan) for _ in kernels]
+        cur = [np.empty((N_V, W)) for _ in kernels]
         for i, c in enumerate(cur):
-            Q[i] = Q[i][col - c0 :]
-            np.subtract(bases[i][col:], s[i] * Q[i], out=c[0, col:])
+            Q[i] = Q[i][W_prev - W :]
+            np.subtract(bases[i][col:], s[i] * Q[i], out=c[0])
         for j0 in range(1, N_V, span):
             j1 = min(j0 + span, N_V)
             mid = 0.5 * (v_nodes[j0 - 1 : j1 - 1] + v_nodes[j0:j1])
@@ -430,7 +429,7 @@ def _march(kernels, lo, grid, log_bases, nodes):
             else:
                 Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x.ravel() - 1.0)
                 for Di, p in zip(D, panels):
-                    np.matmul(Bv, p[-1][:, c0:], out=Di[: n_x * W_prev].reshape(-1, W_prev))
+                    np.matmul(Bv, p[-1], out=Di[: n_x * W_prev].reshape(-1, W_prev))
                 values = D[:, : n_x * W_prev].reshape(len(kernels), -1, n_per)
             for blk, owner, B in _t_rows(grid, tq[:n_q], B_work):
                 if owner.min() < a:
@@ -455,10 +454,10 @@ def _march(kernels, lo, grid, log_bases, nodes):
                 q[0] += Q[i]
                 np.cumsum(q, axis=0, out=q)
                 Q[i] = q[-1]
-                np.subtract(bases[i][col:], s[i] * q, out=cur[i][j0:j1, col:])
+                np.subtract(bases[i][col:], s[i] * q, out=cur[i][j0:j1])
         for p, c in zip(panels, cur):
             p.append(c)
-        prev_v_nodes, a, c0 = v_nodes, first, col
+        prev_v_nodes, a, W_prev = v_nodes, first, W
     return list(zip(bases, panels))
 
 
@@ -470,12 +469,6 @@ def _gap(coarse, fine):
         return math.nan
     keep = size >= np.max(size) * math.exp(-40.0)
     return float(np.max(np.abs(coarse - fine)[keep] / size[keep]))
-
-
-def _marched(level, lo, n_per):
-    """level's whole base row and its panels' columns in the region lo."""
-    base, panels = level
-    return base, [p[:, a * n_per :] for p, a in zip(panels, lo)]
 
 
 def _compare_levels(R, coarse, fine):
@@ -530,7 +523,7 @@ def _x_rule(kernels, lo, grid, logs, tol):
     for n in candidates:
         finer = _march([kernels[i] for i in todo], lo, grid, [logs[i] for i in todo], 2 * n)
         for i, fine in zip(todo, finer):
-            pairs = zip(_marched(levels[i], lo, grid.n_per)[1], _marched(fine, lo, grid.n_per)[1])
+            pairs = zip(levels[i][1], fine[1])
             gaps[i] = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
             if gaps[i] <= tol / X_SHARE:
                 out[i], fine = ((n, gaps[i]), levels[i]), None  # the finer level is not kept
@@ -543,7 +536,7 @@ def _x_rule(kernels, lo, grid, logs, tol):
     return out
 
 
-def _ladder(kernels, breaks, v_max, slope, tol, n):
+def _ladder(kernels, breaks, v_max, slope, tol):
     """Tables of kernels whose t grids split at breaks, marched over the
     region that _first_tpanels gives for slope.
 
@@ -556,6 +549,7 @@ def _ladder(kernels, breaks, v_max, slope, tol, n):
     back.
     """
     lo = _first_tpanels(breaks, v_max, slope)
+    n = N_PER_START
     grid = _make_tgrid(breaks, (n + 1) // 2)
     logs = [_log_base_row(k, grid.nodes) for k in kernels]
     first = _x_rule(kernels, lo, grid, logs, tol)
@@ -572,8 +566,7 @@ def _ladder(kernels, breaks, v_max, slope, tol, n):
             for j, level in zip(pos, _march(group, lo, grid, [logs[j] for j in pos], nodes)):
                 cur[j] = level
         for (i, x, prev, _), c, lb in zip(live, cur, logs):
-            est = _compare_levels(R, _marched(prev, lo, prev_grid.n_per),
-                                  _marched(c, lo, grid.n_per))
+            est = _compare_levels(R, prev, c)
             if not math.isfinite(est):
                 k = kernels[i]
                 raise RangeError(f"I table of (s, m, u) = ({k.s}, {k.m}, {k.u:g}) is not finite")
@@ -618,8 +611,7 @@ def build_tables(kernels, v_max, tol=1e-9, slope=0.0):
     for breaks, idx in groups.items():
         for lo in range(0, len(idx), BATCH_KERNELS):
             batch = idx[lo : lo + BATCH_KERNELS]
-            tables = _ladder([kernels[i] for i in batch], np.array(breaks), v_max, slope, tol,
-                             N_PER_START)
+            tables = _ladder([kernels[i] for i in batch], np.array(breaks), v_max, slope, tol)
             yield from zip(batch, tables)
 
 
@@ -690,8 +682,8 @@ def i_eval_signed_log(table, t, v):
     if p < table.lo[idx]:
         raise RangeError(f"(t, v) = ({t}, {v}) lies outside the table's region: v-panel "
                          f"{idx + 1} is marched from t = {table.grid.breaks[table.lo[idx]]:.6g} on")
-    n = table.grid.n_per
-    value = float(bv @ table.panels[idx][:, p * n : (p + 1) * n] @ bt[0])
+    c = (p - table.lo[idx]) * table.grid.n_per
+    value = float(bv @ table.panels[idx][:, c : c + table.grid.n_per] @ bt[0])
     return _signed_log(kernel, t, value, _log_base(kernel, t) if table.enveloped else 0.0)
 
 

@@ -421,10 +421,15 @@ def singular_series(spec, q, tol):
     Returns prod_{p not dividing q} (1+g(p))(1-1/p)^k * prod_{p|q} (1-1/p)^k
     as sign * exp(c_0) from euler_log_taylor at order 0, whose relative
     error expm1(b_0) must be at most tol (else a ToleranceError carries
-    it); 0.0, which is exact, when a factor 1+g(p) vanishes.  The product
+    it); 0.0, which is exact, when a factor 1+g(p) vanishes.  A G(0) past
+    the float range raises RangeError with its log.  The product
     prod (1-g(p))(1-1/p)^(-k) is the series of spec.negated().
     """
     check_tol(tol)
     coeffs, bounds, sign = euler_log_taylor(spec, q, 0)
     check_bound(f"singular series for {spec.name}", abs(sign) * math.expm1(bounds[0]), tol)
-    return sign * math.exp(coeffs[0])
+    try:
+        return sign * math.exp(coeffs[0])
+    except OverflowError:
+        raise RangeError(f"the singular series is past the float range: "
+                         f"log G(0) = {coeffs[0]:.6g}") from None

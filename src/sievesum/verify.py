@@ -114,10 +114,13 @@ def _verdict(residuals):
     return bad <= 1 and not any(map(math.isnan, residuals))
 
 
-def _positive_dimension(spec):
+def _positive_dimension(spec, m):
+    """spec's dimension k, once k >= 1 and k + m is at most len(STIELTJES)."""
     k = spec.dimension_k
     if k < 1:
         raise RangeError(f"{spec.name}: check needs a positive integer dimension, got {k}")
+    if k + m > len(STIELTJES):
+        raise RangeError(f"k + m = {k + m} exceeds the {len(STIELTJES)} tabulated Stieltjes constants")
     return k
 
 
@@ -144,8 +147,6 @@ def _residue_coeffs(k, m, sign, log_g, log_g_err):
     |(s zeta(1+s))^k| |G|.
     """
     n = k + m + 1
-    if n - 1 > len(STIELTJES):
-        raise RangeError(f"k + m = {n - 1} exceeds the {len(STIELTJES)} tabulated Stieltjes constants")
     z = [1.0] + [(-1) ** i * STIELTJES[i] / math.factorial(i) for i in range(n - 1)]
     zeta, zeta_bar = [1.0] + [0.0] * (n - 1), [1.0] + [0.0] * (n - 1)
     for _ in range(k):
@@ -176,8 +177,8 @@ def _main_terms(spec, q, ms, lxs, series_tol, combine):
     series_tol at every lx, else a ToleranceError carries the bound.
     Returns (mains, bound).
     """
-    k = _positive_dimension(spec)
     ms = [check_int("m", m, 0) for m in ms]
+    k = _positive_dimension(spec, max(ms))
     check_tol(series_tol)
     log_g, log_g_err, sign = multfun.euler_log_taylor(spec, q, k + max(ms))
     if sign == 0.0:
@@ -272,8 +273,8 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     certifies the coefficients; the f values carry the solver's residual
     gate.
     """
-    k = _positive_dimension(spec)
     m, q = check_int("m", m, 0), check_int("q", q, 1)
+    k = _positive_dimension(spec, m)
     if not (u > 0):
         raise RangeError("u must be positive")
     xs = _ladder(xs)

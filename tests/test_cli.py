@@ -495,6 +495,14 @@ class TestExitCodes:
         assert out == ""
         assert err == f"sievesum: every ladder x must be finite and > 1, got {float(x)}\n"
 
+    def test_stieltjes_cap_exits_2_at_once(self, capsys):
+        # k = 1000 once ran the Euler product out to order 1000 first
+        code, out, err = run_cli(["verify", "--check", "theorem1", "--spec", "k_over_p:1000",
+                                  "--m", "0", "--ladder", "1e4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "sievesum: k + m = 1000 exceeds the 32 tabulated Stieltjes constants\n"
+
     def test_bad_config_tol_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("tol=-1\n")

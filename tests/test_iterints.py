@@ -355,7 +355,7 @@ class TestRegion:
             assert cone.lo == tuple(lo.tolist()) and max(lo) > 0
             n = cone.grid.n_per
             for p, a in zip(cone.panels, lo):
-                assert np.isnan(p[:, : a * n]).all() and np.isfinite(p[:, a * n :]).all()
+                assert p.shape == (iterints.N_V, cone.grid.total - a * n) and np.isfinite(p).all()
             for t, v in self.cone_points(slope, v_max):
                 sa, la = iterints.i_eval_signed_log(cone, t, v)
                 sb, lb = iterints.i_eval_signed_log(whole, t, v)

@@ -208,6 +208,24 @@ class TestMainTerm:
             verify.check_theorem1(spec, m=1, q=1, xs=(10.0,), series_tol=1e-17)
         assert 1e-17 < exc.value.achieved < 1e-12
 
+    @pytest.mark.parametrize("check,k", [("theorem1", 40), ("weight", 40), ("theorem2", 200)])
+    def test_stieltjes_cap_checked_before_any_work(self, monkeypatch, check, k):
+        # k + m past the 32 tabulated constants once overflowed in the Euler
+        # product at order k + m (k = 40) or in the f solves (k = 200)
+        def refuse(*args):
+            raise AssertionError("work done before the Stieltjes cap was checked")
+
+        monkeypatch.setattr(multfun, "euler_log_taylor", refuse)
+        monkeypatch.setattr(dde, "solve_f_exponent", refuse)
+        spec = multfun.builtin_spec("k_over_p", k=k)
+        calls = {
+            "theorem1": lambda: verify.check_theorem1(spec, m=0, xs=(1e4,)),
+            "weight": lambda: verify.check_weight_lemma(spec, [1.0, 1.0], xs=(1e4,)),
+            "theorem2": lambda: verify.check_theorem2(spec, m=0, xs=(1e4,)),
+        }
+        with pytest.raises(RangeError, match="exceeds the 32 tabulated Stieltjes constants"):
+            calls[check]()
+
     def test_series_tol_near_rounding(self):
         # the prime-cap schedule once stopped at 8.6e-9 here
         spec = multfun.builtin_spec("one_over_n")

@@ -88,6 +88,17 @@ class TestTupleSeries:
             zhang.tuple_singular_series(offsets, tol=1e-10)
         assert err.value.achieved == bound
 
+    def test_series_past_the_float_range(self, capsys):
+        # the first 500-tuple certifies at 1e-5, but its G(0) = e^894.7 is
+        # past the float range: a RangeError without the 500 offsets
+        with pytest.raises(RangeError, match=r"log G\(0\) = 894\.703$"):
+            zhang.tuple_singular_series(zhang.first_k_tuple(500), 1e-5)
+        assert cli.main(["tuple", "--first-k", "500", "--tol", "1e-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sievesum: the singular series is past the float range: "
+                                "log G(0) = 894.703\n")
+
     def test_single_offset_is_one(self):
         assert abs(zhang.tuple_singular_series([0], tol=1e-7) - 1.0) < 1e-6
 
