@@ -309,8 +309,8 @@ def _cmd_zhang(ns, cfg):
         ("coefficient", "coefficient", rep.value),
         ("sign", "sign", rep.sign),
         ("log_abs", "log_abs", rep.log_abs),
-        ("i_k", "I_k", rep.term_sub),
-        ("i_k_minus_1", "I_k_minus_1", rep.term_main / (rep.k * rep.theta / 2.0)),
+        ("i_k", "I_k", rep.i_k),
+        ("i_k_minus_1", "I_k_minus_1", rep.i_k_minus_1),
         ("cancellation", "cancellation", rep.cancellation),
         ("table_error_1", "table_error_1", rep.table_errors[0]),
         ("table_error_2", "table_error_2", rep.table_errors[1]),

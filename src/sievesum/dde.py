@@ -2,8 +2,8 @@
 
     u^(k+m+1) f'(u) = -k (u-1)^(k+m) f(u-1),    f(u) = 1 on (0, 1],
 
-marched one unit panel at a time through the equivalent integral form
-f(u) = f(r) - k * integral_r^u f(v-1) (v-1)^(k+m) v^(-k-m-1) dv.
+marched one unit panel at a time, from (0, 1] as panel 0, through the
+integral form f(u) = f(r) - k * integral_r^u f(v-1) (v-1)^(k+m) v^(-k-m-1) dv.
 Since k and m are integers the integrand is analytic on each open panel,
 so a fixed-degree Chebyshev representation converges spectrally.
 
@@ -64,15 +64,15 @@ def _march(k, km, U, log):
     -k times the integral; in d the integrand's f(v-1) is divided by f(r).
     Panel r reads panel r - 1 at v - 1, at the same local coordinates for
     every r, so the reads are one product of _read_rows() with the
-    previous panel's coefficients.
+    previous panel's coefficients; panel 0, (0, 1], is the constant f = 1
+    (d = 0, log f = 0), read like any other and not returned.
     """
     if not (1.0 <= U <= MAX_PANELS + 1):
         raise RangeError(f"U must lie in [1, {MAX_PANELS + 1}], got {U}")
     glx, glw = quadchev.gauss_legendre(QUAD_NODES)
     reads = _read_rows()
-    coeffs = []
-    logs = []
-    left = 0.0 if log else 1.0  # f(r), or in d the previous panel's d(r); f = 1 on (0, 1]
+    left = 0.0 if log else 1.0  # f(r), or in d the previous panel's d(r)
+    coeffs, logs = [np.r_[left, np.zeros(DEGREE)]], [0.0]  # panel 0, (0, 1]: f = 1, or d = 0
     for r in range(1, int(math.ceil(U))):
         a = float(r)
         # the first node's integral has zero width; the others go at once
@@ -81,10 +81,9 @@ def _march(k, km, U, log):
         v = (0.5 * (a + nodes))[:, None] + half[:, None] * glx[None, :]
         w = half[:, None] * glw[None, :]
         vals = np.empty(DEGREE + 1)
-        # f(v-1), or d(v-1); panel 1 reads (0, 1], where f = 1 and d = 0
-        read = (reads @ coeffs[-1]).reshape(v.shape) if coeffs else (0.0 if log else 1.0)
+        read = (reads @ coeffs[-1]).reshape(v.shape)  # f(v-1), or d(v-1)
         if log:  # d(r) = 0; the previous panel gives f(v-1) / f(r-1) = 1 + d
-            logs.append((logs[-1] if logs else 0.0) + math.log1p(left))
+            logs.append(logs[-1] + math.log1p(left))
             prev = (1.0 + read) / (1.0 + left)
             vals[0] = left = 0.0
         else:
@@ -94,7 +93,7 @@ def _march(k, km, U, log):
         vals[1:] = left - k * np.sum(w * g, axis=1)
         coeffs.append(quadchev.lobatto_to_cheb_coeffs(vals))
         left = float(vals[-1])
-    return tuple(coeffs), tuple(logs)
+    return tuple(coeffs[1:]), tuple(logs[1:])
 
 
 def _panel_rows(x):

@@ -10,7 +10,8 @@ with P_s(y) = m!/(m-s)! * y^(m-s).  For v > 1 the values satisfy
 
 which is marched one unit v-panel at a time: each panel (r, r+1] stores
 17 rows of Chebyshev-Lobatto values, and the inner evaluations read
-the previously built panel through barycentric interpolation.  The x
+the previously built panel through barycentric interpolation.  v-panel 1
+reads the base row as panel 0, a single row constant in v.  The x
 integral is composite: an n-point Gauss-Legendre rule on each interval
 between consecutive v nodes, added to a running sum, so the integrand's
 kinks (where (1-1/x) t crosses a t break) cost one short interval each.
@@ -86,6 +87,7 @@ panel within a factor e^40 of its largest.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -367,18 +369,19 @@ def _march(kernels, lo, grid, log_bases, nodes):
     rounding of its small entries stays below tol.
 
     Every v-node interval of panel r reads only panel r - 1, so each panel
-    is marched in steps of consecutive intervals, as many as keep a step's
-    t queries (its x nodes times the panel's marched t nodes) within
-    STEP_ROWS, and at least one.  A step's queries go through one pass of
-    t rows, built once and applied to every kernel in turn: a query row is
-    contracted with the row g * (P - a) + p - a of D, the kernel's values
-    at x-node g on t panel p of panel r - 1, which holds the t panels from
-    a = lo[r-2] on (on the first panel, the base row's row p).  A query on
-    a t panel before a raises RangeError, where the clipped take would
-    read another panel: the region does not hold the march's reads.  Its
-    per-interval sums join the running sum, kept on the marched columns,
-    in their order of v.  A kernel's march reads only its own previous
-    panel, so its bits depend neither on the batch nor on the step size.
+    is marched in steps of consecutive intervals, as many as keep a step's t
+    queries (its x nodes times the panel's marched t nodes) within
+    STEP_ROWS, and at least one.  A step's queries go through one pass of t
+    rows, built once and applied to every kernel in turn: a query row is
+    contracted with the row g * (P - a) + p - a of D, the kernel's values at
+    x-node g on t panel p of panel r - 1, which holds the t panels from
+    a = lo[r-2] on; panel 0 is the base row, one row on every t panel, which
+    all-ones v rows copy to each x node exactly.  A query on a t panel before
+    a raises RangeError, where the clipped take would read another panel:
+    the region does not hold the march's reads.  Its per-interval sums join
+    the running sum, kept on the marched columns, in their order of v.  A
+    kernel's march reads only its own previous panel, so its bits depend
+    neither on the batch nor on the step size.
 
     The work arrays of the largest step and block are allocated once: a
     block's rows and values run to megabytes on fine t grids, and
@@ -387,19 +390,18 @@ def _march(kernels, lo, grid, log_bases, nodes):
     """
     t_nodes, T, n_per = grid.nodes, grid.total, grid.n_per
     P = len(grid.breaks) - 1
-    bw_v = quadchev.lobatto_bary_weights(N_V)
     gx, gw = quadchev.gauss_legendre(nodes)
     widths = [T - a * n_per for a in lo]  # marched columns per panel
     spans = [max(1, min(N_V - 1, STEP_ROWS // (nodes * w))) for w in widths]  # intervals per step
     size = max((sp * nodes * w for sp, w in zip(spans, widths)), default=0)
-    d_size = max((sp * nodes * w for sp, w in zip(spans[1:], widths)), default=0)  # D: panel r - 1
+    d_size = max((sp * nodes * w for sp, w in zip(spans, [T, *widths])), default=0)  # panel r - 1
     s = [k.s for k in kernels]
     sexp = [2 * k.m - k.s for k in kernels]  # s + 2(m - s)
     env = {i: e for e, i in enumerate(i for i, lb in enumerate(log_bases) if _enveloped(lb))}
     log_rows = [log_bases[i].reshape(P, n_per) for i in env]
     bases = [np.ones(T) if i in env else np.exp(lb) for i, lb in enumerate(log_bases)]
     Q = [np.zeros(T) for _ in kernels]
-    panels = [[] for _ in kernels]
+    panels = [[b[None, :]] for b in bases]  # panel 0: the base row, one row constant in v
     tq = np.empty(size)
     D = np.empty((len(kernels), d_size))
     inner = np.empty((len(kernels), size))
@@ -407,8 +409,11 @@ def _march(kernels, lo, grid, log_bases, nodes):
     g = np.empty(size)
     B_work = np.empty(n_per * CHUNK_ROWS)  # a block's t rows
     picked = np.empty((CHUNK_ROWS, n_per))  # the values each of a block's t rows is applied to
-    prev_v_nodes, a, W_prev = None, 0, T  # the previous panel's first t panel and width
-    for r, (first, W, span) in enumerate(zip(lo, widths, spans), 1):
+    steps = zip(lo, widths, spans, [0, *lo], [T, *widths])  # with panel r - 1's lo and width
+
+    def v_rows(q):  # the v rows at q of panel 0, which is constant in v
+        return np.ones((len(q), 1))
+    for r, (first, W, span, a, W_prev) in enumerate(steps, 1):
         col = first * n_per
         g_key = np.repeat(np.arange(span * nodes) * (P - a) - a, W)
         v_nodes = quadchev.cheb_lobatto(float(r), r + 1.0, N_V)
@@ -424,18 +429,15 @@ def _march(kernels, lo, grid, log_bases, nodes):
             tp = 1.0 - 1.0 / x
             n_x, n_q = x.size, x.size * W
             np.multiply(tp.reshape(-1, 1), t_nodes[col:], out=tq[:n_q].reshape(-1, W))
-            if r == 1:  # every x node reads the base row
-                values = [b.reshape(P, n_per) for b in bases]
-            else:
-                Bv = quadchev.bary_matrix(prev_v_nodes, bw_v, x.ravel() - 1.0)
-                for Di, p in zip(D, panels):
-                    np.matmul(Bv, p[-1], out=Di[: n_x * W_prev].reshape(-1, W_prev))
-                values = D[:, : n_x * W_prev].reshape(len(kernels), -1, n_per)
+            Bv = v_rows(x.ravel() - 1.0)
+            for Di, p in zip(D, panels):
+                np.matmul(Bv, p[-1], out=Di[: n_x * W_prev].reshape(-1, W_prev))
+            values = D[:, : n_x * W_prev].reshape(len(kernels), -1, n_per)
             for blk, owner, B in _t_rows(grid, tq[:n_q], B_work):
                 if owner.min() < a:
                     raise RangeError(f"v-panel {r} reads t panel {owner.min()} of v-panel "
                                      f"{r - 1}, which is marched from t panel {a} on")
-                key = owner if r == 1 else g_key[blk] + owner
+                key = g_key[blk] + owner
                 rows = picked[: len(key)]  # "clip" fills it in place; every key is in range
                 for i, V in enumerate(values):
                     np.take(V, key, axis=0, out=rows, mode="clip")
@@ -457,8 +459,8 @@ def _march(kernels, lo, grid, log_bases, nodes):
                 np.subtract(bases[i][col:], s[i] * q, out=cur[i][j0:j1])
         for p, c in zip(panels, cur):
             p.append(c)
-        prev_v_nodes, a, W_prev = v_nodes, first, W
-    return list(zip(bases, panels))
+        v_rows = partial(quadchev.bary_matrix, v_nodes, quadchev.lobatto_bary_weights(N_V))
+    return [(b, p[1:]) for b, p in zip(bases, panels)]
 
 
 def _gap(coarse, fine):
@@ -508,31 +510,24 @@ def _x_rule(kernels, lo, grid, logs, tol):
     marches the first candidate; each candidate n's double 2n is marched
     for the kernels still undecided, and a kernel whose n-node panels meet
     the 2n-node panels in the region to tol / X_SHARE under _gap takes n,
-    with that gap as x_gap.  A kernel that no candidate passes takes
-    MARCH_NODES, the last double, with the last candidate's gap; a table
-    with no v-panel tries no candidate: MARCH_NODES and NaN.
+    with that gap as x_gap; one that fails n holds MARCH_NODES, that gap
+    and the 2n-node level until a later candidate passes.  A table with no
+    v-panel tries no candidate: MARCH_NODES and NaN.
     """
-    candidates = _x_candidates()
-    if not (len(lo) and candidates):
-        return [((MARCH_NODES, math.nan), level)
-                for level in _march(kernels, lo, grid, logs, MARCH_NODES)]
-    levels = _march(kernels, lo, grid, logs, candidates[0])
-    gaps = [math.nan] * len(kernels)
-    out = [None] * len(kernels)
+    candidates = _x_candidates() if len(lo) else ()
+    first = candidates[0] if candidates else MARCH_NODES
+    out = [((MARCH_NODES, math.nan), level) for level in _march(kernels, lo, grid, logs, first)]
     todo = list(range(len(kernels)))
     for n in candidates:
         finer = _march([kernels[i] for i in todo], lo, grid, [logs[i] for i in todo], 2 * n)
         for i, fine in zip(todo, finer):
-            pairs = zip(levels[i][1], fine[1])
-            gaps[i] = float(np.max([_gap(a, b) for a, b in pairs], initial=0.0))
-            if gaps[i] <= tol / X_SHARE:
-                out[i], fine = ((n, gaps[i]), levels[i]), None  # the finer level is not kept
-            levels[i] = fine
-        todo = [i for i in todo if out[i] is None]
+            level = out[i][1]
+            # np.max, not max: a NaN gap after a finite one must fail the check
+            gap = float(np.max([_gap(a, b) for a, b in zip(level[1], fine[1])], initial=0.0))
+            out[i] = ((n, gap), level) if gap <= tol / X_SHARE else ((MARCH_NODES, gap), fine)
+        todo = [i for i in todo if out[i][0][0] == MARCH_NODES]
         if not todo:
             break
-    for i in todo:  # the last candidate's double is MARCH_NODES
-        out[i] = ((MARCH_NODES, gaps[i]), levels[i])
     return out
 
 
@@ -542,43 +537,44 @@ def _ladder(kernels, breaks, v_max, slope, tol):
 
     The first rung fixes each kernel's (x_nodes, x_gap) through _x_rule:
     it marches 4 nodes, then 8, then 16 where 4 fail.  Each later rung
-    marches the live kernels, kept as (index, (x_nodes, x_gap), level, log
-    base row) of the last rung, one _march call per x_nodes, until their
-    estimates, taken over the base row and the region, meet tol.  A level
-    that is not finite raises RangeError at once: no finer rung brings it
-    back.
+    marches the live kernels, one _march call per x_nodes, and then
+    compares each with its level and log base row of the last rung, all
+    kept by kernel, until their estimates, taken over the base row and
+    the region, meet tol.  A level that is not finite raises RangeError
+    at once: no finer rung brings it back.
     """
     lo = _first_tpanels(breaks, v_max, slope)
     n = N_PER_START
     grid = _make_tgrid(breaks, (n + 1) // 2)
     logs = [_log_base_row(k, grid.nodes) for k in kernels]
-    first = _x_rule(kernels, lo, grid, logs, tol)
-    live = [(i, x, level, lb) for i, ((x, level), lb) in enumerate(zip(first, logs))]
+    rules, levels = zip(*_x_rule(kernels, lo, grid, logs, tol))
+    live = list(range(len(kernels)))
     tables = [None] * len(kernels)
     while live:
         prev_grid, grid = grid, _make_tgrid(breaks, n)
         R = quadchev.bary_matrix(prev_grid.ref, prev_grid.bw, grid.ref)
-        logs = [_refine_base(kernels[i], grid, lb) for i, _, _, lb in live]
-        cur = [None] * len(live)
-        for nodes in sorted({x[0] for _, x, _, _ in live}):
-            pos = [j for j, (_, x, _, _) in enumerate(live) if x[0] == nodes]
-            group = [kernels[live[j][0]] for j in pos]
-            for j, level in zip(pos, _march(group, lo, grid, [logs[j] for j in pos], nodes)):
-                cur[j] = level
-        for (i, x, prev, _), c, lb in zip(live, cur, logs):
-            est = _compare_levels(R, prev, c)
+        for i in live:
+            logs[i] = _refine_base(kernels[i], grid, logs[i])
+        fine = {}
+        for nodes in sorted({rules[i][0] for i in live}):
+            group = [i for i in live if rules[i][0] == nodes]
+            fine.update(zip(group, _march([kernels[i] for i in group], lo, grid,
+                                          [logs[i] for i in group], nodes)))
+        for i in live:
+            est = _compare_levels(R, levels[i], fine[i])
             if not math.isfinite(est):
                 k = kernels[i]
                 raise RangeError(f"I table of (s, m, u) = ({k.s}, {k.m}, {k.u:g}) is not finite")
             if est <= tol:
-                tables[i] = ITable(kernels[i], v_max, grid, lb, tuple(c[1]), est,
-                                   _enveloped(lb), *x, tuple(lo.tolist()))
+                tables[i] = ITable(kernels[i], v_max, grid, logs[i], tuple(fine[i][1]), est,
+                                   _enveloped(logs[i]), *rules[i], tuple(lo.tolist()))
             elif n >= N_PER_MAX:
                 raise ToleranceError(
                     f"I table: estimate {est:.3e} above tol {tol:.1e} at n_per={n}",
                     achieved=est,
                 )
-        live = [(i, x, c, lb) for (i, x, _, _), c, lb in zip(live, cur, logs) if tables[i] is None]
+        levels = fine
+        live = [i for i in live if tables[i] is None]
         n = 2 * n - 1
     return tables
 
@@ -652,12 +648,17 @@ def i_base_signed_log(kernel, t):
     return _signed_log(kernel, t, 1.0, _log_base(kernel, t))
 
 
+def _to_float(sign, log_abs, name):
+    """sign * exp(log_abs); RangeError, pointing to name, past the float range."""
+    try:
+        return float(sign * math.exp(log_abs))
+    except OverflowError:
+        raise RangeError(f"value overflows a float; use {name}") from None
+
+
 def i_base(kernel, t):
     """I_s(t, v <= 1) as a real float; RangeError if it overflows."""
-    sign, lv = i_base_signed_log(kernel, t)
-    if lv > 709.0:
-        raise RangeError("value overflows a float; use i_base_signed_log")
-    return float(sign * np.exp(lv))
+    return _to_float(*i_base_signed_log(kernel, t), "i_base_signed_log")
 
 
 def i_eval_signed_log(table, t, v):
@@ -689,10 +690,7 @@ def i_eval_signed_log(table, t, v):
 
 def i_eval(table, t, v):
     """I_s(t, v) as a real float; RangeError if it overflows."""
-    sign, lv = i_eval_signed_log(table, t, v)
-    if lv > 709.0:
-        raise RangeError("value overflows a float; use i_eval_signed_log")
-    return float(sign * np.exp(lv))
+    return _to_float(*i_eval_signed_log(table, t, v), "i_eval_signed_log")
 
 
 def closed_form_unit(s, m):

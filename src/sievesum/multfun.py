@@ -20,6 +20,7 @@ terms of verify both come from it.
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -427,7 +428,9 @@ def singular_series(spec, q, tol):
     """
     check_tol(tol)
     coeffs, bounds, sign = euler_log_taylor(spec, q, 0)
-    check_bound(f"singular series for {spec.name}", abs(sign) * math.expm1(bounds[0]), tol)
+    # a tuple spec is labelled by its kind and its number of offsets, not by the offsets
+    label = re.sub(r"\{(.*?)\}", lambda g: f"({g[1].count(',') + 1} offsets)", spec.name)
+    check_bound(f"singular series for {label}", abs(sign) * math.expm1(bounds[0]), tol)
     try:
         return sign * math.exp(coeffs[0])
     except OverflowError:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import iterints, multfun, primes
 from .errors import RangeError, check_int
 
@@ -92,8 +90,8 @@ class ZhangReport:
     sign: float
     log_abs: float
     value: float  # sign * exp(log_abs); +-inf if it overflows a float
-    term_main: float
-    term_sub: float
+    i_k_minus_1: float  # I_(k-1)(1, u); +-inf if it overflows a float
+    i_k: float  # I_k(1, u), likewise
     cancellation: float  # |C| / max(|terms|); small means heavy cancellation
     table_errors: tuple
 
@@ -114,9 +112,10 @@ def _validate_params(k, m, theta, delta):
 
 
 def _to_value(sign, log_abs):
-    if log_abs > 709.0:
+    try:
+        return float(sign * math.exp(log_abs))
+    except OverflowError:
         return sign * math.inf
-    return float(sign * math.exp(log_abs))
 
 
 def _combine(k, theta, pair1, pair2):
@@ -153,8 +152,8 @@ def zhang_coefficient(k, m, theta, delta, tol=1e-9):
         sign=sign,
         log_abs=log_abs,
         value=_to_value(sign, log_abs),
-        term_main=_to_value(pair1[0], math.log(k * theta / 2.0) + pair1[1]),
-        term_sub=_to_value(pair2[0], pair2[1]),
+        i_k_minus_1=_to_value(*pair1),
+        i_k=_to_value(*pair2),
         cancellation=canc,
         table_errors=(tab1.est_error, tab2.est_error),
     )

@@ -210,6 +210,15 @@ class TestI:
         assert int(meta["x_nodes"]) == iterints.MARCH_NODES
         assert math.isnan(float(meta["x_gap"]))
 
+    def test_value_below_the_float_limit_is_finite(self, capsys):
+        # log_abs = 709.4 is past 709 but below log(float max) = 709.78
+        code, out, _ = run_cli(["I", "--s", "200", "--m", "230", "--u", "9.5",
+                                "--t", "0.042689569384520176", "--v", "1"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert 709.0 < float(rows[0][header.index("log_abs")]) < 709.78
+        assert math.isfinite(float(rows[0][header.index("value")]))
+
     def test_prints_the_last_t_rung(self, capsys):
         code, out, _ = run_cli(
             ["I", "--s", "2", "--m", "3", "--u", "9.5", "--v", "9.5", "--tol", "1e-6"], capsys
@@ -273,6 +282,17 @@ class TestZhang:
         for key in ("table_error_1", "table_error_2"):
             assert data[key] == float(rows[0][header.index(key)])
             assert 0.0 <= data[key] <= 1e-9
+
+    @pytest.mark.parametrize("k, m, theta, delta", [(10, 12, 0.95, 0.05),
+                                                     (61, 70, 0.92, 0.0484)])
+    def test_i_k_minus_1_is_the_I_value(self, k, m, theta, delta, capsys):
+        _, out, _ = run_cli(["zhang", "--k", str(k), "--m", str(m), "--theta", repr(theta),
+                             "--delta", repr(delta)], capsys)
+        _, header, rows = parse_csv(out)
+        u = repr(theta / (2.0 * delta))
+        _, out, _ = run_cli(["I", "--s", str(k - 1), "--m", str(m), "--u", u, "--v", u], capsys)
+        _, header_i, rows_i = parse_csv(out)
+        assert rows[0][header.index("i_k_minus_1")] == rows_i[0][header_i.index("value")]
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run_cli(

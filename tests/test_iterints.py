@@ -498,6 +498,25 @@ class TestXRule:
             assert calls == want
             assert table.grid.n_per == n_per
 
+    def test_nan_gap_after_a_finite_one_fails(self, monkeypatch):
+        # every panel past the first reads a NaN gap: the check must fail
+        # each candidate, where Python's max would drop the NaNs after the
+        # first panel's 0.0 and pass 4 nodes with a gap of 0.0
+        kern = iterints.make_kernel(2, 3, 9.5)
+        grid = iterints._make_tgrid(iterints._t_breaks(kern), (iterints.N_PER_START + 1) // 2)
+        lo = iterints._first_tpanels(grid.breaks, 9.5, 0.0)
+        logs = [iterints._log_base_row(kern, grid.nodes)]
+        calls = []
+
+        def gap(coarse, fine):
+            calls.append(None)
+            return 0.0 if len(calls) % len(lo) == 1 else math.nan
+
+        monkeypatch.setattr(iterints, "_gap", gap)
+        ((rule, _),) = iterints._x_rule([kern], lo, grid, logs, 1e-6)
+        assert rule[0] == iterints.MARCH_NODES and math.isnan(rule[1])
+        assert len(lo) > 1 and len(calls) == 2 * len(lo)
+
     def test_candidates_tried_first_leave_the_table_alone(self, monkeypatch):
         # (1, 3) at 1e-8 takes 8 nodes after 4 fail; with 8 the first
         # candidate, the table it takes is the same, bit for bit
@@ -592,6 +611,15 @@ class TestLogMode:
         fine = np.exp(np.array([[-100.0, -100.5, -150.0]]))
         coarse = fine * (1.0 + np.array([[1e-9, 2e-9, 1e-3]]))
         assert iterints._gap(coarse, fine) == abs(coarse[0, 1] - fine[0, 1]) / fine[0, 1]
+
+    def test_float_edge_is_the_float_range(self):
+        # log I = 709.4 lies past 709 but below log(float max) = 709.78:
+        # the value is a finite float
+        kern = iterints.make_kernel(200, 230, 9.5)
+        t = 0.042689569384520176
+        _, lv = iterints.i_base_signed_log(kern, t)
+        assert 709.0 < lv < math.log(np.finfo(float).max)
+        assert 1.22e308 < iterints.i_base(kern, t) < 1.23e308
 
     def test_huge_orders_stay_finite(self):
         kern = iterints.make_kernel(200, 260, 1.5)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievesum import cli, multfun, zhang
+from sievesum import cli, iterints, multfun, zhang
 from sievesum.errors import RangeError, ToleranceError
 
 import oracles
@@ -99,6 +99,14 @@ class TestTupleSeries:
         assert captured.err == ("sievesum: the singular series is past the float range: "
                                 "log G(0) = 894.703\n")
 
+    def test_tolerance_message_omits_the_offsets(self, capsys):
+        # the 500-tuple's bound 2.2e-6 misses the default tol: the message
+        # gives the tuple's kind and size, not its 500 offsets
+        assert cli.main(["tuple", "--first-k", "500"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200
+        assert "500 offsets" in err and "0,6,18" not in err and "achieved" in err
+
     def test_single_offset_is_one(self):
         assert abs(zhang.tuple_singular_series([0], tol=1e-7) - 1.0) < 1e-6
 
@@ -181,6 +189,14 @@ class TestCoefficient:
         r = zhang.zhang_coefficient(200, 240, 0.9, 0.45)
         assert math.isfinite(r.log_abs)
         assert r.sign in (-1.0, 1.0)
+
+    def test_integrals_are_the_table_values(self):
+        # I_(k-1)(1, u) and I_k(1, u) are read from the tables, bit for bit
+        r = zhang.zhang_coefficient(10, 12, 0.95, 0.05)
+        for s, got in ((9, r.i_k_minus_1), (10, r.i_k)):
+            kern = iterints.make_kernel(s, 12, r.u)
+            table = iterints.build_table(kern, r.u, tol=1e-9, slope=1.0 / r.u)
+            assert got == iterints.i_eval(table, 1.0, r.u)
 
     def test_cancellation_reported(self):
         r = zhang.zhang_coefficient(3, 5, 0.9, 0.05)
