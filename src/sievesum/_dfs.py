@@ -7,16 +7,22 @@ newest is expanded first, so memory stays bounded by the number of levels
 times CHUNK, whatever nmax is.  Each n carries g(n) and log n, built up
 factor by factor in increasing prime order.
 
-``msum_float`` sums the terms g(n)(log x - log n)^m with ``math.fsum``
-(Shewchuk's algorithm), whose result is the correctly rounded sum of the
-per-term floats: it does not depend on the order of the terms or on the
-chunk size.  ``msum_float_below`` gives, from one frontier pass, the sums
-S(x/b, b) over n <= x/b with every prime factor below b for a whole sorted
-array of bounds b, each bit-equal to its own ``msum_float``.
+``msum_float_many`` sums the terms g(n)(log x - log n)^m of several
+queries from one frontier pass, each into a row of ``ExactSums``: a
+bucketed exact sum in numpy (after R. M. Neal's superaccumulators,
+arXiv:1505.05571), rounded once at the end, whose result is the
+correctly rounded sum of the per-term floats, the bits ``math.fsum``
+(Shewchuk's algorithm) returns for the same terms.  It does not depend on
+the order of the terms or on the chunk size.  ``msum_float`` is its
+one-query case.  ``msum_float_below`` gives, from one frontier pass, the
+sums S(x/b, b) over n <= x/b with every prime factor below b for a whole
+sorted array of bounds b, each added with ``math.fsum`` and bit-equal to
+its own ``msum_float``.
 """
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -89,29 +95,189 @@ def frontier(p, gp, logp, nmax):
             yield from _expand(p, gp, logp, nmax, p[a:b], np.arange(a, b), gp[a:b], logp[a:b])
 
 
+BATCH = 1 << 13  # largest number of terms bucketed at once
+FOLD_TERMS = 1 << 24  # terms added into the float buckets between folds
+LANES = 4  # copies of each bucket, filled in turn
+_UNIT = 1126  # the folded totals count units of 2^-1126, the lo resolution at 2^-1074
+
+
+class ExactSums:
+    """Exact running sums of float64 terms, one per row, each rounded once
+    by ``values``.
+
+    np.frexp splits each term into mant * 2^e with 0.5 <= |mant| < 1, and
+    s = mant * 2^26 into its integer part hi (|hi| < 2^26) and the rest
+    lo = s - hi, a multiple of 2^-27 below 1 in size; the term is
+    (hi + lo) * 2^(e - 26), and both splits are exact.  np.bincount adds
+    the hi and the lo of each row and exponent into two float buckets,
+    sized to the exponents seen.  A bucket then holds integers, or
+    multiples of 2^-27, whose sum stays below 2^51 in size while it takes
+    fewer than 2^25 terms, so every float addition is exact; after
+    FOLD_TERMS terms the buckets fold into one Python int per row, in units
+    of 2^-1126.  ``values`` divides each int by 2^1126 once; Python rounds
+    int true division correctly, half to even, so each result is the float
+    math.fsum returns for the same terms (+0.0 for a zero sum, as fsum
+    gives in Python 3.11).  A row with a term that is not finite is NaN,
+    and one whose total is past the float range an infinity of its sign.
+
+    Terms wait in a list and go into the buckets BATCH or fewer at a time,
+    so that many small arrays cost about one numpy pass over their union.
+    Every bucket stays exact while FOLD_TERMS + BATCH < 2^25.
+    """
+
+    def __init__(self, rows):
+        self.terms = [0] * rows  # every term added, by row
+        self._totals = [0] * rows  # the folded buckets, or None after a term that is not finite
+        self._pending, self._n_pending = [], 0
+        self._count = 0  # terms in the buckets since the last fold
+        self._e0, self._buckets = 0, None  # hi and lo by row, of the exponents e0, e0 + 1, ...
+        self._lanes = np.zeros(0, np.intp)  # 0, 1, ..., LANES - 1, 0, 1, ...
+
+    def add(self, row, t):
+        """Add every entry of the float64 array t to the sum of row."""
+        self.terms[row] += len(t)
+        for piece in (t,) if len(t) <= BATCH else np.split(t, range(BATCH, len(t), BATCH)):
+            if self._n_pending + len(piece) > BATCH:
+                self._flush()
+            self._pending.append((row, piece))
+            self._n_pending += len(piece)
+            if self._n_pending == BATCH:  # a full batch holds no array past this call
+                self._flush()
+
+    def _flush(self):
+        """Add the pending terms into the buckets."""
+        if not self._n_pending:
+            return
+        rows, pending = len(self.terms), self._pending
+        t = pending[0][1] if len(pending) == 1 else np.concatenate([part for _, part in pending])
+        s, e = np.frexp(t)
+        s *= 2.0**26
+        hi = np.trunc(s)
+        s -= hi  # lo
+        e0 = int(e.min())
+        nb = int(e.max()) - e0 + 1
+        # bucket (row, e) is entry row * nb + e - e0, kept in LANES copies
+        # filled in turn: a run of terms of one exponent then does not make
+        # each bincount addition wait for the one before
+        off = [row * nb - e0 for row, _ in pending]
+        if len(self._lanes) < len(t):
+            self._lanes = np.arange(len(t)) & (LANES - 1)
+        i = e.astype(np.intp)
+        i += off[0] if len(pending) == 1 else np.repeat(off, [len(part) for _, part in pending])
+        i *= LANES
+        i += self._lanes[:len(t)]
+        size = rows * nb * LANES
+        sums = np.concatenate((np.bincount(i, hi, size), np.bincount(i, s, size)))
+        sums = sums.reshape(2, rows, nb, LANES).sum(axis=3)
+        self._count += self._n_pending
+        self._pending, self._n_pending = [], 0
+        if self._buckets is None:
+            self._e0, self._buckets = e0, sums
+        else:
+            width = self._buckets.shape[2]
+            a, b = min(e0, self._e0), max(e0 + nb, self._e0 + width)
+            if b - a > width:  # widen to the exponents a..b-1
+                wide = np.zeros((2, rows, b - a))
+                wide[:, :, self._e0 - a:self._e0 - a + width] = self._buckets
+                self._e0, self._buckets = a, wide
+            self._buckets[:, :, e0 - self._e0:e0 - self._e0 + nb] += sums
+        if self._count >= FOLD_TERMS:
+            self._fold()
+
+    def _fold(self):
+        """Move the buckets into the Python int totals."""
+        if self._buckets is None:
+            return
+        hi, lo = self._buckets
+        nb = hi.shape[1]
+        # digit j of a row counts units of 2^(e0 + j - 53): lo * 2^27 at
+        # e, and hi at e + 27, each below 2^53 in size
+        c = np.zeros((len(self.terms), -(nb + 27) // 8 * -8))
+        c[:, :nb] = lo * 2.0**27
+        c[:, 27:27 + nb] += hi
+        finite = np.isfinite(c)
+        ok = finite.all(axis=1).tolist()
+        if not all(ok):
+            c[~finite] = 0.0
+        # eight digits at a time, exactly in int64: below 2^61 in size
+        words = c.astype(np.int64).reshape(len(self.terms), -1, 8) @ (1 << np.arange(8))
+        shift = self._e0 - 53 + _UNIT
+        for row, word in enumerate(words.tolist()):
+            if self._totals[row] is None or not ok[row]:
+                self._totals[row] = None
+            else:
+                self._totals[row] += sum(map(operator.lshift, word, range(0, 8 * len(word), 8))) << shift
+        self._count, self._buckets = 0, None
+
+    def values(self):
+        """The correctly rounded sum of every row, as a list of floats."""
+        self._flush()
+        self._fold()
+        out = []
+        for total in self._totals:
+            try:
+                out.append(math.nan if total is None else total / (1 << _UNIT))
+            except OverflowError:
+                out.append(math.inf if total > 0 else -math.inf)
+        return out
+
+
+def msum_float_many(p, gp, logp, queries):
+    """For each query (nmax, logx, m, cap), the correctly rounded sum of
+    g(n)(logx - log n)^m over the squarefree n <= nmax built from the
+    primes of p up to cap, with g and log given at p by gp and logp, and
+    its number of terms.  Returns a list of (value, terms) pairs aligned
+    with the queries.
+
+    One frontier pass to the largest nmax serves every query: a query
+    keeps the n with n <= nmax and largest prime factor at most cap.  As
+    g(n) and log n are built in increasing prime order from the same
+    per-prime floats however far the pass goes, each query sees the term
+    floats of a pass of its own.  Each term is g(n) * t^m with
+    t = logx - log n and t^m taken by m multiplications from 1.0.  The
+    terms reach one ExactSums row per query a chunk at a time, so they are
+    never all held at once.  A sum with a term that is not finite is NaN,
+    and one past the float range an infinity.
+    """
+    queries = [(int(nmax), float(logx), int(m), int(cap)) for nmax, logx, m, cap in queries]
+    top_n = max((nmax for nmax, _, _, _ in queries), default=0)
+    p_last = int(p[-1]) if len(p) else 0
+    # the queries of one (nmax, logx) share their n and t = logx - log n,
+    # and those of one m as well their terms, which a cap below every
+    # prime up to nmax then filters
+    families = {}
+    for i, (nmax, logx, m, cap) in sorted(enumerate(queries), key=lambda iq: iq[1][2]):
+        cap = cap if cap < min(nmax, p_last) else None
+        families.setdefault((nmax, logx), []).append((m, i, cap))
+    sums = ExactSums(len(queries))
+    # a term past the float range is reported by its sum, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, n, g, l, top in frontier(p, gp, logp, top_n):
+            for (nmax, logx), members in families.items():
+                keep = n <= nmax if nmax < top_n else slice(None)
+                gs, t = g[keep], logx - l[keep]
+                tm, power, terms, below = 1.0, 0, None, {}
+                for m, i, cap in members:
+                    if terms is None or m > power:
+                        for _ in range(m - power):
+                            tm = tm * t
+                        power, terms = m, gs * tm
+                    if cap is None:
+                        sums.add(i, terms)
+                    else:
+                        if cap not in below:
+                            below[cap] = top[keep] <= cap
+                        sums.add(i, terms[below[cap]])
+        values = sums.values()
+    return list(zip(values, sums.terms))
+
+
 def msum_float(p, gp, logp, nmax, logx, m):
     """Correctly rounded sum of g(n)(logx - log n)^m over the squarefree
     n <= nmax built from the primes p, with g and log given at p by gp and
-    logp.  Returns (value, number of terms).
-
-    Each term is g(n) * t^m with t = logx - log n and t^m taken by m
-    multiplications from 1.0.  The terms reach math.fsum one chunk at a
-    time, so they are never all held at once.
+    logp.  Returns (value, number of terms): msum_float_many's one-query case.
     """
-    logx = float(logx)
-    sizes = []
-
-    def chunks():
-        for _, _, g, l, _ in frontier(p, gp, logp, nmax):
-            t = logx - l
-            tm = 1.0
-            for _ in range(m):
-                tm = tm * t
-            sizes.append(len(g))
-            yield (g * tm).tolist()
-
-    value = math.fsum(itertools.chain.from_iterable(chunks()))
-    return value, sum(sizes)
+    return msum_float_many(p, gp, logp, [(nmax, logx, m, nmax)])[0]
 
 
 def msum_float_below(p, gp, logp, x, bounds, m):

@@ -391,8 +391,13 @@ def _cmd_verify(ns, cfg):
     checks = (
         ("theorem1", "theorem2", "weight", "buchstab") if ns.check == "all" else (ns.check,)
     )
+    coeffs = _float_list(ns.coeffs) if "weight" in checks else None
+    sums = {}  # every sum of the run, shared by the checks
+    if ns.check == "all":  # the union of the checks' sums, from one enumeration
+        verify.measure(spec, ns.q, verify.theorem1_queries(spec, ns.m, xs)
+                       + verify.theorem2_queries(spec, ns.m, ns.u, xs)
+                       + verify.weight_queries(spec, coeffs, xs), sums)
     blocks = []
-    sums = {}  # plain sums shared by theorem1 and weight
     for check in checks:
         if check == "theorem1":
             rep = verify.check_theorem1(
@@ -401,11 +406,10 @@ def _cmd_verify(ns, cfg):
             blocks.append((check, *_report_block(check, rep)))
         elif check == "theorem2":
             rep = verify.check_theorem2(
-                spec, ns.m, ns.q, u=ns.u, xs=xs, series_tol=ns.series_tol
+                spec, ns.m, ns.q, u=ns.u, xs=xs, series_tol=ns.series_tol, sums=sums
             )
             blocks.append((check, *_report_block(check, rep)))
         elif check == "weight":
-            coeffs = _float_list(ns.coeffs)
             rep = verify.check_weight_lemma(
                 spec, coeffs, ns.q, xs=xs, series_tol=ns.series_tol, sums=sums
             )

@@ -159,51 +159,78 @@ def coprime_primes(spec, cap, q):
     return ps, spec.values_on(ps), logp
 
 
-def _filtered_arrays(spec, x, q, z):
-    """nmax and coprime_primes for the factors allowed at (x, q, z)."""
+def _limits(x, z):
+    """(nmax, cap): the n <= floor(x), with every prime factor at most cap
+    (below z; z = inf restricts nothing)."""
     if x > primes.X_MAX:
         raise RangeError(f"x = {x} exceeds the representable bound 2^62")
     nmax = int(math.floor(x))
-    cap = nmax
-    if math.isfinite(z):
-        cap = min(nmax, int(math.ceil(z)) - 1)
+    return nmax, (min(nmax, int(math.ceil(z)) - 1) if math.isfinite(z) else nmax)
+
+
+def _filtered_arrays(spec, x, q, z):
+    """nmax and coprime_primes for the factors allowed at (x, q, z)."""
+    nmax, cap = _limits(x, z)
     return (nmax, *coprime_primes(spec, cap, q))
 
 
+def m_sums(spec, q, queries):
+    """For each query (x, m, z), the sum of g(n) (log x/n)^m over the
+    squarefree n <= x coprime to q with every prime factor below z
+    (z = inf restricts nothing, and z below 2 counts as 2), as a list of
+    SumResults aligned with the queries.
+
+    One coprime_primes selection and one enumeration serve every query
+    (_dfs.msum_float_many), and each sum is the correctly rounded sum of
+    the same per-term floats as a pass of its own.  A sum that is not
+    finite in float64 raises RangeError naming its x and m.
+    """
+    q = check_int("q", q, 1)
+    plan = []
+    for x, m, z in queries:
+        z = float(z)
+        if math.isnan(z):
+            raise RangeError("z must be a number, not NaN")
+        m = check_int("m", m, 0)
+        if not x >= 1:
+            raise RangeError("x must be at least 1")
+        nmax, cap = _limits(x, max(z, 2.0))
+        plan.append((nmax, math.log(float(x)), m, cap))
+    sel = coprime_primes(spec, max((cap for *_, cap in plan), default=1), q)
+    out = []
+    for (x, m, _), (value, terms) in zip(queries, _dfs.msum_float_many(*sel, plan)):
+        if not math.isfinite(value):
+            raise RangeError(f"the sum at x = {x:g}, m = {m} is not finite in float64")
+        out.append(SumResult(value, None, terms))
+    return out
+
+
 def _sum_impl(spec, x, m, q, z, exact):
-    m, q = check_int("m", m, 0), check_int("q", q, 1)
-    if not x >= 1:
-        raise RangeError("x must be at least 1")
-    if z < 2:
-        z = 2.0
-    nmax, sel_p, sel_g, sel_l = _filtered_arrays(spec, x, q, z)
-    logx = math.log(float(x))
-    value, terms = _dfs.msum_float(sel_p, sel_g, sel_l, nmax, logx, m)
-    if exact:
-        if m != 0:
-            raise RangeError("exact path is defined for m = 0 only")
-        if nmax > EXACT_X_MAX:
-            raise RangeError(f"exact path supports x <= {EXACT_X_MAX}")
-        fr = [spec.value_exact(p) for p in sel_p.tolist()]
-        total, denom = _dfs.msum_exact_m0(
-            [int(p) for p in sel_p], [f.numerator for f in fr], [f.denominator for f in fr], nmax
-        )
-        return SumResult(float(value), Fraction(total, denom), int(terms))
-    return SumResult(float(value), None, int(terms))
+    (res,) = m_sums(spec, q, [(x, m, z)])
+    if not exact:
+        return res
+    if m != 0:
+        raise RangeError("exact path is defined for m = 0 only")
+    nmax, sel_p, _, _ = _filtered_arrays(spec, x, q, max(z, 2.0))
+    if nmax > EXACT_X_MAX:
+        raise RangeError(f"exact path supports x <= {EXACT_X_MAX}")
+    fr = [spec.value_exact(p) for p in sel_p.tolist()]
+    total, denom = _dfs.msum_exact_m0(
+        [int(p) for p in sel_p], [f.numerator for f in fr], [f.denominator for f in fr], nmax
+    )
+    return SumResult(res.value, Fraction(total, denom), res.terms)
 
 
 def m_sum(spec, x, m, q, exact=False):
-    """Sum of g(n) (log x/n)^m over squarefree n <= x coprime to q; with
-    exact (m = 0, x <= EXACT_X_MAX) also the exact rational."""
+    """Sum of g(n) (log x/n)^m over squarefree n <= x coprime to q, as
+    m_sums' one-query case; with exact (m = 0, x <= EXACT_X_MAX) also the
+    exact rational."""
     return _sum_impl(spec, x, m, q, math.inf, exact)
 
 
 def m_sum_smooth(spec, x, m, q, z, exact=False):
     """As m_sum, additionally restricted to n with all prime factors < z
     (z = inf restricts nothing)."""
-    z = float(z)
-    if math.isnan(z):
-        raise RangeError("z must be a number, not NaN")
     return _sum_impl(spec, x, m, q, z, exact)
 
 

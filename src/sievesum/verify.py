@@ -15,6 +15,12 @@ bounds).  The series G(0) is the exponential of the first of them, so one
 call per check yields every coefficient it needs, certified on the bound
 the check reports.  Every report carries those polynomial coefficients
 and a certified bound on the relative error of its predicted values.
+
+The measured side is a set of sums (x, m, z) of multfun.m_sums, listed
+by each check's *_queries function.  measure computes, in one m_sums call
+and so from one enumeration, every sum not yet kept in a dict shared by
+the checks of a run; measuring the union of a run's queries first gives
+the whole run one pass.
 """
 
 import math
@@ -213,12 +219,19 @@ def main_term(spec, q, m, xs, series_tol, weights=None):
     return mains[0], bound
 
 
-def _plain_sum(sums, spec, x, m, q):
-    """multfun.m_sum's value, computed once per (spec, x, m, q) in the dict sums."""
-    key = (spec, x, m, q)
-    if key not in sums:
-        sums[key] = multfun.m_sum(spec, x, m, q).value
-    return sums[key]
+def measure(spec, q, queries, sums=None):
+    """The value of multfun.m_sums for each query (x, m, z), as a list.
+
+    Values are kept in the dict sums under (spec, x, m, q, z); the queries
+    not there yet are computed together, in one m_sums call.
+    """
+    sums = {} if sums is None else sums
+    keys = [(spec, x, m, q, z) for x, m, z in queries]
+    todo = list(dict.fromkeys(key for key in keys if key not in sums))
+    if todo:
+        results = multfun.m_sums(spec, q, [(x, m, z) for _, x, m, _, z in todo])
+        sums.update((key, res.value) for key, res in zip(todo, results))
+    return [sums[key] for key in keys]
 
 
 def _ladder(xs):
@@ -230,6 +243,14 @@ def _ladder(xs):
     return xs
 
 
+def theorem1_queries(spec, m=1, xs=None):
+    """The sums (x, m, inf) that check_theorem1 measures, once its order,
+    the spec's dimension and the ladder pass their checks."""
+    m = check_int("m", m, 0)
+    _positive_dimension(spec, m)
+    return [(x, m, math.inf) for x in _ladder(xs)]
+
+
 def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     """Plain sums against the full residue main term.
 
@@ -237,15 +258,15 @@ def check_theorem1(spec, m=1, q=1, xs=None, series_tol=1e-7, sums=None):
     top coefficient c_(k+m) = series * m!/(k+m)! is the classical leading
     term.  params carries the c_j ("main_coeffs") and the certified
     relative error bound of predicted ("main_bound", at most series_tol).
-    A dict passed as sums keeps the plain sums for a later check of the
-    same run (check_weight_lemma) to reuse.
+    The sums of theorem1_queries come from one measure call, kept in
+    sums when a dict is passed, for the other checks of the run to share.
     """
     m, q = check_int("m", m, 0), check_int("q", q, 1)
-    xs = _ladder(xs)
-    sums = {} if sums is None else sums
+    queries = theorem1_queries(spec, m, xs)
+    xs = [x for x, _, _ in queries]
     main, bound = main_term(spec, q, m, xs, series_tol)
     predicted = [main.value(math.log(x)) for x in xs]
-    measured = [_plain_sum(sums, spec, x, m, q) for x in xs]
+    measured = measure(spec, q, queries, sums)
     return _report(
         f"{spec.name}: weighted sum vs main term",
         {"m": m, "q": q, "series": main.series, "main_coeffs": main.coeffs, "main_bound": bound},
@@ -263,7 +284,17 @@ def _root(x, u):
         return math.inf
 
 
-def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
+def theorem2_queries(spec, m=1, u=2.0, xs=None):
+    """The sums (x, m, x^(1/u)) that check_theorem2 measures, once its
+    order, the spec's dimension, u and the ladder pass their checks."""
+    m = check_int("m", m, 0)
+    _positive_dimension(spec, m)
+    if not (u > 0):
+        raise RangeError("u must be positive")
+    return [(x, m, _root(x, u)) for x in _ladder(xs)]
+
+
+def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7, sums=None):
     """Smoothed sums at z = x^(1/u) against the f-weighted main term.
 
     With the theorem-1 polynomial sum_j c_j (log x)^j, predicted is
@@ -271,19 +302,18 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     prime sum replaced by k dy/(y log y), each power (log x)^j is smoothed
     by the solution of the delay equation of exponent j.  main_bound
     certifies the coefficients; the f values carry the solver's residual
-    gate.
+    gate.  The sums of theorem2_queries are measured as in check_theorem1.
     """
     m, q = check_int("m", m, 0), check_int("q", q, 1)
-    k = _positive_dimension(spec, m)
-    if not (u > 0):
-        raise RangeError("u must be positive")
-    xs = _ladder(xs)
+    queries = theorem2_queries(spec, m, u, xs)
+    xs = [x for x, _, _ in queries]
+    k = spec.dimension_k
     U = max(1.0, u)
     weights = [dde.eval_f(dde.solve_f_exponent(k, j, U), u) for j in range(k + m + 1)]
     fu = weights[k + m]  # f(u; k, m) itself
     main, bound = main_term(spec, q, m, xs, series_tol, weights)
     predicted = [main.value(math.log(x), weights) for x in xs]
-    measured = [multfun.m_sum_smooth(spec, x, m, q, _root(x, u)).value for x in xs]
+    measured = measure(spec, q, queries, sums)
     return _report(
         f"{spec.name}: smoothed sum vs f-weighted main term",
         {
@@ -301,6 +331,23 @@ def check_theorem2(spec, m=1, q=1, u=2.0, xs=None, series_tol=1e-7):
     )
 
 
+def _coeffs(coeffs):
+    """coeffs as a list of floats, once there is one or more, all finite."""
+    coeffs = [float(c) for c in coeffs]
+    if not coeffs or not all(map(math.isfinite, coeffs)):
+        raise RangeError(f"need one or more finite polynomial coefficients, got {coeffs}")
+    return coeffs
+
+
+def weight_queries(spec, coeffs, xs=None):
+    """The power sums (x, j, inf), j below the number of coefficients, that
+    check_weight_lemma measures, once the coefficients, the spec's
+    dimension and the ladder pass their checks."""
+    d = len(_coeffs(coeffs))
+    _positive_dimension(spec, d - 1)
+    return [(x, j, math.inf) for x in _ladder(xs) for j in range(d)]
+
+
 def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     """Polynomial-weight sums against the combined residue main term.
 
@@ -310,14 +357,12 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     terms are the Beta factors j!/(j+k)! under the singular series.
     Every power's main term comes from one Euler product,
     certified on main_bound, the relative error bound of the combination.
-    The power sums are read from and kept in sums, as in check_theorem1.
+    The power sums of weight_queries are measured as in check_theorem1.
     """
     q = check_int("q", q, 1)
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or not all(map(math.isfinite, coeffs)):
-        raise RangeError(f"need one or more finite polynomial coefficients, got {coeffs}")
+    coeffs = _coeffs(coeffs)
+    queries = weight_queries(spec, coeffs, xs)
     xs = _ladder(xs)
-    sums = {} if sums is None else sums
     lxs = [math.log(x) for x in xs]
 
     def combined(mains, lx):
@@ -329,11 +374,8 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
 
     mains, bound = _main_terms(spec, q, range(len(coeffs)), lxs, series_tol, combined)
     predicted = [combined(mains, lx)[0] for lx in lxs]
-    measured = []
-    for x in xs:
-        lx = math.log(x)
-        measured.append(sum(c * _plain_sum(sums, spec, x, j, q) / lx ** j
-                            for j, c in enumerate(coeffs)))
+    power = iter(measure(spec, q, queries, sums))
+    measured = [sum(c * next(power) / lx ** j for j, c in enumerate(coeffs)) for lx in lxs]
     if not all(map(math.isfinite, predicted + measured)):
         raise RangeError(f"coefficients {coeffs} make the weighted sums overflow a float")
     return _report(
@@ -357,15 +399,14 @@ def buchstab_defect(spec, x, m, q, z):
     Compares S(x, q, z) with S(x, q, x) - sum over z <= p < x, p coprime
     to q, of g(p) S(x/p, q, p); the defect is normalized by the total
     size of all participating terms, so it measures pure floating error.
-    S(x, q, z) and S(x, q, x) are separate m_sum_smooth calls; the
+    S(x, q, z) and S(x, q, x) come from one multfun.m_sums call; the
     per-prime sums S(x/p, q, p) all come from one enumeration
     (multfun.m_sum_smooth_each), each bit-equal to its own m_sum_smooth.
     """
     x = float(x)
     if not (2.0 <= z <= x):
         raise RangeError("need 2 <= z <= x")
-    lhs = multfun.m_sum_smooth(spec, x, m, q, z).value
-    top = multfun.m_sum_smooth(spec, x, m, q, x).value
+    lhs, top = (r.value for r in multfun.m_sums(spec, q, [(x, m, z), (x, m, x)]))
     ps, gs, _ = multfun.coprime_primes(spec, math.ceil(x) - 1, q)
     lo = int(ps.searchsorted(math.ceil(z)))
     ps, gs = ps[lo:], gs[lo:]

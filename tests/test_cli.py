@@ -394,23 +394,40 @@ class TestVerify:
         assert meta["check"] == "theorem2"
         assert "\r" not in text
 
-    def test_all_computes_each_plain_sum_once(self, monkeypatch, capsys):
+    @staticmethod
+    def m_sums_calls(monkeypatch, capsys, check):
+        """The query lists of every multfun.m_sums call of one verify run."""
         calls = []
-        m_sum = multfun.m_sum
+        m_sums = multfun.m_sums
 
-        def counted(spec, x, m, q, exact=None):
-            calls.append((x, m))
-            return m_sum(spec, x, m, q, exact)
+        def counted(spec, q, queries):
+            calls.append(list(queries))
+            return m_sums(spec, q, queries)
 
-        monkeypatch.setattr(multfun, "m_sum", counted)
+        monkeypatch.setattr(multfun, "m_sums", counted)
         code, _, _ = run_cli(
-            ["verify", "--check", "all", "--m", "1", "--coeffs", "1,1", "--ladder", "1e3,1e4",
+            ["verify", "--check", check, "--m", "1", "--coeffs", "1,1", "--ladder", "1e3,1e4",
              "--cases", "1"],
             capsys,
         )
         assert code == 0
-        # theorem1 needs m = 1, the weight check m = 0 and m = 1
-        assert sorted(calls) == [(1e3, 0), (1e3, 1), (1e4, 0), (1e4, 1)]
+        return calls
+
+    def test_all_takes_every_sum_from_one_call(self, monkeypatch, capsys):
+        calls = self.m_sums_calls(monkeypatch, capsys, "all")
+        # theorem1 needs m = 1, the weight check m = 0 and m = 1, and
+        # theorem2 m = 1 at z = sqrt(x); the one Buchstab case makes the second call
+        want = [(x, m, math.inf) for x in (1e3, 1e4) for m in (0, 1)]
+        want += [(1e3, 1, 1e3 ** 0.5), (1e4, 1, 100.0)]
+        assert len(calls) == 2
+        assert sorted(calls[0]) == sorted(want)
+        (x, m, z), (x2, m2, top) = calls[1]
+        assert (x2, m2, top) == (x, m, x) and z <= x
+
+    @pytest.mark.parametrize("check,n", [("theorem1", 2), ("theorem2", 2), ("weight", 4)])
+    def test_a_check_alone_makes_one_call(self, monkeypatch, capsys, check, n):
+        calls = self.m_sums_calls(monkeypatch, capsys, check)
+        assert len(calls) == 1 and len(set(calls[0])) == len(calls[0]) == n
 
 
 class TestConfigAndEnv:
@@ -481,6 +498,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "NaN" in err
+
+    @pytest.mark.parametrize("spec,m", [("one_over_n", 271), ("signed_mu_times:one_over_n", 275)])
+    def test_sum_past_the_float_range(self, spec, m, capsys):
+        # once printed inf and exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["sum", "--spec", spec, "--x", "1e6", "--m", str(m)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"x = 1e+06, m = {m} " in err
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_bad_tol_rejected_up_front(self, tol, capsys):

@@ -365,6 +365,132 @@ class TestSmoothEach:
             multfun.m_sum_smooth_each(spec, 10.0, 1, 0, ps)
 
 
+def _exact(t, size=None):
+    """ExactSums' value of the float64 array t, added size entries at a time."""
+    sums = _dfs.ExactSums(1)
+    size = size or max(len(t), 1)
+    for a in range(0, len(t), size):
+        sums.add(0, t[a:a + size])
+    return sums.values()[0]
+
+
+class TestExactSums:
+    """The bucketed exact sum returns the bits of math.fsum."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exponents_across_the_float_range(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 37, 1000, 1 << 15):
+            # subnormals up to 2^999, with no total past the float range
+            t = np.ldexp(rng.uniform(-1, 1, n), rng.integers(-1080, 1000, n))
+            assert _exact(t).hex() == math.fsum(t.tolist()).hex()
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(4)
+        t = np.ldexp(rng.uniform(-1, 1, 5000), rng.integers(-1100, -1015, 5000))
+        assert np.count_nonzero(np.abs(t) < np.finfo(np.float64).tiny) > 1000
+        assert _exact(t).hex() == math.fsum(t.tolist()).hex()
+        for t in ([5e-324], [5e-324, 5e-324, -5e-324], [2.2250738585072014e-308, -5e-324]):
+            assert _exact(np.array(t)).hex() == math.fsum(t).hex()
+
+    def test_exact_cancellation_and_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        t = np.ldexp(rng.uniform(-1, 1, 3000), rng.integers(-60, 60, 3000))
+        both = np.concatenate([t, -t[::-1]])
+        for case in (both, np.array([1.0, -1.0]), np.array([-0.0]), np.array([-0.0, -0.0]),
+                     np.array([-0.0, 0.0]), np.array([-0.0, 1e-300, -1e-300]), np.zeros(0)):
+            assert _exact(case).hex() == math.fsum(case.tolist()).hex()
+        assert _exact(both).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 100, 4096, 1 << 13, 1 << 15])
+    def test_chunk_sizes_leave_bits(self, size):
+        rng = np.random.default_rng(size)
+        t = np.ldexp(rng.uniform(-1, 1, 20000), rng.integers(-200, 200, 20000))
+        assert _exact(t, size).hex() == math.fsum(t.tolist()).hex()
+
+    def test_rows_are_separate(self):
+        rng = np.random.default_rng(6)
+        parts = [np.ldexp(rng.uniform(-1, 1, n), rng.integers(-40, 40, n)) for n in (5, 900, 20000)]
+        sums = _dfs.ExactSums(4)
+        for i, t in enumerate(parts * 2):
+            sums.add(i % 3, t)
+        want = [math.fsum(np.concatenate([t, t]).tolist()) for t in parts] + [0.0]
+        assert [v.hex() for v in sums.values()] == [v.hex() for v in want]
+        assert sums.terms == [2 * len(t) for t in parts] + [0]
+
+    @pytest.mark.parametrize("fold", [1, 5, 1000])
+    def test_small_fold_threshold_leaves_bits(self, monkeypatch, fold):
+        monkeypatch.setattr(_dfs, "FOLD_TERMS", fold)
+        rng = np.random.default_rng(fold)
+        t = np.ldexp(rng.uniform(-1, 1, 30000), rng.integers(-1070, 990, 30000))
+        for size in (3, 1 << 15):
+            assert _exact(t, size).hex() == math.fsum(t.tolist()).hex()
+
+    def test_not_finite(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in the split
+            assert math.isnan(_exact(np.array([1.0, math.inf])))
+            assert math.isnan(_exact(np.array([math.nan, 1.0])))
+        # finite terms whose total is past the float range, where fsum raises
+        assert _exact(np.array([1e308, 1e308])) == math.inf
+        assert _exact(np.array([-1e308, -1e308, 1.0])) == -math.inf
+        # only the total is rounded, so a partial sum may pass the float range
+        assert _exact(np.array([1e308, 1e308, -1e308])) == 1e308
+
+
+MSUMS_SPECS = [(name, kw) for name, kw in SMOOTH_EACH_SPECS if name != "signed_mu_times"]
+
+
+class TestMSums:
+    """One m_sums pass gives each query the bits and term count of its own call."""
+
+    @pytest.mark.parametrize("name,kw", MSUMS_SPECS)
+    def test_bit_equal_to_single_calls(self, name, kw):
+        spec = builtin_spec(name, **kw)
+        queries = [(2500.5, m, z) for z in (2.0, 30.0, math.inf) for m in range(4)]
+        for q in (1, 6, 77):
+            got = multfun.m_sums(spec, q, queries)
+            for (x, m, z), r in zip(queries, got):
+                want = m_sum(spec, x, m, q) if z == math.inf else m_sum_smooth(spec, x, m, q, z)
+                assert (r.value.hex(), r.terms, r.exact_value) == (want.value.hex(), want.terms, None)
+
+    def test_mixed_x_and_repeated_queries(self):
+        spec = builtin_spec("nu_minus1_over_phi", offsets=(0, 4, 6))
+        queries = [(2500.5, 1, math.inf), (1, 0, math.inf), (700, 2, 30.0), (2500.5, 1, math.inf),
+                   (1999, 3, 1e9), (10, 0, -5.0), (2000.25, 0, 2000.25)]
+        got = multfun.m_sums(spec, 6, queries)
+        for (x, m, z), r in zip(queries, got):
+            want = m_sum_smooth(spec, x, m, 6, z)
+            assert (r.value.hex(), r.terms) == (want.value.hex(), want.terms)
+
+    def test_no_queries(self):
+        assert multfun.m_sums(builtin_spec("one_over_n"), 1, []) == []
+
+    def test_bad_query_rejected(self):
+        spec = builtin_spec("one_over_n")
+        for query in ((0.5, 1, math.inf), (100, -1, math.inf), (100, 1, math.nan)):
+            with pytest.raises(RangeError):
+                multfun.m_sums(spec, 1, [(100, 0, math.inf), query])
+
+
+class TestFloatRange:
+    """A sum that is not finite in float64 raises RangeError naming x and m."""
+
+    @pytest.mark.parametrize("spec,m", [("one_over_n", 271), ("signed_mu_times:one_over_n", 275)])
+    def test_infinite_term(self, spec, m):
+        from sievesum.cli import parse_spec
+
+        with pytest.raises(RangeError, match=rf"x = 1e\+06, m = {m}\b"):
+            m_sum(parse_spec(spec), 1e6, m, 1)
+
+    def test_finite_terms_past_the_float_range(self):
+        # the n = 1 and n = 2 terms are 7.9e307 and 1.5e308: each finite, their sum is not
+        with pytest.raises(RangeError, match=r"x = 1e\+06, m = 270\b"):
+            m_sum(builtin_spec("k_over_p", k=4_000_000), 1e6, 270, 1)
+
+    def test_largest_finite_order(self):
+        assert m_sum(builtin_spec("one_over_n"), 1e6, 270, 1).value == 7.92635925460632e307
+
+
 def _sum(spec, x, m, q, z):
     if math.isfinite(z):
         return m_sum_smooth(spec, x, m, q, z).value
