@@ -294,11 +294,10 @@ def msum_float_below(p, gp, logp, x, bounds, m):
     for bit.  All the terms are held at once, about one per squarefree
     integer up to x when bounds holds every prime below x.
     """
-    x = float(x)
-    ys = [x / b for b in bounds.tolist()]
-    if not ys:
+    if not len(bounds):
         return []
-    logy = np.array([math.log(y) for y in ys])
+    ys = float(x) / bounds  # the IEEE quotients that x / b gives in Python
+    logy = np.fromiter(map(math.log, ys.tolist()), np.float64, len(ys))
     neg_floor = -np.floor(ys).astype(np.int64)  # nondecreasing
     idx, terms = [], []
     for _, n, g, l, top in frontier(p, gp, logp, math.floor(ys[0])):

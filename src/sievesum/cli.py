@@ -381,6 +381,7 @@ def _buchstab_block(cases, seed, n_cases):
 def _cmd_verify(ns, cfg):
     if ns.cases < 1:
         raise RangeError(f"--cases must be at least 1, got {ns.cases}")
+    check_int("seed", ns.seed, 0)  # before any sum, as buchstab_suite runs last
     spec = parse_spec(ns.spec)
     if ns.ladder is not None:
         xs = _float_list(ns.ladder)

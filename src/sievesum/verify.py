@@ -21,6 +21,10 @@ by each check's *_queries function.  measure computes, in one m_sums call
 and so from one enumeration, every sum not yet kept in a dict shared by
 the checks of a run; measuring the union of a run's queries first gives
 the whole run one pass.
+
+The Buchstab suite draws all its cases first and then computes them in
+groups of one (spec, q): each group makes one m_sums call, for every
+case's two outer sums, and one prime selection, which each case slices.
 """
 
 import math
@@ -393,31 +397,46 @@ def check_weight_lemma(spec, coeffs, q=1, xs=None, series_tol=1e-7, sums=None):
     )
 
 
-def buchstab_defect(spec, x, m, q, z):
-    """Relative defect of the two-sided sieve recursion at one parameter set.
+def buchstab_defects(spec, q, cases):
+    """Relative defects of the two-sided sieve recursion, one per case
+    (x, m, z) of spec and q, as a list.
 
-    Compares S(x, q, z) with S(x, q, x) - sum over z <= p < x, p coprime
-    to q, of g(p) S(x/p, q, p); the defect is normalized by the total
-    size of all participating terms, so it measures pure floating error.
-    S(x, q, z) and S(x, q, x) come from one multfun.m_sums call; the
-    per-prime sums S(x/p, q, p) all come from one enumeration
-    (multfun.m_sum_smooth_each), each bit-equal to its own m_sum_smooth.
+    Each compares S(x, q, z) with S(x, q, x) - sum over z <= p < x, p
+    coprime to q, of g(p) S(x/p, q, p); the defect is normalized by the
+    total size of all participating terms, so it measures pure floating
+    error.  Every case's S(x, q, z) and S(x, q, x) come from one
+    multfun.m_sums call, and its primes z <= p < x are a slice of one
+    coprime_primes selection up to the largest x.  A case's per-prime sums
+    S(x/p, q, p) all come from one enumeration (multfun.m_sum_smooth_each),
+    each bit-equal to its own m_sum_smooth, and its running totals add in
+    increasing p, so a defect does not depend on the other cases of its
+    group.
     """
-    x = float(x)
-    if not (2.0 <= z <= x):
-        raise RangeError("need 2 <= z <= x")
-    lhs, top = (r.value for r in multfun.m_sums(spec, q, [(x, m, z), (x, m, x)]))
-    ps, gs, _ = multfun.coprime_primes(spec, math.ceil(x) - 1, q)
-    lo = int(ps.searchsorted(math.ceil(z)))
-    ps, gs = ps[lo:], gs[lo:]
-    scale = abs(lhs) + abs(top)
-    total = top
-    sums = multfun.m_sum_smooth_each(spec, x, m, q, ps)
-    for gp, s in zip(gs.tolist(), sums):
-        term = gp * s
-        total -= term
-        scale += abs(term)
-    return abs(lhs - total) / (scale + 1e-300)
+    cases = [(float(x), m, z) for x, m, z in cases]
+    for x, _, z in cases:
+        if not (2.0 <= z <= x):
+            raise RangeError("need 2 <= z <= x")
+    outer = multfun.m_sums(spec, q, [s for x, m, z in cases for s in ((x, m, z), (x, m, x))])
+    cap = max((math.ceil(x) - 1 for x, _, _ in cases), default=1)
+    all_ps, all_gs, _ = multfun.coprime_primes(spec, cap, q)
+    out = []
+    for (x, m, z), lhs, top in zip(cases, outer[::2], outer[1::2]):
+        lo, hi = all_ps.searchsorted([math.ceil(z), math.ceil(x)])
+        ps = all_ps[lo:hi]
+        terms = all_gs[lo:hi] * multfun.m_sum_smooth_each(spec, x, m, q, ps)
+        # accumulate adds strictly in order, as a loop over the primes would
+        lhs, top = lhs.value, top.value
+        total = np.subtract.accumulate(np.append(top, terms))[-1]
+        scale = np.add.accumulate(np.append(abs(lhs) + abs(top), np.abs(terms)))[-1]
+        out.append(abs(lhs - float(total)) / (float(scale) + 1e-300))
+    return out
+
+
+def buchstab_defect(spec, x, m, q, z):
+    """Relative defect of the two-sided sieve recursion at one parameter
+    set: buchstab_defects' one-case form, a group of one with its own
+    m_sums call and prime selection."""
+    return buchstab_defects(spec, q, [(x, m, z)])[0]
 
 
 @dataclass(frozen=True)
@@ -431,9 +450,15 @@ class BuchstabCase:
 
 
 def buchstab_suite(seed=20240817, cases=50):
-    """Randomized recursion-defect suite over all the builtin functions."""
+    """Randomized recursion-defect suite over all the builtin functions.
+
+    Every case is drawn first, from one default_rng(seed) stream; the
+    cases are then computed in groups of one (spec, q), each group by one
+    buchstab_defects call (one m_sums call and one prime selection), and
+    returned in the order drawn.
+    """
     cases = check_int("cases", cases, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     pool = [
         multfun.builtin_spec("one_over_n"),
         multfun.builtin_spec("one_over_phi"),
@@ -443,7 +468,7 @@ def buchstab_suite(seed=20240817, cases=50):
         multfun.builtin_spec("nu_minus1_over_phi", offsets=[0, 4, 6]),
     ]
     qs = [1, 2, 6, 15, 30, 77]
-    out = []
+    drawn = []
     for i in range(cases):
         spec = pool[i % len(pool)]
         x = float(rng.integers(50, 4000))
@@ -458,6 +483,12 @@ def buchstab_suite(seed=20240817, cases=50):
             z = x
         else:
             z = float(rng.uniform(2.0, x))
-        defect = buchstab_defect(spec, x, m, q, z)
-        out.append(BuchstabCase(spec.name, x, m, q, z, defect))
-    return out
+        drawn.append((spec, q, (x, m, z)))
+    groups = {}  # the indices of the cases of each (spec, q)
+    for i, (spec, q, _) in enumerate(drawn):
+        groups.setdefault((spec, q), []).append(i)
+    defects = {}
+    for (spec, q), members in groups.items():
+        defects.update(zip(members, buchstab_defects(spec, q, [drawn[i][2] for i in members])))
+    return [BuchstabCase(spec.name, x, m, q, z, defects[i])
+            for i, (spec, q, (x, m, z)) in enumerate(drawn)]

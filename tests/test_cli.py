@@ -580,6 +580,15 @@ class TestExitCodes:
         assert out == ""
         assert "--cases must be at least 1" in err
 
+    @pytest.mark.parametrize("check", ["buchstab", "all"])
+    def test_negative_seed_rejected(self, check, capsys):
+        # numpy's message ("expected non-negative integer") once named no parameter
+        code, out, err = run_cli(["verify", "--check", check, "--cases", "3", "--seed", "-1",
+                                  "--ladder", "1e3,1e4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "sievesum: seed must be an integer >= 0, got -1\n"
+
     @pytest.mark.parametrize("argv", [
         ["I", "--s", "1", "--m", "2", "--u", "inf"],
         ["I", "--s", "1", "--m", "2", "--u", "1.5", "--v", "inf"],

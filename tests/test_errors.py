@@ -50,6 +50,7 @@ ENTRY_POINTS = [
     ("shared_table", "limit", primes.shared_table),
     ("factor_support", "q", primes.factor_support),
     ("buchstab_suite", "cases", lambda bad: verify.buchstab_suite(cases=bad)),
+    ("buchstab_suite", "seed", lambda bad: verify.buchstab_suite(seed=bad)),
     ("buchstab_defect", "m", lambda bad: verify.buchstab_defect(ONE_OVER_N, 100, bad, 1, 10)),
     ("buchstab_defect", "q", lambda bad: verify.buchstab_defect(ONE_OVER_N, 100, 0, bad, 10)),
     ("main_term", "m", lambda bad: verify.main_term(ONE_OVER_N, 1, bad, LADDER, 1e-6)),

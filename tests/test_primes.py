@@ -166,8 +166,9 @@ def _bits(values):
 
 
 class TestTableGrowth:
-    """Sums, Euler products and Buchstab defects read the same bits from a
-    fresh prime table and from one grown far past what they use."""
+    """Sums, Euler products and Buchstab defects, alone and in a group that
+    slices one prime selection, read the same bits from a fresh prime table
+    and from one grown far past what they use."""
 
     SPECS = [
         multfun.builtin_spec("one_over_phi"),
@@ -185,6 +186,8 @@ class TestTableGrowth:
             coeffs, bounds, sign = multfun.euler_log_taylor(spec, q, order)
             out.append((_bits(coeffs), _bits(bounds), sign))
         out.append(_bits([verify.buchstab_defect(spec, 3000.5, 1, q, 40.0)]))
+        group = [(3000.5, 1, 40.0), (800, 2, 2.0), (1500, 0, 1500.0), (97.5, 3, 9.25)]
+        out.append(_bits(verify.buchstab_defects(spec, q, group)))
         return out
 
     @pytest.mark.parametrize("q", [1, 30, 77])

@@ -280,6 +280,33 @@ class TestResidueOracle:
             dde.solve_f_exponent(1, -1, 2.0)
 
 
+BUILTINS = [
+    multfun.builtin_spec("one_over_n"),
+    multfun.builtin_spec("one_over_phi"),
+    multfun.builtin_spec("two_omega_over_n"),
+    multfun.builtin_spec("k_over_p", k=3),
+    multfun.builtin_spec("nu_over_p", offsets=[0, 2, 6]),
+    multfun.builtin_spec("nu_minus1_over_phi", offsets=[0, 4, 6]),
+]
+
+
+def _defect_loop(spec, x, m, q, z):
+    """The recursion defect of one case on its own, its running totals
+    taken in a Python loop: the reference for buchstab_defects."""
+    x = float(x)
+    lhs = multfun.m_sum_smooth(spec, x, m, q, z).value
+    top = multfun.m_sum_smooth(spec, x, m, q, x).value
+    ps, gs, _ = multfun.coprime_primes(spec, math.ceil(x) - 1, q)
+    lo = int(ps.searchsorted(math.ceil(z)))
+    ps, gs = ps[lo:], gs[lo:]
+    scale, total = abs(lhs) + abs(top), top
+    for gp, s in zip(gs.tolist(), multfun.m_sum_smooth_each(spec, x, m, q, ps)):
+        term = gp * s
+        total -= term
+        scale += abs(term)
+    return abs(lhs - total) / (scale + 1e-300)
+
+
 class TestBuchstab:
     def test_exact_identity_small(self):
         spec = multfun.builtin_spec("one_over_n")
@@ -303,6 +330,42 @@ class TestBuchstab:
     def test_no_prime_between_z_and_x(self):
         spec = multfun.builtin_spec("k_over_p", k=3)
         assert verify.buchstab_defect(spec, 24.5, 2, 6, 23.5) == 0.0
+
+    @pytest.mark.parametrize("q", [1, 6, 77])
+    @pytest.mark.parametrize("spec", BUILTINS, ids=lambda spec: spec.name)
+    def test_group_matches_the_case_loop(self, spec, q):
+        # one group mixes integer and half-integer x, every m and z at 2,
+        # inside (a prime, and not an integer) and at x
+        cases = [(x, m, z) for x in (61.0, 97.5, 1201.0, 2500.5) for m in range(4)
+                 for z in (2.0, 23.0, x / 3 + 0.25, x)]
+        got = [d.hex() for d in verify.buchstab_defects(spec, q, cases)]
+        assert got == [_defect_loop(spec, x, m, q, z).hex() for x, m, z in cases]
+        assert got == [verify.buchstab_defect(spec, x, m, q, z).hex() for x, m, z in cases]
+
+    def test_suite_matches_the_case_loop(self):
+        cases = verify.buchstab_suite(seed=20240817, cases=500)
+        # the first three cases of this seed's stream, in the order drawn
+        assert [(c.spec_name, c.x, c.m, c.q, c.z) for c in cases[:3]] == [
+            ("one_over_n", 2856.5, 2, 30, 2856.5),
+            ("one_over_phi", 1159.0, 0, 77, 876.943458093678),
+            ("two_omega_over_n", 830.5, 0, 1, 421.52516945509535),
+        ]
+        by_name = {spec.name: spec for spec in BUILTINS}
+        want = [_defect_loop(by_name[c.spec_name], c.x, c.m, c.q, c.z).hex() for c in cases]
+        assert [c.defect.hex() for c in cases] == want
+
+    def test_suite_makes_one_m_sums_call_per_group(self, monkeypatch):
+        calls = []
+        m_sums = multfun.m_sums
+
+        def counted(spec, q, queries):
+            calls.append((spec.name, q))
+            return m_sums(spec, q, queries)
+
+        monkeypatch.setattr(multfun, "m_sums", counted)
+        cases = verify.buchstab_suite(seed=20240817, cases=500)
+        assert sorted(calls) == sorted({(c.spec_name, c.q) for c in cases})
+        assert len(calls) <= 36
 
     def test_suite_deterministic_and_tight(self):
         a = verify.buchstab_suite(seed=99, cases=12)
